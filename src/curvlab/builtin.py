@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .core import GeneratorSet, GroupOracle, plain_decode, plain_encode
+from .core import CurvlabError, GeneratorSet, GroupOracle, plain_decode, plain_encode
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def free_gencon(n: int, g: tuple) -> Fraction:
     return Fraction(len(g)) + 2 - Fraction(2, n)
 
 
-class IdentityWordError(ValueError):
+class IdentityWordError(CurvlabError, ValueError):
     pass
 
 

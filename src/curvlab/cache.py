@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from typing import Optional
 
-from .core import GroupOracle, MetricTable, bfs_metric, DEFAULT_BUDGET
+from .core import DEFAULT_BUDGET, CurvlabError, GroupOracle, MetricTable, bfs_metric
 
 MAGIC = b"CVL1"
 VERSION = 1
 
 
-class CacheFormatError(Exception):
-    pass
+class CacheFormatError(CurvlabError):
+    """A cache file is not a well-formed table of the requested group."""
 
 
 def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
@@ -47,31 +48,44 @@ def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
     return b"".join(parts)
 
 
+def _unpack(fmt: str, data: bytes, off: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, data, off)
+    except struct.error:
+        raise CacheFormatError("truncated cache file") from None
+
+
 def table_from_bytes(oracle: GroupOracle, data: bytes) -> MetricTable:
+    """Decode a cache file; any malformed or truncated input raises CacheFormatError."""
     if data[:4] != MAGIC:
         raise CacheFormatError("bad magic; not a curvlab cache file")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = _unpack("<I", data, 4)
     if version != VERSION:
         raise CacheFormatError(f"unsupported cache version {version}")
     off = 8
-    (id_len,) = struct.unpack_from("<H", data, off)
+    (id_len,) = _unpack("<H", data, off)
     off += 2
-    group_id = data[off : off + id_len].decode("utf-8")
+    group_id = data[off : off + id_len].decode("utf-8", errors="replace")
     off += id_len
     if group_id != oracle.group_id:
         raise CacheFormatError(f"cache holds {group_id!r}, oracle is {oracle.group_id!r}")
-    (horizon,) = struct.unpack_from("<I", data, off)
+    (horizon,) = _unpack("<I", data, off)
     off += 4
-    counts = struct.unpack_from(f"<{horizon + 1}Q", data, off)
+    counts = _unpack(f"<{horizon + 1}Q", data, off)
     off += 8 * (horizon + 1)
     layers: list[tuple] = []
     dist: dict = {}
     for r, count in enumerate(counts):
         layer = []
         for _ in range(count):
-            (key_len,) = struct.unpack_from("<I", data, off)
+            (key_len,) = _unpack("<I", data, off)
             off += 4
-            el = oracle.decode(data[off : off + key_len])
+            if off + key_len > len(data):
+                raise CacheFormatError("truncated cache file")
+            try:
+                el = oracle.decode(data[off : off + key_len])
+            except (ValueError, SyntaxError, TypeError):
+                raise CacheFormatError(f"undecodable element key at byte {off}") from None
             off += key_len
             layer.append(el)
             dist[el] = r
@@ -99,11 +113,21 @@ def cached_bfs_metric(
     path = cache_path(cache_dir, oracle.group_id, horizon)
     if os.path.exists(path):
         with open(path, "rb") as fh:
-            return table_from_bytes(oracle, fh.read())
+            data = fh.read()
+        try:
+            return table_from_bytes(oracle, data)
+        except CacheFormatError as exc:
+            raise CacheFormatError(f"{path}: {exc}") from None
     table = bfs_metric(oracle, horizon, budget=budget)
     os.makedirs(cache_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(table_to_bytes(oracle, table))
-    os.replace(tmp, path)
+    # A private temporary file per writer: concurrent writers never share one,
+    # and the rename makes each complete file appear atomically.
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(table_to_bytes(oracle, table))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return table

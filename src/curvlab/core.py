@@ -35,6 +35,10 @@ class IdentityElementError(CurvlabError):
     """The requested quantity is undefined at the identity element."""
 
 
+class DomainError(CurvlabError, ValueError):
+    """An argument, such as a radius, lies outside the domain of the requested quantity."""
+
+
 def plain_encode(value: Any) -> bytes:
     """Serialize a plain nested-tuple/int value to canonical bytes."""
     return repr(value).encode("ascii")
@@ -151,7 +155,7 @@ def bfs_metric(oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGE
     retained.
     """
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise DomainError("horizon must be nonnegative")
     dist: dict[Element, int] = {oracle.identity: 0}
     layers: list[tuple[Element, ...]] = [(oracle.identity,)]
     frontier: Sequence[Element] = layers[0]

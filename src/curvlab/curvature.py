@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .core import (
+    DomainError,
     Element,
     GroupOracle,
     IdentityElementError,
@@ -109,11 +110,14 @@ def conjugate_breakdown(
     if g == oracle.identity:
         raise IdentityElementError("comparison distances are undefined at the identity")
     if r < 1:
-        raise ValueError("radius must be at least 1")
+        raise DomainError(f"radius must be at least 1, got {r}")
     if length_table is None:
         length_table = table
+    conjugators = _conjugator_set(table, r, mode)
+    if not conjugators:
+        raise DomainError(f"the {table.group_id} sphere of radius {r} is empty")
     out = []
-    for w in _conjugator_set(table, r, mode):
+    for w in conjugators:
         out.append((w, word_length(oracle, oracle.conjugate(g, w), length_table)))
     return tuple(out)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .core import (
+    CurvlabError,
     Element,
     GroupOracle,
     MetricTable,
@@ -31,7 +32,7 @@ from .core import (
 )
 
 
-class NotADeadEndError(ValueError):
+class NotADeadEndError(CurvlabError, ValueError):
     pass
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .builtin import S3_WORDS, free_letter_label, make_free, make_s3, make_zn
-from .core import Element, GroupOracle
+from .core import CurvlabError, Element, GroupOracle
 from .heisenberg import HEIS_ID, MalcevTriple, heis_oracle
 from .houghton import H2_ID, HoughtonElement, h2_g, h2_h, h2_oracle, h2_u
 from .lamplighter import (
@@ -35,7 +35,7 @@ from .lamplighter import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(CurvlabError, ValueError):
     def __init__(self, token: str, rule: str):
         self.token = token
         self.rule = rule
@@ -51,16 +51,16 @@ def get_group(group_id: str) -> GroupOracle:
         return h2_oracle()
     if group_id == HEIS_ID:
         return heis_oracle()
-    m = re.fullmatch(r"Z(\d+)", group_id)
+    m = re.fullmatch(r"Z([1-9]\d*)", group_id)
     if m:
         return make_zn(int(m.group(1)))
-    m = re.fullmatch(r"F(\d+)", group_id)
+    m = re.fullmatch(r"F([1-9]\d*)", group_id)
     if m:
         return make_free(int(m.group(1)))
-    m = re.fullmatch(r"W(\d+)", group_id)
+    m = re.fullmatch(r"W([2-9]|[1-9]\d+)", group_id)  # the lamp group Z_n must be nontrivial
     if m:
         return zn_wreath_oracle(int(m.group(1)))
-    raise ParseError(group_id, "a group id of the form Zn, Fn, S3, L2, Wn, H2 or Heis")
+    raise ParseError(group_id, "a group id of the form Zn or Fn (n >= 1), S3, L2, Wn (n >= 2), H2 or Heis")
 
 
 def _parse_word(oracle: GroupOracle, text: str) -> Element:
@@ -114,13 +114,13 @@ def parse_element(group_id: str, text: str) -> Element:
         return tuple(coords)
 
     if group_id == L2_ID:
-        m = re.fullmatch(r"d\((\d+)\)(?:\*t\^(-?\d+))?", text)
+        m = re.fullmatch(r"d\(([1-9]\d*)\)(?:\*t\^(-?\d+))?", text)
         if m:
             mval = int(m.group(1))
             return ll_dm_tk(mval, int(m.group(2))) if m.group(2) else ll_make_dm(mval)
         m = re.fullmatch(r"L2\{(.*);\s*p=(-?\d+)\s*\}", text)
         if not m:
-            raise ParseError(text, '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k"')
+            raise ParseError(text, '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k" with m >= 1')
         lamps = _parse_int_list(m.group(1), text)
         if len(set(lamps)) != len(lamps):
             raise ParseError(text, "distinct lamp indices")
@@ -147,19 +147,22 @@ def parse_element(group_id: str, text: str) -> Element:
         return WreathConfig(tuple(sorted(lamps.items())), int(m.group(2)))
 
     if group_id == H2_ID:
-        m = re.fullmatch(r"g\((\d+)\)", text)
+        m = re.fullmatch(r"g\(([1-9]\d*)\)", text)
         if m:
             return h2_g(int(m.group(1)))
         m = re.fullmatch(r"h\((\d+)\s*,\s*(\d+)\)", text)
         if m:
-            return h2_h(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"u\((\d+)\s*,\s*(pos|neg)\)", text)
+            k, mm = int(m.group(1)), int(m.group(2))
+            if not 1 <= mm <= k:
+                raise ParseError(text, "h(k,m) with 1 <= m <= k")
+            return h2_h(k, mm)
+        m = re.fullmatch(r"u\(([1-9]\d*)\s*,\s*(pos|neg)\)", text)
         if m:
             return h2_u(int(m.group(1)), m.group(2))
         m = re.fullmatch(r"H2\{(.*);\s*shift=(-?\d+)\s*\}", text)
         if not m:
             raise ParseError(
-                text, '"H2{ p:q, ... ; shift=<n> }" or a builder g(k) / h(k,m) / u(l,pos|neg)'
+                text, '"H2{ p:q, ... ; shift=<n> }" or a builder g(k) / h(k,m) / u(l,pos|neg) with k, l >= 1'
             )
         moves = {}
         for pair in filter(None, (p.strip() for p in m.group(1).split(","))):

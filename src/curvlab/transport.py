@@ -4,12 +4,23 @@ For basepoints x, y and a common support shape (the sphere or ball of radius
 r), the measures are uniform on {x*w} and {y*w}.  Because both are uniform of
 equal size, an optimal transport plan is a permutation, so the infimum is an
 exact assignment optimum over the integer cost matrix d(x*u, y*v).  The
-transport curvature is kappa* = 1 - T1/d(x, y); it always dominates the
-comparison curvature, whose plan is the identity permutation.
+transport curvature is kappa* = 1 - T1/d(x, y) (Ollivier's coarse Ricci
+curvature); it always dominates the comparison curvature, whose plan is the
+identity permutation.
 
-The assignment step uses scipy's exact min-cost matching on integer costs;
-all optima (up to a cap) are then enumerated by depth-first search with a
-row-minimum bound, in deterministic lexicographic order.
+The assignment is solved by the Hungarian method in its shortest augmenting
+path form (Kuhn 1955), in O(n^3) integer arithmetic.  Besides the optimum
+and one optimal matching it returns integer dual potentials u, v with
+c_ij - u_i - v_j >= 0 everywhere.  By complementary slackness the optimal
+permutations are exactly the perfect matchings of the tight graph, the pairs
+with c_ij - u_i - v_j = 0.  They are listed in lexicographic order by fixing
+rows in order and trying tight columns in ascending order, while keeping one
+perfect matching of the rows not yet fixed; a branch that moves a row off
+its partner repairs that matching with one augmenting path, and is dropped
+when no path exists (in the manner of Uno 1997).  Every branch taken
+therefore leads to an optimum, and between two optima each tight pair is
+tried at most once, so the delay is polynomial: O(n^4) in the worst case,
+against the exponential search of a cost bound alone.
 """
 
 from __future__ import annotations
@@ -18,15 +29,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-from .core import Element, GroupOracle, MetricTable, ball, sphere, word_length
+from .core import (
+    CurvlabError,
+    DomainError,
+    Element,
+    GroupOracle,
+    MetricTable,
+    ball,
+    sphere,
+    word_length,
+)
 
 Support = Literal["sphere", "ball"]
 
+INF = float("inf")  # slack of a column no tree row reaches yet; every real slack is an int
 
-class EqualPointsError(ValueError):
+
+class EqualPointsError(CurvlabError, ValueError):
     pass
 
 
@@ -47,7 +66,7 @@ class TransportResult:
     cost: tuple[tuple[int, ...], ...]
     t1: Fraction
     permutations: tuple[tuple[int, ...], ...]  # optimal index bijections, lexicographic
-    truncated: bool  # True when the enumeration hit the cap
+    truncated: bool  # True when more optima exist than the cap lets through
     identity_optimal: bool
     distance: int  # d(x, y); 0 when x == y
     kappa_star: Optional[Fraction]  # None when x == y
@@ -73,51 +92,159 @@ class TransportResult:
         }
 
 
+def hungarian(cost) -> tuple[int, list[int], list[int], list[int]]:
+    """Minimum assignment of a square integer matrix, with its dual certificate.
+
+    Returns (optimum, match, u, v): ``match[i]`` is row i's column in one
+    optimal assignment, and the integer potentials satisfy
+    c_ij - u_i - v_j >= 0 for all i, j, with equality on the matching, so
+    that sum(u) + sum(v) = optimum.
+    """
+    n = len(cost)
+    # 1-based rows and columns; column 0 is a virtual start holding the row being inserted.
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: the row matched to column j, 0 when free
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [INF] * (n + 1)  # least reduced cost reaching each column from the tree
+        way = [0] * (n + 1)  # the tree column preceding each column on its best path
+        done = [False] * (n + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = INF, 0
+            for j in range(1, n + 1):
+                if not done[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < slack[j]:
+                        slack[j], way[j] = cur, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the virtual column
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    match = [0] * n
+    for j in range(1, n + 1):
+        match[owner[j] - 1] = j - 1
+    return sum(cost[i][match[i]] for i in range(n)), match, u[1:], v[1:]
+
+
 def solve_assignment(cost: list[list[int]]) -> int:
     """Exact minimum assignment cost of a square integer matrix."""
-    rows, cols = linear_sum_assignment(np.asarray(cost, dtype=np.int64))
-    return int(sum(cost[i][j] for i, j in zip(rows, cols)))
+    return hungarian(cost)[0]
+
+
+def _reroute(tight, col, row, fixed, i: int, j: int) -> bool:
+    """Give row i column j, keeping the matching perfect by moving only unfixed rows.
+
+    Searches one augmenting path from j's owner to i's old column through
+    tight, unfixed columns other than j; returns False, leaving the matching
+    as it was, when there is none.
+    """
+    target, start = col[i], row[j]
+    via = {}  # column -> the row whose tight edge reached it
+    stack = [start]
+    while stack and target not in via:
+        r = stack.pop()
+        for c in tight[r]:
+            if c != j and not fixed[c] and c not in via:
+                via[c] = r
+                if c == target:
+                    break
+                stack.append(row[c])
+    if target not in via:
+        return False
+    c = target  # walk the path back, shifting each row onto the column it reached
+    while True:
+        r = via[c]
+        prev = col[r]
+        col[r], row[c] = c, r
+        if r == start:
+            break
+        c = prev
+    col[i], row[j] = j, i
+    return True
+
+
+def _tight_matchings(tight, match: list[int], limit: int) -> list[tuple[int, ...]]:
+    """The first ``limit`` perfect matchings of ``tight``, lexicographically.
+
+    ``tight[i]`` lists row i's columns in ascending order and ``match`` is one
+    perfect matching.  Rows are fixed in order, each to its tight columns in
+    ascending order; every branch taken keeps a perfect matching of the
+    whole graph that agrees with the fixed rows, so it ends in an output.
+    """
+    n = len(tight)
+    col = list(match)
+    row = [0] * n
+    for i, j in enumerate(col):
+        row[j] = i
+    fixed = [False] * n  # columns held by rows 0..i-1
+    nxt = [0] * (n + 1)  # per depth: the index into tight[i] to try next
+    out: list[tuple[int, ...]] = []
+    i = 0
+    while i >= 0 and len(out) < limit:
+        if i == n:
+            out.append(tuple(col))
+            i -= 1
+            continue
+        if nxt[i]:
+            fixed[col[i]] = False  # back from the branch that fixed row i
+        options = tight[i]
+        while nxt[i] < len(options):
+            j = options[nxt[i]]
+            nxt[i] += 1
+            if not fixed[j] and (j == col[i] or _reroute(tight, col, row, fixed, i, j)):
+                fixed[j] = True
+                i += 1
+                nxt[i] = 0
+                break
+        else:
+            nxt[i] = 0
+            i -= 1
+    return out
+
+
+def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], bool]:
+    n = len(cost)
+    tight = [[j for j in range(n) if cost[i][j] - u[i] == v[j]] for i in range(n)]
+    plans = _tight_matchings(tight, match, cap + 1)
+    return plans[:cap], len(plans) > cap
 
 
 def enumerate_optimal(cost, optimum: int, cap: int = 1000) -> tuple[list[tuple[int, ...]], bool]:
-    """All permutations achieving the optimum, lexicographically, up to cap."""
-    n = len(cost)
-    out: list[tuple[int, ...]] = []
-    used = [False] * n
-    perm = [0] * n
+    """All permutations achieving the optimum, lexicographically, up to cap.
 
-    def bound(i: int) -> int:
-        # sum of per-row minima over free columns: a lower bound on any completion
-        total = 0
-        for k in range(i, n):
-            total += min(cost[k][j] for j in range(n) if not used[j])
-        return total
-
-    def rec(i: int, partial: int) -> None:
-        if i == n:
-            out.append(tuple(perm))
-            return
-        for j in range(n):
-            if used[j] or partial + cost[i][j] > optimum:
-                continue
-            used[j] = True
-            perm[i] = j
-            if partial + cost[i][j] + bound(i + 1) <= optimum:
-                rec(i + 1, partial + cost[i][j])
-            used[j] = False
-            if len(out) >= cap:
-                return
-
-    rec(0, 0)
-    return out, len(out) >= cap
+    The flag is True exactly when more than ``cap`` optimal permutations
+    exist.  ``optimum`` must be the minimum assignment cost of ``cost``.
+    """
+    best, match, u, v = hungarian(cost)
+    if optimum != best:
+        raise ValueError(f"{optimum} is not the minimum assignment cost {best}")
+    return _optimal_plans(cost, match, u, v, cap)
 
 
 def _translators(table: MetricTable, support: Support, radius: int):
     if support == "sphere":
-        return sphere(table, radius)
-    if support == "ball":
-        return ball(table, radius)
-    raise ValueError(f"support must be 'sphere' or 'ball', got {support!r}")
+        ws = sphere(table, radius)
+    elif support == "ball":
+        ws = ball(table, radius)
+    else:
+        raise ValueError(f"support must be 'sphere' or 'ball', got {support!r}")
+    if not ws:
+        raise DomainError(f"the {table.group_id} sphere of radius {radius} is empty")
+    return ws
 
 
 def transport_distance(
@@ -146,8 +273,8 @@ def transport_distance(
         for v in ws:
             row.append(word_length(oracle, oracle.compose(left, v), length_table))
         cost.append(row)
-    optimum = solve_assignment(cost)
-    perms, truncated = enumerate_optimal(cost, optimum, cap)
+    optimum, match, u_pot, v_pot = hungarian(cost)
+    perms, truncated = _optimal_plans(cost, match, u_pot, v_pot, cap)
     n = len(ws)
     identity_cost = sum(cost[i][i] for i in range(n))
     d = word_length(oracle, shift, length_table)
@@ -277,12 +404,8 @@ def question_probe(
         start += size
     for g in elements:
         res = optimal_permutations(oracle, table, g, r, "ball", cap=cap, length_table=length_table)
-        preserving = None
-        for perm in res.permutations:
-            if all(all(lo <= perm[i] < hi for i in range(lo, hi)) for lo, hi in bounds):
-                preserving = perm
-                break
         # Stitch per-sphere optima: cost of the best sphere-preserving plan.
+        # A sphere-preserving ball optimum exists exactly when this reaches the ball optimum.
         block_cost = 0
         for i, (lo, hi) in enumerate(bounds):
             if i == 0:
@@ -290,13 +413,13 @@ def question_probe(
                 continue
             sub = [[res.cost[u][v] for v in range(lo, hi)] for u in range(lo, hi)]
             block_cost += solve_assignment(sub)
-        n = len(res.translators)
+        blocks_optimal = Fraction(block_cost, len(res.translators)) == res.t1
         rows.append(
             ProbeRow(
                 element=g,
                 identity_optimal=res.identity_optimal,
-                sphere_preserving_exists=preserving is not None,
-                block_plan_matches_ball=Fraction(block_cost, n) == res.t1,
+                sphere_preserving_exists=blocks_optimal,
+                block_plan_matches_ball=blocks_optimal,
                 optima_count=len(res.permutations),
                 truncated=res.truncated,
             )

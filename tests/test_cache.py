@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from curvlab.cache import (
@@ -7,7 +9,7 @@ from curvlab.cache import (
     table_from_bytes,
     table_to_bytes,
 )
-from curvlab.core import bfs_metric
+from curvlab.core import CurvlabError, bfs_metric
 from curvlab.houghton import h2_oracle
 from curvlab.lamplighter import l2_oracle
 
@@ -42,5 +44,24 @@ def test_cache_rejects_wrong_group(tmp_path):
 
 
 def test_cache_rejects_garbage():
+    assert issubclass(CacheFormatError, CurvlabError)
     with pytest.raises(CacheFormatError):
         table_from_bytes(l2_oracle(), b"not a cache file")
+
+
+def test_cache_rejects_every_truncation():
+    oracle = l2_oracle()
+    blob = table_to_bytes(oracle, bfs_metric(oracle, 2))
+    for end in range(len(blob)):
+        with pytest.raises(CacheFormatError):
+            table_from_bytes(oracle, blob[:end])
+
+
+def test_cache_writer_uses_a_private_temporary_file(tmp_path):
+    oracle = l2_oracle()
+    d = str(tmp_path)
+    path = cache_path(d, oracle.group_id, 3)
+    os.mkdir(path + ".tmp")  # a fixed shared temporary name would collide with this
+    table = cached_bfs_metric(oracle, 3, d)
+    assert table.layers == bfs_metric(oracle, 3).layers
+    assert sorted(os.listdir(d)) == sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])

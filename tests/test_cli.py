@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from curvlab.cache import cache_path, table_to_bytes
+from curvlab.core import bfs_metric
 from curvlab.heisenberg import MalcevTriple
 from curvlab.houghton import h2_g, h2_h, h2_u
 from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_make_dm
@@ -45,6 +47,8 @@ def test_parse_lamplighter():
     assert parse_element("L2", "L2{ ; p=0 }") == LampConfig((), 0)
     with pytest.raises(ParseError):
         parse_element("L2", "L2{ 1,1 ; p=0 }")
+    with pytest.raises(ParseError):
+        parse_element("L2", "d(0)")
 
 
 def test_parse_wreath():
@@ -65,6 +69,9 @@ def test_parse_houghton():
         parse_element("H2", "H2{ 1:2 ; shift=0 }")  # not a bijection
     with pytest.raises(ParseError):
         parse_element("H2", "H2{ 1:2, 2:3 ; shift=1 }")  # entries match the shift
+    for builder in ("g(0)", "h(1,2)", "h(2,0)", "u(0,pos)"):
+        with pytest.raises(ParseError):
+            parse_element("H2", builder)
 
 
 def test_parse_heisenberg():
@@ -97,8 +104,9 @@ def test_parse_format_round_trip(group_id, literal):
 
 
 def test_unknown_group():
-    with pytest.raises(ParseError):
-        get_group("Q8")
+    for group_id in ("Q8", "Z0", "F0", "W0", "W1"):
+        with pytest.raises(ParseError):
+            get_group(group_id)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +202,46 @@ def test_cli_parse_error_exit_code():
     proc = run_cli("length", "--group", "L2", "--element", "nonsense")
     assert proc.returncode == 1
     assert "parse error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("curvature", "--group", "L2", "--element", "d(2)", "--radius", "0"),
+        ("length", "--group", "L2", "--element", "d(0)"),
+        ("curvature", "--group", "S3", "--element", "s t s", "--radius", "5"),  # S_5 is empty
+        ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--radius", "5"),
+    ],
+)
+def test_cli_malformed_input_one_line_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("curvlab: ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("damage", ["truncated", "bad magic"])
+def test_cli_corrupt_cache_one_line_error(tmp_path, damage):
+    oracle = get_group("L2")
+    blob = table_to_bytes(oracle, bfs_metric(oracle, 3))
+    blob = blob[:-3] if damage == "truncated" else b"XXXX" + blob[4:]
+    with open(cache_path(str(tmp_path), "L2", 3), "wb") as fh:
+        fh.write(blob)
+    proc = run_cli("length", "--group", "L2", "--element", "d(1)", "--horizon", "3", "--cache", str(tmp_path))
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "L2_h3.cvl" in lines[0]
+
+
+def test_import_loads_neither_scipy_nor_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, curvlab; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_cache_roundtrip(tmp_path):

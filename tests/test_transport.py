@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import ball, bfs_metric
 from curvlab.curvature import gencon, kappa
 from curvlab.lamplighter import l2_oracle, ll_dm_tk
+from curvlab.literals import get_group, parse_element
 from curvlab.transport import (
     EqualPointsError,
     MeasureSpec,
     enumerate_optimal,
+    hungarian,
     kappa_star,
     optimal_permutations,
     question_probe,
@@ -31,28 +34,66 @@ def test_solver_matches_brute_force():
         n = 2 + trial % 6
         cost = [[rng.randint(0, 20) for _ in range(n)] for _ in range(n)]
         assert solve_assignment(cost) == brute_minimum(cost)
+        optimum, match, u, v = hungarian(cost)  # the integer duals certify the optimum
+        assert sorted(match) == list(range(n))
+        assert all(cost[i][j] - u[i] - v[j] >= 0 for i in range(n) for j in range(n))
+        assert all(cost[i][match[i]] == u[i] + v[match[i]] for i in range(n))
+        assert sum(u) + sum(v) == optimum
 
 
 def test_enumeration_complete_and_lexicographic():
     rng = random.Random(55)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        cost = [[rng.randint(0, 6) for _ in range(n)] for _ in range(n)]
+    for trial in range(320):
+        n = 1 + trial % 7
+        high = (1, 2, 3, 6, 20)[trial % 5]  # 0-1 costs tie heavily, 0-20 costs rarely
+        cost = [[rng.randint(0, high) for _ in range(n)] for _ in range(n)]
         opt = solve_assignment(cost)
-        perms, truncated = enumerate_optimal(cost, opt, cap=10_000)
-        assert not truncated
         expected = [
             p
             for p in itertools.permutations(range(n))
             if sum(cost[i][p[i]] for i in range(n)) == opt
-        ]
-        assert perms == expected  # itertools.permutations is lexicographic
+        ]  # itertools.permutations is lexicographic
+        for cap in (1, 3, 50, 1000):
+            perms, truncated = enumerate_optimal(cost, opt, cap=cap)
+            assert perms == expected[:cap]
+            assert truncated == (len(expected) > cap)
 
 
 def test_enumeration_cap():
     cost = [[0] * 5 for _ in range(5)]
     perms, truncated = enumerate_optimal(cost, 0, cap=7)
     assert len(perms) == 7 and truncated
+    zero3 = [[0] * 3 for _ in range(3)]  # all 6 permutations are optimal
+    assert enumerate_optimal(zero3, 0, cap=6) == (list(itertools.permutations(range(3))), False)
+    perms, truncated = enumerate_optimal(zero3, 0, cap=5)
+    assert len(perms) == 5 and truncated
+    with pytest.raises(ValueError):
+        enumerate_optimal(zero3, 1)  # not the minimum
+
+
+@pytest.mark.parametrize(
+    "gid,x,mode,r,horizon",
+    [
+        ("L2", "d(3)", "ball", 3, 3),  # n = 22
+        ("F2", "a", "sphere", 3, 3),  # n = 36
+        ("Z3", "(1,1,0)", "ball", 2, 2),  # n = 25
+        ("Heis", "(3,1,1)", "sphere", 2, 10),  # n = 12
+    ],
+)
+def test_tight_graph_enumeration_is_fast_where_row_minimum_search_was_not(gid, x, mode, r, horizon):
+    # A row-minimum depth-first search found no optimum on these within 10 s.
+    oracle = get_group(gid)
+    table = bfs_metric(oracle, horizon)
+    spec = MeasureSpec(parse_element(gid, x), oracle.identity, mode, r)
+    t0 = time.perf_counter()
+    res = transport_distance(oracle, table, spec, cap=1000)
+    assert time.perf_counter() - t0 < 0.5
+    n = len(res.translators)
+    assert len(res.permutations) == 1000 and res.truncated
+    for p in res.permutations:
+        assert sorted(p) == list(range(n))
+        assert sum(res.cost[i][p[i]] for i in range(n)) == res.t1 * n
+    assert list(res.permutations) == sorted(set(res.permutations))
 
 
 def test_solver_invariant_under_relabeling():
@@ -174,6 +215,9 @@ def test_probe_reports():
     assert rep.identity_always_optimal
     assert all(row.sphere_preserving_exists for row in rep.rows)
     assert all(row.block_plan_matches_ball for row in rep.rows)
+    capped = question_probe(z2, tz, 1, sample, cap=1)  # the answers do not depend on the cap
+    assert all(row.truncated for row in capped.rows)
+    assert [r.sphere_preserving_exists for r in capped.rows] == [r.sphere_preserving_exists for r in rep.rows]
 
     s3 = make_s3()
     t3 = bfs_metric(s3, 3)
