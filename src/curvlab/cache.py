@@ -1,19 +1,35 @@
 """Versioned on-disk cache for BFS metric tables.
 
-Byte layout (all integers little-endian, unsigned):
+A file stores the BFS spanning tree of the ball, not its elements.  Byte
+layout (all integers little-endian, unsigned):
 
     magic      4 bytes   b"CVL1"
-    version    u32       format version, currently 1
+    version    u32       format version, currently 2
     id_len     u16       length of the group id
     group_id   id_len bytes, UTF-8
     horizon    u32
     counts     (horizon+1) * u64   layer sizes for radii 0..horizon
-    keys       for each layer in radius order, for each element in encode
-               order: u32 key length, then the raw encode key
+    tree       for each radius r = 1..horizon: counts[r] u32 parent indices
+               into layer r-1, then counts[r] u16 generator indices
 
-Lengths are implicit in the layer structure, so a cache hit reconstructs the
-table exactly; saves are canonical, making hit bytes identical to a fresh
-recomputation's bytes.
+The element at position j of layer r is ``compose(layers[r-1][parent[j]],
+generators[gen[j]])``.  Each layer is in encode order, and each element takes
+the least generator index i for which ``compose(el, generators[inverse[i]])``
+lies in the previous layer, and that element as its parent, so saves are
+canonical: a cache hit re-saves to the bytes of a fresh recomputation.  A miss
+builds the ball with this module's own BFS, which records the tree from the
+products it computes anyway; :func:`bfs_metric` stays the reference, and the
+tests require equal tables for every built-in group.
+
+Loading parses no text.  It checks that every index is in range, that each
+layer is in strictly increasing encode order and that no element repeats one
+of an earlier layer.  Given the counts, these checks admit only the BFS table
+itself: an element one generator step from S_(r-1) and outside B_(r-1) lies in
+S_r, so counts[r] distinct such elements are all of S_r, and the order check
+fixes their order.  Every other input raises :class:`CacheFormatError`.
+
+Files of format version 1 (one ``repr`` key per element) are treated as a
+cache miss by :func:`cached_bfs_metric` and replaced.
 """
 
 from __future__ import annotations
@@ -21,31 +37,86 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from typing import Optional
+from itertools import repeat
+from typing import Container, Optional
 
-from .core import DEFAULT_BUDGET, CurvlabError, GroupOracle, MetricTable, bfs_metric
+from .core import (
+    DEFAULT_BUDGET,
+    CurvlabError,
+    DomainError,
+    GroupOracle,
+    MetricTable,
+    ResourceLimitError,
+    bfs_metric,
+)
 
 MAGIC = b"CVL1"
-VERSION = 1
+VERSION = 2
+_V1_HEADER = MAGIC + struct.pack("<I", 1)
 
 
 class CacheFormatError(CurvlabError):
     """A cache file is not a well-formed table of the requested group."""
 
 
+def _steps(oracle: GroupOracle, prev: tuple, seen: Container) -> dict:
+    """Map each element one generator step from ``prev`` and outside ``seen`` to its
+    spanning-tree step: (position of its parent in ``prev``, generator index).
+
+    Generators are tried in index order, and p -> p * g_i is injective, so each
+    element gets the least i such that el * g_i^-1 lies in ``prev``, and that
+    element as its parent.
+    """
+    step: dict = {}
+    for i, gen in enumerate(oracle.generators):
+        for p, el in enumerate(map(oracle.compose, prev, repeat(gen))):
+            if el not in seen and el not in step:
+                step[el] = (p, i)
+    return step
+
+
+def _build(oracle: GroupOracle, horizon: int, budget: int) -> tuple[MetricTable, bytes]:
+    """The BFS ball of radius ``horizon`` and its cache file, built in one pass.
+
+    The layers equal those of :func:`bfs_metric`, which stays the reference; the
+    spanning tree comes from the products the BFS computes anyway.
+    """
+    if horizon < 0:
+        raise DomainError("horizon must be nonnegative")
+    dist = {oracle.identity: 0}
+    layers = [(oracle.identity,)]
+    trees = []
+    for r in range(1, horizon + 1):
+        step = _steps(oracle, layers[-1], dist)
+        if len(dist) + len(step) > budget:
+            raise ResourceLimitError(
+                f"ball of radius {r} for {oracle.group_id} exceeds the element budget "
+                f"({budget}); lower the horizon or raise the budget"
+            )
+        layer = tuple(sorted(step, key=oracle.encode))
+        dist.update(zip(layer, repeat(r)))
+        layers.append(layer)
+        parents, gens = zip(*map(step.__getitem__, layer)) if layer else ((), ())
+        trees.append(struct.pack(f"<{len(layer)}I{len(layer)}H", *parents, *gens))
+    gid = oracle.group_id.encode("utf-8")
+    header = MAGIC + struct.pack(
+        f"<IH{len(gid)}sI{horizon + 1}Q", VERSION, len(gid), gid, horizon, *map(len, layers)
+    )
+    return MetricTable(oracle.group_id, horizon, tuple(layers), dist), header + b"".join(trees)
+
+
 def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    gid = table.group_id.encode("utf-8")
-    parts.append(struct.pack("<H", len(gid)))
-    parts.append(gid)
-    parts.append(struct.pack("<I", table.horizon))
-    parts.append(struct.pack(f"<{len(table.layers)}Q", *(len(l) for l in table.layers)))
-    for layer in table.layers:
-        for el in layer:
-            key = oracle.encode(el)
-            parts.append(struct.pack("<I", len(key)))
-            parts.append(key)
-    return b"".join(parts)
+    """The cache file of ``table``; raises ValueError unless it is the BFS ball of ``oracle``.
+
+    The tree is taken from a fresh BFS, so this costs as much as :func:`bfs_metric`.
+    """
+    try:
+        built, data = _build(oracle, table.horizon, budget=len(table.dist))
+    except ResourceLimitError:
+        built = None
+    if built is None or table.group_id != oracle.group_id or built.layers != table.layers:
+        raise ValueError(f"table is not the radius-{table.horizon} BFS ball of {oracle.group_id}")
+    return data
 
 
 def _unpack(fmt: str, data: bytes, off: int) -> tuple:
@@ -55,8 +126,12 @@ def _unpack(fmt: str, data: bytes, off: int) -> tuple:
         raise CacheFormatError("truncated cache file") from None
 
 
-def table_from_bytes(oracle: GroupOracle, data: bytes) -> MetricTable:
-    """Decode a cache file; any malformed or truncated input raises CacheFormatError."""
+def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_BUDGET) -> MetricTable:
+    """Decode a cache file; any malformed or truncated input raises CacheFormatError.
+
+    Raises :class:`ResourceLimitError`, before building any element, when the
+    file holds more than ``budget`` elements.
+    """
     if data[:4] != MAGIC:
         raise CacheFormatError("bad magic; not a curvlab cache file")
     (version,) = _unpack("<I", data, 4)
@@ -73,25 +148,40 @@ def table_from_bytes(oracle: GroupOracle, data: bytes) -> MetricTable:
     off += 4
     counts = _unpack(f"<{horizon + 1}Q", data, off)
     off += 8 * (horizon + 1)
-    layers: list[tuple] = []
-    dist: dict = {}
-    for r, count in enumerate(counts):
-        layer = []
-        for _ in range(count):
-            (key_len,) = _unpack("<I", data, off)
-            off += 4
-            if off + key_len > len(data):
-                raise CacheFormatError("truncated cache file")
-            try:
-                el = oracle.decode(data[off : off + key_len])
-            except (ValueError, SyntaxError, TypeError):
-                raise CacheFormatError(f"undecodable element key at byte {off}") from None
-            off += key_len
-            layer.append(el)
-            dist[el] = r
-        layers.append(tuple(layer))
-    if off != len(data):
+    if counts[0] != 1:
+        raise CacheFormatError(f"layer 0 holds {counts[0]} elements, not the identity alone")
+    elements = sum(counts)
+    size = off + 6 * (elements - 1)
+    if size > len(data):
+        raise CacheFormatError("truncated cache file")
+    if size < len(data):
         raise CacheFormatError("trailing bytes in cache file")
+    if elements > budget:
+        raise ResourceLimitError(
+            f"cached ball of radius {horizon} for {oracle.group_id} exceeds the element budget "
+            f"({budget}); lower the horizon or raise the budget"
+        )
+    compose, encode, generators = oracle.compose, oracle.encode, oracle.generators
+    layers = [(oracle.identity,)]
+    dist = {oracle.identity: 0}
+    total = 1
+    for r, count in enumerate(counts[1:], 1):
+        parents = struct.unpack_from(f"<{count}I", data, off)
+        off += 4 * count
+        gens = struct.unpack_from(f"<{count}H", data, off)
+        off += 2 * count
+        prev = layers[-1]
+        if count and (max(parents) >= len(prev) or max(gens) >= len(generators)):
+            raise CacheFormatError(f"spanning-tree index out of range in layer {r}")
+        layer = tuple(map(compose, map(prev.__getitem__, parents), map(generators.__getitem__, gens)))
+        keys = list(map(encode, layer))
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise CacheFormatError(f"layer {r} is not in strictly increasing encode order")
+        dist.update(zip(layer, repeat(r)))
+        total += count
+        if len(dist) != total:
+            raise CacheFormatError(f"layer {r} repeats an element of an earlier layer")
+        layers.append(layer)
     return MetricTable(group_id, horizon, tuple(layers), dist)
 
 
@@ -107,25 +197,33 @@ def cached_bfs_metric(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> MetricTable:
-    """bfs_metric with a disk cache keyed by (group id, horizon)."""
+    """bfs_metric with a disk cache keyed by (group id, horizon).
+
+    A missing file or one of format version 1 is a miss: the table is built
+    and the file (re)written.  Any other malformed file raises
+    :class:`CacheFormatError`.
+    """
     if cache_dir is None:
         return bfs_metric(oracle, horizon, budget=budget)
     path = cache_path(cache_dir, oracle.group_id, horizon)
-    if os.path.exists(path):
+    try:
         with open(path, "rb") as fh:
             data = fh.read()
+    except FileNotFoundError:
+        data = None
+    if data is not None and not data.startswith(_V1_HEADER):
         try:
-            return table_from_bytes(oracle, data)
+            return table_from_bytes(oracle, data, budget=budget)
         except CacheFormatError as exc:
             raise CacheFormatError(f"{path}: {exc}") from None
-    table = bfs_metric(oracle, horizon, budget=budget)
+    table, data = _build(oracle, horizon, budget)
     os.makedirs(cache_dir, exist_ok=True)
     # A private temporary file per writer: concurrent writers never share one,
     # and the rename makes each complete file appear atomically.
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(table_to_bytes(oracle, table))
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -179,8 +179,15 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line with exit code 1; code 2 means a failing verify."""
+
+    def error(self, message: str):
+        self.exit(1, f"curvlab: {message} (see {self.prog} --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvlab",
         description="Comparison curvature, dead ends, and transport curvature on groups.",
     )

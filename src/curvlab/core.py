@@ -84,8 +84,10 @@ class GroupOracle:
     """A group presented through explicit arithmetic on canonical elements.
 
     ``encode`` must be injective (equal keys exactly for equal group
-    elements) and ``decode`` must invert it; BFS layer order, cache files and
-    all deterministic output orderings derive from the encode keys.
+    elements) and ``decode`` must invert it; BFS layer order and all
+    deterministic output orderings derive from the encode keys.  Cache files
+    store no keys: they depend on the encode order of each layer and on the
+    order of ``generators``.
     ``closed_length`` may return ``None`` for elements outside the domain of
     the closed formula, in which case callers fall back to a BFS table.
     """

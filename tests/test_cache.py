@@ -1,7 +1,10 @@
+import dataclasses
 import os
+import struct
 
 import pytest
 
+from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.cache import (
     CacheFormatError,
     cache_path,
@@ -9,9 +12,41 @@ from curvlab.cache import (
     table_from_bytes,
     table_to_bytes,
 )
-from curvlab.core import CurvlabError, bfs_metric
+from curvlab.core import CurvlabError, ResourceLimitError, bfs_metric
+from curvlab.heisenberg import heis_oracle
 from curvlab.houghton import h2_oracle
-from curvlab.lamplighter import l2_oracle
+from curvlab.lamplighter import l2_oracle, zn_wreath_oracle
+
+# (oracle, horizon): every built-in oracle at a horizon with a blob of 0.1-0.6 kB
+SMALL_TABLES = [
+    (l2_oracle(), 4),
+    (h2_oracle(), 3),
+    (heis_oracle(), 3),
+    (make_zn(2), 4),
+    (make_free(2), 3),
+    (make_s3(), 3),
+    (zn_wreath_oracle(3), 3),
+]
+SMALL_IDS = [o.group_id for o, _ in SMALL_TABLES]
+
+
+def _no_decode(oracle):
+    def decode(key):
+        raise AssertionError("the cache must not decode element keys")
+
+    return dataclasses.replace(oracle, decode=decode)
+
+
+def _version_1_blob(oracle, table):
+    """The format-1 layout: the header, then a u32 length and the encode key per element."""
+    gid = table.group_id.encode("utf-8")
+    parts = [b"CVL1", struct.pack("<IH", 1, len(gid)), gid, struct.pack("<I", table.horizon)]
+    parts.append(struct.pack(f"<{len(table.layers)}Q", *map(len, table.layers)))
+    for layer in table.layers:
+        for el in layer:
+            key = oracle.encode(el)
+            parts.append(struct.pack("<I", len(key)) + key)
+    return b"".join(parts)
 
 
 def test_roundtrip_bit_identical(tmp_path):
@@ -65,3 +100,99 @@ def test_cache_writer_uses_a_private_temporary_file(tmp_path):
     table = cached_bfs_metric(oracle, 3, d)
     assert table.layers == bfs_metric(oracle, 3).layers
     assert sorted(os.listdir(d)) == sorted([os.path.basename(path), os.path.basename(path) + ".tmp"])
+
+
+@pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
+def test_cache_hit_equals_bfs_for_every_oracle(tmp_path, oracle, horizon):
+    d = str(tmp_path)
+    oracle = _no_decode(oracle)
+    built = cached_bfs_metric(oracle, horizon, d)  # a miss: the cache's own BFS
+    loaded = cached_bfs_metric(oracle, horizon, d)  # hit
+    fresh = bfs_metric(oracle, horizon)
+    for table in (built, loaded):
+        assert table.layers == fresh.layers
+        assert table.dist == fresh.dist
+    with open(cache_path(d, oracle.group_id, horizon), "rb") as fh:
+        assert table_to_bytes(oracle, loaded) == fh.read()
+
+
+@pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
+def test_cache_rejects_or_ignores_every_byte_edit(oracle, horizon):
+    table = bfs_metric(oracle, horizon)
+    blob = table_to_bytes(oracle, table)
+    for pos, b in enumerate(blob):
+        for new in {b ^ 0x01, b ^ 0x10, b ^ 0x80, 0, 255} - {b}:
+            edited = blob[:pos] + bytes([new]) + blob[pos + 1 :]
+            try:
+                loaded = table_from_bytes(oracle, edited)
+            except CacheFormatError:
+                continue
+            assert loaded.layers == table.layers, (pos, b, new)
+            assert loaded.dist == table.dist, (pos, b, new)
+
+
+def test_cache_rejects_bad_layers():
+    oracle = make_zn(2)
+    blob = table_to_bytes(oracle, bfs_metric(oracle, 2))
+    header = 4 + 4 + 2 + 2 + 4
+    parents = header + 3 * 8
+    for edited, reason in (
+        (blob[:header] + struct.pack("<Q", 2) + blob[header + 8 :], "layer 0"),
+        (blob[:parents] + struct.pack("<I", 1) + blob[parents + 4 :], "out of range"),
+        (blob[:parents + 16] + struct.pack("<H", 4) + blob[parents + 18 :], "out of range"),
+        (blob[:parents + 16] + struct.pack("<H", 0) + blob[parents + 18 :], "encode order"),
+    ):
+        with pytest.raises(CacheFormatError, match=reason):
+            table_from_bytes(oracle, edited)
+
+
+def test_cache_rejects_an_element_of_an_earlier_layer():
+    oracle = make_zn(1)
+    blob = bytearray(table_to_bytes(oracle, bfs_metric(oracle, 2)))
+    # S_2 of Z is (-2, 2), each one step on from its sign's element of S_1 = (-1, 1).
+    # Step the 2 back instead: the layer becomes (-2, 0), in encode order, and 0 is in S_0.
+    tree_2 = len(blob) - 2 * 6
+    blob[tree_2 + 4 * 2 + 2] = 1  # the generator a1^-1
+    with pytest.raises(CacheFormatError, match="earlier layer"):
+        table_from_bytes(oracle, bytes(blob))
+
+
+def test_cache_replaces_a_version_1_file(tmp_path):
+    oracle = h2_oracle()
+    d = str(tmp_path)
+    table = bfs_metric(oracle, 4)
+    path = cache_path(d, oracle.group_id, 4)
+    with open(path, "wb") as fh:
+        fh.write(_version_1_blob(oracle, table))
+    with pytest.raises(CacheFormatError, match="version 1"):
+        table_from_bytes(oracle, _version_1_blob(oracle, table))
+    rebuilt = cached_bfs_metric(_no_decode(oracle), 4, d)  # a miss
+    assert rebuilt.layers == table.layers
+    with open(path, "rb") as fh:
+        assert fh.read() == table_to_bytes(oracle, table)
+    assert os.listdir(d) == [os.path.basename(path)]
+
+
+def test_cache_hit_checks_the_budget_first(tmp_path):
+    oracle = l2_oracle()
+    d = str(tmp_path)
+    n = len(cached_bfs_metric(oracle, 4, d).dist)
+    assert len(cached_bfs_metric(oracle, 4, d, budget=n).dist) == n
+
+    def compose(x, y):
+        raise AssertionError("no element may be built over budget")
+
+    with pytest.raises(ResourceLimitError):
+        cached_bfs_metric(dataclasses.replace(oracle, compose=compose), 4, d, budget=n - 1)
+
+
+def test_table_to_bytes_rejects_a_table_that_is_not_the_bfs_ball():
+    l2 = l2_oracle()
+    table = bfs_metric(l2, 3)
+    with pytest.raises(ValueError):
+        table_to_bytes(h2_oracle(), table)
+    shuffled = dataclasses.replace(table, layers=table.layers[:3] + (table.layers[3][::-1],))
+    with pytest.raises(ValueError):
+        table_to_bytes(l2, shuffled)
+    with pytest.raises(ValueError):
+        table_to_bytes(l2, dataclasses.replace(table, layers=table.layers[:3] + (table.layers[3][1:],)))

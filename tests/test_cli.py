@@ -211,6 +211,9 @@ def test_cli_parse_error_exit_code():
         ("length", "--group", "L2", "--element", "d(0)"),
         ("curvature", "--group", "S3", "--element", "s t s", "--radius", "5"),  # S_5 is empty
         ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--radius", "5"),
+        ("length", "--group", "L2"),  # argparse usage errors: exit 2 is reserved for verify
+        ("curvature", "--group", "L2", "--element", "d(2)", "--radius", "one"),
+        (),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):
@@ -219,6 +222,12 @@ def test_cli_malformed_input_one_line_error(args):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith("curvlab: ")
     assert proc.stdout == ""
+
+
+def test_cli_help_exits_zero():
+    proc = run_cli("length", "--help")
+    assert proc.returncode == 0
+    assert "--element" in proc.stdout
 
 
 @pytest.mark.parametrize("damage", ["truncated", "bad magic"])
