@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .core import CurvlabError, GeneratorSet, GroupOracle, plain_decode, plain_encode
+from .core import CurvlabError, GeneratorSet, GroupOracle, plain_encode
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,6 @@ def make_zn(n: int) -> GroupOracle:
         compose=lambda x, y: tuple(a + b for a, b in zip(x, y)),
         invert=lambda x: tuple(-a for a in x),
         encode=plain_encode,
-        decode=plain_decode,
         closed_length=lambda x: sum(abs(a) for a in x),
     )
 
@@ -84,7 +83,6 @@ def make_free(n: int) -> GroupOracle:
         compose=_free_mul,
         invert=lambda x: tuple(-a for a in reversed(x)),
         encode=plain_encode,
-        decode=plain_decode,
         closed_length=len,
     )
 
@@ -141,7 +139,6 @@ def make_s3() -> GroupOracle:
         identity=0,
         compose=lambda x, y: S3_TABLE[x][y],
         invert=lambda x: _S3_INVERSE[x],
-        encode=lambda x: plain_encode(x),
-        decode=lambda b: int(plain_decode(b)),
+        encode=plain_encode,
         closed_length=None,
     )

@@ -16,10 +16,10 @@ The element at position j of layer r is ``compose(layers[r-1][parent[j]],
 generators[gen[j]])``.  Each layer is in encode order, and each element takes
 the least generator index i for which ``compose(el, generators[inverse[i]])``
 lies in the previous layer, and that element as its parent, so saves are
-canonical: a cache hit re-saves to the bytes of a fresh recomputation.  A miss
-builds the ball with this module's own BFS, which records the tree from the
-products it computes anyway; :func:`bfs_metric` stays the reference, and the
-tests require equal tables for every built-in group.
+canonical: a cache hit re-saves to the bytes of a fresh recomputation.  The
+tree is the one :func:`curvlab.core.bfs_tree` records while it builds the
+ball, so a miss runs the same BFS as :func:`bfs_metric` and this module only
+packs its steps.
 
 Loading parses no text.  It checks that every index is in range, that each
 layer is in strictly increasing encode order and that no element repeats one
@@ -38,16 +38,17 @@ import os
 import struct
 import tempfile
 from itertools import repeat
-from typing import Container, Optional
+from operator import floordiv, mod
+from typing import Optional
 
 from .core import (
     DEFAULT_BUDGET,
     CurvlabError,
-    DomainError,
     GroupOracle,
     MetricTable,
     ResourceLimitError,
     bfs_metric,
+    bfs_tree,
 )
 
 MAGIC = b"CVL1"
@@ -59,50 +60,18 @@ class CacheFormatError(CurvlabError):
     """A cache file is not a well-formed table of the requested group."""
 
 
-def _steps(oracle: GroupOracle, prev: tuple, seen: Container) -> dict:
-    """Map each element one generator step from ``prev`` and outside ``seen`` to its
-    spanning-tree step: (position of its parent in ``prev``, generator index).
-
-    Generators are tried in index order, and p -> p * g_i is injective, so each
-    element gets the least i such that el * g_i^-1 lies in ``prev``, and that
-    element as its parent.
-    """
-    step: dict = {}
-    for i, gen in enumerate(oracle.generators):
-        for p, el in enumerate(map(oracle.compose, prev, repeat(gen))):
-            if el not in seen and el not in step:
-                step[el] = (p, i)
-    return step
-
-
-def _build(oracle: GroupOracle, horizon: int, budget: int) -> tuple[MetricTable, bytes]:
-    """The BFS ball of radius ``horizon`` and its cache file, built in one pass.
-
-    The layers equal those of :func:`bfs_metric`, which stays the reference; the
-    spanning tree comes from the products the BFS computes anyway.
-    """
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
-    dist = {oracle.identity: 0}
-    layers = [(oracle.identity,)]
-    trees = []
-    for r in range(1, horizon + 1):
-        step = _steps(oracle, layers[-1], dist)
-        if len(dist) + len(step) > budget:
-            raise ResourceLimitError(
-                f"ball of radius {r} for {oracle.group_id} exceeds the element budget "
-                f"({budget}); lower the horizon or raise the budget"
-            )
-        layer = tuple(sorted(step, key=oracle.encode))
-        dist.update(zip(layer, repeat(r)))
-        layers.append(layer)
-        parents, gens = zip(*map(step.__getitem__, layer)) if layer else ((), ())
-        trees.append(struct.pack(f"<{len(layer)}I{len(layer)}H", *parents, *gens))
+def _to_bytes(oracle: GroupOracle, table: MetricTable, steps: list[tuple[int, ...]]) -> bytes:
+    """The cache file of a :func:`bfs_tree` result: its header, then each layer's steps."""
+    n = len(oracle.generators)
     gid = oracle.group_id.encode("utf-8")
     header = MAGIC + struct.pack(
-        f"<IH{len(gid)}sI{horizon + 1}Q", VERSION, len(gid), gid, horizon, *map(len, layers)
+        f"<IH{len(gid)}sI{table.horizon + 1}Q", VERSION, len(gid), gid, table.horizon, *table.layer_sizes()
     )
-    return MetricTable(oracle.group_id, horizon, tuple(layers), dist), header + b"".join(trees)
+    trees = (
+        struct.pack(f"<{len(codes)}I{len(codes)}H", *map(floordiv, codes, repeat(n)), *map(mod, codes, repeat(n)))
+        for codes in steps
+    )
+    return header + b"".join(trees)
 
 
 def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
@@ -111,12 +80,12 @@ def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
     The tree is taken from a fresh BFS, so this costs as much as :func:`bfs_metric`.
     """
     try:
-        built, data = _build(oracle, table.horizon, budget=len(table.dist))
+        built, steps = bfs_tree(oracle, table.horizon, budget=len(table.dist))
     except ResourceLimitError:
         built = None
     if built is None or table.group_id != oracle.group_id or built.layers != table.layers:
         raise ValueError(f"table is not the radius-{table.horizon} BFS ball of {oracle.group_id}")
-    return data
+    return _to_bytes(oracle, built, steps)
 
 
 def _unpack(fmt: str, data: bytes, off: int) -> tuple:
@@ -216,7 +185,8 @@ def cached_bfs_metric(
             return table_from_bytes(oracle, data, budget=budget)
         except CacheFormatError as exc:
             raise CacheFormatError(f"{path}: {exc}") from None
-    table, data = _build(oracle, horizon, budget)
+    table, steps = bfs_tree(oracle, horizon, budget=budget)
+    data = _to_bytes(oracle, table, steps)
     os.makedirs(cache_dir, exist_ok=True)
     # A private temporary file per writer: concurrent writers never share one,
     # and the rename makes each complete file appear atomically.

@@ -1,11 +1,11 @@
 """Command-line frontend.
 
 Subcommands: length, curvature, deadend, backtracks, density, transport,
-probe, verify.  Output is JSON (default) or CSV, deterministic for a fixed
-configuration and seed; rationals are emitted as "p/q" strings with a float
-convenience field that is never used in any assertion.  Exit codes: 0 on
-success, 1 on usage or parse errors, 2 when verify reports a failing
-criterion.
+probe, verify.  Output is JSON (default) or, where a subcommand's --format
+offers it, CSV, deterministic for a fixed configuration and seed; rationals
+are emitted as "p/q" strings with a float convenience field that is never
+used in any assertion.  Exit codes: 0 on success, 1 on usage or parse
+errors, 2 when verify reports a failing criterion.
 """
 
 from __future__ import annotations
@@ -40,14 +40,18 @@ def _emit_csv(header: list, rows: list) -> None:
     writer.writerows(rows)
 
 
-def _add_common(p: argparse.ArgumentParser, *, element: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, *, element: bool = True, formats: tuple[str, ...] = ("json", "csv")
+) -> None:
+    """The group, table and output options; ``formats`` lists the outputs the subcommand emits."""
     p.add_argument("--group", required=True, help="group id: Zn, Fn, S3, L2, Wn, H2, Heis")
     if element:
         p.add_argument("--element", required=True, help="element literal (see module docs)")
     p.add_argument("--horizon", type=int, default=None, help="BFS horizon override")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="BFS element budget")
     p.add_argument("--cache", default=os.environ.get(CACHE_ENV), help="metric table cache directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    if formats:
+        p.add_argument("--format", choices=formats, default="json")
 
 
 def _table(args, oracle, default_horizon: int):
@@ -216,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("deadend", help="dead-end report for an element, or --scan a ball")
-    _add_common(p, element=False)
+    _add_common(p, element=False, formats=("json",))
     p.add_argument("--element", default=None)
     p.add_argument("--scan", action="store_true", help="stream one JSON object per dead end in B_horizon")
     p.add_argument("--max-depth", type=int, default=12)
@@ -250,28 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("transport", help="exact optimal transport between two basepoints")
-    p.add_argument("--group", required=True)
+    _add_common(p, element=False, formats=("json",))
     p.add_argument("--x", required=True, help="first basepoint literal")
     p.add_argument("--y", required=True, help="second basepoint literal")
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--mode", choices=("sphere", "ball"), default="sphere")
     p.add_argument("--cap", type=int, default=1000, help="cap on enumerated optimal permutations")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("probe", help="optimal-plan structure probe over a ball sample")
-    p.add_argument("--group", required=True)
+    _add_common(p, element=False, formats=())
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--ball", type=int, default=4, help="sample pool: nonidentity elements of B_ball")
     p.add_argument("--sample", type=int, default=None, help="random subsample size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--cache", default=os.environ.get(CACHE_ENV))
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")

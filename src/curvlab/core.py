@@ -3,16 +3,17 @@
 Every group handled by this library is supplied as an explicit
 :class:`GroupOracle`: generators, composition, inversion, identity, and a
 canonical byte encoding of elements.  :func:`bfs_metric` turns an oracle into
-a :class:`MetricTable` of exact word lengths out to a chosen horizon.  The
-table is both the metric source for groups without a closed-form length and
-the independent cross-check for groups that have one.
+a :class:`MetricTable` of exact word lengths out to a chosen horizon; it is
+:func:`bfs_tree`, the library's one BFS, without the spanning tree that the
+cache stores.  The table is both the metric source for groups without a
+closed-form length and the independent cross-check for groups that have one.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from itertools import count, repeat
+from typing import Any, Callable, Iterable, Optional
 
 Element = Any  # canonical hashable value; each oracle fixes its own shape
 
@@ -42,10 +43,6 @@ class DomainError(CurvlabError, ValueError):
 def plain_encode(value: Any) -> bytes:
     """Serialize a plain nested-tuple/int value to canonical bytes."""
     return repr(value).encode("ascii")
-
-
-def plain_decode(data: bytes) -> Any:
-    return ast.literal_eval(data.decode("ascii"))
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,10 @@ class GroupOracle:
     """A group presented through explicit arithmetic on canonical elements.
 
     ``encode`` must be injective (equal keys exactly for equal group
-    elements) and ``decode`` must invert it; BFS layer order and all
-    deterministic output orderings derive from the encode keys.  Cache files
-    store no keys: they depend on the encode order of each layer and on the
-    order of ``generators``.
+    elements); BFS layer order and all deterministic output orderings derive
+    from the encode keys.  Nothing decodes a key.  Cache files store no keys,
+    but their contents depend on the encode order of each layer and on the
+    order of ``generators``, so changing either changes the file format.
     ``closed_length`` may return ``None`` for elements outside the domain of
     the closed formula, in which case callers fall back to a BFS table.
     """
@@ -99,7 +96,6 @@ class GroupOracle:
     compose: Callable[[Element, Element], Element]
     invert: Callable[[Element], Element]
     encode: Callable[[Element], bytes]
-    decode: Callable[[bytes], Element]
     closed_length: Optional[Callable[[Element], Optional[int]]] = None
 
     def generator(self, label: str) -> Element:
@@ -148,36 +144,50 @@ class MetricTable:
         return sum(len(self.layers[i]) for i in range(r + 1))
 
 
-def bfs_metric(oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET) -> MetricTable:
-    """Breadth-first enumeration of the ball of radius ``horizon``.
+def bfs_tree(
+    oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET
+) -> tuple[MetricTable, list[tuple[int, ...]]]:
+    """Breadth-first enumeration of the ball of radius ``horizon``, with its spanning tree.
 
-    Layers are generated in lexicographic encode order, so the result is
-    deterministic regardless of hash seeds.  Raises
-    :class:`ResourceLimitError` once more than ``budget`` elements would be
-    retained.
+    Returns the table and ``steps``.  Layers are sorted by encode key, so the
+    result is deterministic regardless of hash seeds.  ``steps[r - 1][j]`` is
+    ``p * len(generators) + i`` for element j of layer r: that element is
+    ``compose(layers[r - 1][p], generators[i])``, where i is the least
+    generator index that reaches it from the previous layer.  Generators are tried in index order over the whole
+    previous layer and p -> p * g_i is injective, so the first product hitting
+    an element gives that least i, with no extra ``compose``.
+
+    Raises :class:`ResourceLimitError` once more than ``budget`` elements
+    would be retained.
     """
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
+    compose, generators = oracle.compose, oracle.generators
     dist: dict[Element, int] = {oracle.identity: 0}
     layers: list[tuple[Element, ...]] = [(oracle.identity,)]
-    frontier: Sequence[Element] = layers[0]
+    steps: list[tuple[int, ...]] = []
     for r in range(1, horizon + 1):
-        fresh: set[Element] = set()
-        for el in frontier:
-            for gen in oracle.generators:
-                h = oracle.compose(el, gen)
-                if h not in dist:
-                    fresh.add(h)
-        if len(dist) + len(fresh) > budget:
+        prev = layers[-1]
+        step: dict[Element, int] = {}
+        for i, gen in enumerate(generators):
+            for code, el in zip(count(i, len(generators)), map(compose, prev, repeat(gen))):
+                if el not in dist and el not in step:
+                    step[el] = code
+        if len(dist) + len(step) > budget:
             raise ResourceLimitError(
                 f"ball of radius {r} for {oracle.group_id} exceeds the element budget "
                 f"({budget}); lower the horizon or raise the budget"
             )
-        frontier = tuple(sorted(fresh, key=oracle.encode))
-        for el in frontier:
-            dist[el] = r
-        layers.append(frontier)
-    return MetricTable(oracle.group_id, horizon, tuple(layers), dist)
+        layer = tuple(sorted(step, key=oracle.encode))
+        dist.update(zip(layer, repeat(r)))
+        layers.append(layer)
+        steps.append(tuple(map(step.__getitem__, layer)))
+    return MetricTable(oracle.group_id, horizon, tuple(layers), dist), steps
+
+
+def bfs_metric(oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET) -> MetricTable:
+    """The word-length table of the ball of radius ``horizon``: :func:`bfs_tree` without the tree."""
+    return bfs_tree(oracle, horizon, budget=budget)[0]
 
 
 def sphere(table: MetricTable, r: int) -> tuple[Element, ...]:

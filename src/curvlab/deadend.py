@@ -18,7 +18,7 @@ r < k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .core import (
     CurvlabError,
@@ -36,40 +36,23 @@ class NotADeadEndError(CurvlabError, ValueError):
     pass
 
 
-class DepthHorizonExceeded:
-    """Marker: no escape was found within the allowed search depth."""
-
-    def __init__(self, max_depth: int):
-        self.max_depth = max_depth
-
-    def __repr__(self) -> str:
-        return f"DepthHorizonExceeded(max_depth={self.max_depth})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DepthHorizonExceeded) and other.max_depth == self.max_depth
-
-
-Depth = Union[int, DepthHorizonExceeded]
-
-
 @dataclass(frozen=True)
 class DeadEndReport:
     element: Element
     base_length: int
     is_dead_end: bool
-    depth: Depth
+    depth: Optional[int]  # None: no escape within the search depth
     strict_depth: int
     witness: Optional[tuple[str, ...]]  # generator labels realizing depth
 
     def to_json_dict(self, format_element=repr) -> dict:
-        exceeded = isinstance(self.depth, DepthHorizonExceeded)
         return {
             "kind": "deadend",
             "element": format_element(self.element),
             "base_length": self.base_length,
             "is_dead_end": self.is_dead_end,
-            "depth": None if exceeded else self.depth,
-            "depth_horizon_exceeded": exceeded,
+            "depth": self.depth,
+            "depth_horizon_exceeded": self.depth is None,
             "strict_depth": self.strict_depth,
             "witness": list(self.witness) if self.witness is not None else None,
         }
@@ -98,46 +81,41 @@ def is_dead_end(oracle: GroupOracle, table: MetricTable, g: Element) -> bool:
     )
 
 
-def depth(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-    max_depth: int,
-    *,
-    _with_witness: bool = False,
-):
-    """Least k such that some k-generator path from g exceeds |g| in length.
-
-    Non-dead-ends escape in one step, so they have depth 1.  Returns a
-    :class:`DepthHorizonExceeded` marker when no escape exists within
-    ``max_depth`` steps.
-    """
+def _escape(
+    oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int
+) -> Optional[tuple[str, ...]]:
+    """A shortest generator path from g to an element longer than g, or None
+    when every path of at most ``max_depth`` steps stays within |g|."""
     base = word_length(oracle, g, table)
-    seen = {g: None}
+    parents: dict[Element, Optional[tuple[Element, str]]] = {g: None}
     frontier: list[Element] = [g]
-    parents: dict[Element, tuple[Element, str]] = {}
-    for k in range(1, max_depth + 1):
+    for _ in range(max_depth):
         nxt = []
         for el in frontier:
             for label, gen in zip(oracle.generator_set.labels, oracle.generators):
                 h = oracle.compose(el, gen)
-                if h in seen:
+                if h in parents:
                     continue
-                seen[h] = None
                 parents[h] = (el, label)
                 if not _le_threshold(oracle, table, h, base):
-                    if not _with_witness:
-                        return k
                     word = []
-                    cur = h
-                    while cur != g:
-                        cur, lab = parents[cur]
+                    while h != g:
+                        h, lab = parents[h]
                         word.append(lab)
-                    return k, tuple(reversed(word))
+                    return tuple(reversed(word))
                 nxt.append(h)
         frontier = nxt
-    marker = DepthHorizonExceeded(max_depth)
-    return (marker, None) if _with_witness else marker
+    return None
+
+
+def depth(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int) -> Optional[int]:
+    """Least k such that some k-generator path from g exceeds |g| in length.
+
+    Non-dead-ends escape in one step, so they have depth 1.  Returns None
+    when no escape exists within ``max_depth`` steps.
+    """
+    witness = _escape(oracle, table, g, max_depth)
+    return None if witness is None else len(witness)
 
 
 def strict_depth(oracle: GroupOracle, table: MetricTable, g: Element) -> int:
@@ -161,12 +139,12 @@ def report(
     g: Element,
     max_depth: int,
 ) -> DeadEndReport:
-    d, witness = depth(oracle, table, g, max_depth, _with_witness=True)
+    witness = _escape(oracle, table, g, max_depth)
     return DeadEndReport(
         element=g,
         base_length=word_length(oracle, g, table),
         is_dead_end=is_dead_end(oracle, table, g),
-        depth=d,
+        depth=None if witness is None else len(witness),
         strict_depth=strict_depth(oracle, table, g),
         witness=witness,
     )
@@ -182,7 +160,7 @@ def backtrack_elements(
     if not is_dead_end(oracle, table, g):
         raise NotADeadEndError(f"{g!r} is not a dead end")
     k = depth(oracle, table, g, bound)
-    if isinstance(k, DepthHorizonExceeded):
+    if k is None:
         raise OutOfHorizonError(
             f"depth of {g!r} exceeds the bound {bound}; raise the bound to enumerate backtracks"
         )

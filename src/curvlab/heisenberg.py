@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .core import CurvlabError, GeneratorSet, GroupOracle, plain_decode, plain_encode
+from .core import CurvlabError, GeneratorSet, GroupOracle, plain_encode
 
 HEIS_ID = "Heis"
 
@@ -96,7 +96,6 @@ def heis_oracle() -> GroupOracle:
         compose=heis_compose,
         invert=heis_invert,
         encode=lambda el: plain_encode(tuple(el)),
-        decode=lambda b: MalcevTriple(*plain_decode(b)),
         closed_length=_heis_closed,
     )
 

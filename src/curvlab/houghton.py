@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import GeneratorSet, GroupOracle, plain_decode, plain_encode
+from .core import GeneratorSet, GroupOracle, plain_encode
 
 H2_ID = "H2"
 
@@ -76,7 +76,6 @@ def h2_oracle() -> GroupOracle:
         compose=h2_compose,
         invert=h2_invert,
         encode=lambda el: plain_encode(tuple(el)),
-        decode=lambda b: HoughtonElement(*plain_decode(b)),
         closed_length=None,  # no closed form exists; BFS is the metric source
     )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .core import GeneratorSet, GroupOracle, plain_decode, plain_encode
+from .core import GeneratorSet, GroupOracle, plain_encode
 
 L2_ID = "L2"
 
@@ -106,7 +106,6 @@ def l2_oracle() -> GroupOracle:
         compose=_l2_compose,
         invert=_l2_invert,
         encode=lambda el: plain_encode(tuple(el)),
-        decode=lambda b: LampConfig(*plain_decode(b)),
         closed_length=ll_length,
     )
 
@@ -151,7 +150,6 @@ def wreath_oracle(spec: FiniteGroupSpec, group_id: str) -> GroupOracle:
         compose=compose,
         invert=invert,
         encode=lambda el: plain_encode(tuple(el)),
-        decode=lambda b: WreathConfig(*plain_decode(b)),
         closed_length=wr_length,
     )
 

@@ -12,8 +12,8 @@ Literal forms (see parse_element):
     Heis     "Heis(1,2,3)" or "(1,2,3)"
 
 Any group also accepts "w: <labels>", a whitespace-separated generator word
-with ^-1 (or ^<k>) powers.  parse -> format -> parse is the identity on
-canonical forms.
+with ^-1 (or ^<k>) powers and at most MAX_WORD_LETTERS letters in all, a^k
+counting |k|.  parse -> format -> parse is the identity on canonical forms.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .lamplighter import (
     ll_make_dm,
     zn_wreath_oracle,
 )
+
+
+MAX_WORD_LETTERS = 10_000  # bound on the letters of a word literal, so parsing time is bounded
 
 
 class ParseError(CurvlabError, ValueError):
@@ -65,24 +68,28 @@ def get_group(group_id: str) -> GroupOracle:
 
 def _parse_word(oracle: GroupOracle, text: str) -> Element:
     out = oracle.identity
+    letters = 0
     for token in text.split():
-        m = re.fullmatch(r"([^\^\s]+)(?:\^(-?\d+))?", token)
+        m = re.fullmatch(r"([^\^\s]+)(?:\^(-?)0*(\d+))?", token)
         if not m:
             raise ParseError(token, "a generator name with an optional ^<power>")
-        name, power = m.group(1), int(m.group(2) or 1)
+        name, minus, digits = m.group(1), m.group(2), m.group(3) or "1"
         try:
             gen = oracle.generator(name)
         except KeyError:
             # "t^-1" may itself be a label; retry the raw token
             try:
                 gen = oracle.generator(token)
-                power = 1
+                minus, digits = "", "1"
             except KeyError:
                 raise ParseError(token, f"a generator of {oracle.group_id}") from None
-        if power < 0:
+        # digits first: a longer power is over the bound, and int() refuses thousands of digits
+        letters += int(digits) if len(digits) <= len(str(MAX_WORD_LETTERS)) else MAX_WORD_LETTERS + 1
+        if letters > MAX_WORD_LETTERS:
+            raise ParseError(text.strip(), f"a word of at most {MAX_WORD_LETTERS} letters, a^k counting |k|")
+        if minus:
             gen = oracle.invert(gen)
-            power = -power
-        for _ in range(power):
+        for _ in range(int(digits)):
             out = oracle.compose(out, gen)
     return out
 

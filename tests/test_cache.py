@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import os
 import struct
 
 import pytest
+from bfs_reference import naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.cache import (
@@ -29,12 +31,18 @@ SMALL_TABLES = [
 ]
 SMALL_IDS = [o.group_id for o, _ in SMALL_TABLES]
 
-
-def _no_decode(oracle):
-    def decode(key):
-        raise AssertionError("the cache must not decode element keys")
-
-    return dataclasses.replace(oracle, decode=decode)
+# SHA-256 of the format-version-2 cache file of each SMALL_TABLES ball.  Files already on
+# disk must keep loading and re-saving to their bytes, so the BFS and the packing must not
+# change these without a new format version.
+SMALL_TABLE_SHA256 = {
+    "L2": "54291ab9613181e21efa21aaf4b73cbf8e71ac2032c196f13973ac40f7103219",
+    "H2": "b1fc216200c8f8b7b5fef8afe5a5a6eafe177221d7b28202f12f54d5fdcda9a5",
+    "Heis": "fff655616ced90d12956a123f0627bfd2172e9827af12ee183f9a421ec87fe73",
+    "Z2": "2ab5ffad6d7ef55e6e964c66122802339ef776ca35b33565f86549fdbbd5381f",
+    "F2": "11ad675aadee74c47432e62b1fd53f66d8e2196a794d4cd6e2e5cf780a8e6817",
+    "S3": "7b70e138be24db7b84d16d8514c1601ffdffce8edc1eba5f7cac2aaa23b63cb5",
+    "W3": "66344941f7906f8be3c1cb824a027cb725c0513be2528f1ebc6c5af1c8bd4707",
+}
 
 
 def _version_1_blob(oracle, table):
@@ -105,15 +113,24 @@ def test_cache_writer_uses_a_private_temporary_file(tmp_path):
 @pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
 def test_cache_hit_equals_bfs_for_every_oracle(tmp_path, oracle, horizon):
     d = str(tmp_path)
-    oracle = _no_decode(oracle)
-    built = cached_bfs_metric(oracle, horizon, d)  # a miss: the cache's own BFS
+    built = cached_bfs_metric(oracle, horizon, d)  # a miss
     loaded = cached_bfs_metric(oracle, horizon, d)  # hit
-    fresh = bfs_metric(oracle, horizon)
-    for table in (built, loaded):
-        assert table.layers == fresh.layers
-        assert table.dist == fresh.dist
+    layers, dist = naive_ball(oracle, horizon)
+    for table in (bfs_metric(oracle, horizon), built, loaded):
+        assert table.layers == layers
+        assert table.dist == dist
     with open(cache_path(d, oracle.group_id, horizon), "rb") as fh:
         assert table_to_bytes(oracle, loaded) == fh.read()
+
+
+@pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
+def test_cache_file_bytes_are_pinned(tmp_path, oracle, horizon):
+    d = str(tmp_path)
+    cached_bfs_metric(oracle, horizon, d)  # a miss writes the file
+    with open(cache_path(d, oracle.group_id, horizon), "rb") as fh:
+        data = fh.read()
+    assert hashlib.sha256(data).hexdigest() == SMALL_TABLE_SHA256[oracle.group_id]
+    assert table_to_bytes(oracle, table_from_bytes(oracle, data)) == data
 
 
 @pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
@@ -166,7 +183,7 @@ def test_cache_replaces_a_version_1_file(tmp_path):
         fh.write(_version_1_blob(oracle, table))
     with pytest.raises(CacheFormatError, match="version 1"):
         table_from_bytes(oracle, _version_1_blob(oracle, table))
-    rebuilt = cached_bfs_metric(_no_decode(oracle), 4, d)  # a miss
+    rebuilt = cached_bfs_metric(oracle, 4, d)  # a miss
     assert rebuilt.layers == table.layers
     with open(path, "rb") as fh:
         assert fh.read() == table_to_bytes(oracle, table)

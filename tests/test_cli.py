@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,7 +10,7 @@ from curvlab.core import bfs_metric
 from curvlab.heisenberg import MalcevTriple
 from curvlab.houghton import h2_g, h2_h, h2_u
 from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_make_dm
-from curvlab.literals import ParseError, format_element, get_group, parse_element
+from curvlab.literals import MAX_WORD_LETTERS, ParseError, format_element, get_group, parse_element
 
 
 def run_cli(*args):
@@ -38,6 +39,12 @@ def test_parse_words():
     assert parse_element("S3", "s t s") == parse_element("S3", "t s t")
     with pytest.raises(ParseError):
         parse_element("F2", "q")
+    # a^k counts |k| letters towards the bound
+    assert parse_element("F2", f"w: a^{MAX_WORD_LETTERS - 1} b^-1") == (1,) * (MAX_WORD_LETTERS - 1) + (-2,)
+    assert parse_element("F2", "w: a^003 a^-0") == (1, 1, 1)
+    for text in (f"w: a^{MAX_WORD_LETTERS} b", f"a^-{MAX_WORD_LETTERS + 1}", "w: a^" + "9" * 5000):
+        with pytest.raises(ParseError, match=str(MAX_WORD_LETTERS)):
+            parse_element("F2", text)
 
 
 def test_parse_lamplighter():
@@ -214,6 +221,9 @@ def test_cli_parse_error_exit_code():
         ("length", "--group", "L2"),  # argparse usage errors: exit 2 is reserved for verify
         ("curvature", "--group", "L2", "--element", "d(2)", "--radius", "one"),
         (),
+        ("deadend", "--group", "L2", "--element", "d(2)", "--format", "csv"),  # json is its only format
+        ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--format", "csv"),
+        ("probe", "--group", "Z2", "--format", "json"),  # probe takes no --format
     ],
 )
 def test_cli_malformed_input_one_line_error(args):
@@ -222,6 +232,16 @@ def test_cli_malformed_input_one_line_error(args):
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith("curvlab: ")
     assert proc.stdout == ""
+
+
+def test_cli_word_letter_bound_rejects_before_composing():
+    start = time.perf_counter()
+    proc = run_cli("length", "--group", "F2", "--element", "w: a^100000000")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and str(MAX_WORD_LETTERS) in lines[0]
+    assert elapsed < 1.0
 
 
 def test_cli_help_exits_zero():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from bfs_reference import naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
@@ -9,6 +10,7 @@ from curvlab.core import (
     ResourceLimitError,
     ball,
     bfs_metric,
+    bfs_tree,
     sphere,
     word_length,
 )
@@ -81,6 +83,21 @@ def test_budget_error():
         bfs_metric(make_free(2), 5, budget=20)
 
 
+@pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)
+def test_bfs_tree_is_the_naive_ball_with_least_generator_steps(oracle):
+    table, steps = bfs_tree(oracle, 4)
+    assert (table.layers, table.dist) == naive_ball(oracle, 4)
+    assert bfs_metric(oracle, 4) == table
+    gens, inverse = oracle.generators, oracle.generator_set.inverse
+    for r in range(1, 5):
+        prev = table.layers[r - 1]
+        assert len(steps[r - 1]) == len(table.layers[r])
+        for el, code in zip(table.layers[r], steps[r - 1]):
+            p, i = divmod(code, len(gens))
+            assert oracle.compose(prev[p], gens[i]) == el
+            assert not any(oracle.compose(el, gens[inverse[j]]) in prev for j in range(i))
+
+
 def test_bfs_determinism():
     t1 = bfs_metric(l2_oracle(), 5)
     t2 = bfs_metric(l2_oracle(), 5)
@@ -113,13 +130,10 @@ def test_oracle_group_laws(oracle):
 
 @pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)
 def test_encode_injective_and_decodes(oracle):
-    table = bfs_metric(oracle, 3)
-    seen = {}
-    for el in ball(table, 3):
-        key = oracle.encode(el)
-        assert key not in seen
-        seen[key] = el
-        assert oracle.decode(key) == el
+    # no oracle decodes keys; injectivity is what lets a key stand for its element
+    elements = ball(bfs_metric(oracle, 3), 3)
+    keys = {oracle.encode(el) for el in elements}
+    assert len(keys) == len(set(elements)) == len(elements)
 
 
 @pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)

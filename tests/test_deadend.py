@@ -3,7 +3,6 @@ import pytest
 from curvlab import deadend
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import OutOfHorizonError, ball, bfs_metric, word_length
-from curvlab.deadend import DepthHorizonExceeded
 from curvlab.houghton import h2_g, h2_h, h2_oracle
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
 
@@ -36,7 +35,7 @@ def test_depth_of_non_dead_end_is_one(l2):
 def test_depth_horizon_marker(l2):
     oracle, table = l2
     d = deadend.depth(oracle, table, ll_make_dm(3), max_depth=4)
-    assert d == DepthHorizonExceeded(4)
+    assert d is None
 
 
 def test_witness_realizes_depth(l2):
@@ -82,7 +81,7 @@ def test_s3_longest_element_is_dead_end():
     assert deadend.is_dead_end(oracle, table, sts)
     # finite group: no escape exists at all
     d = deadend.depth(oracle, table, sts, max_depth=6)
-    assert d == DepthHorizonExceeded(6)
+    assert d is None
     assert deadend.strict_depth(oracle, table, sts) == 3
 
 
