@@ -10,19 +10,24 @@ the height boundary C = A^2 - A*B into a low and a high branch.  The density
 experiment enumerates a margin-guarded sector where every radius-r conjugate
 stays in the validated low branch, classifies the remainder s = C mod A into
 the ceiling cases, and compares the predicted curvature sign against the
-exact kappa computed from closed-form conjugate lengths.
+exact kappa computed from closed-form conjugate lengths.  In that sector
+kappa's numerator depends on C only through C mod A, so the sweep computes
+it once per residue class of each (A, B) and visits every element for the
+sector check and the tallies; word lengths up to MAX_DENSITY_K are admitted.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
 
-from .core import CurvlabError, GeneratorSet, GroupOracle, plain_encode
+from .core import CurvlabError, DomainError, GeneratorSet, GroupOracle, plain_encode
 
 HEIS_ID = "Heis"
+MAX_DENSITY_K = 120  # bound on the census word length: the slowest admitted sweep, k = 120, r = 1 in CSV, takes about 10 s
 
 
 class MalcevTriple(NamedTuple):
@@ -340,22 +345,9 @@ def _band_counts(A: int, B: int, r: int) -> BandRow:
     return BandRow(A, B, x, y, z, boundary)
 
 
-def heis_density_experiment(k: int, r: int, *, keep_elements: bool = False) -> DensityReport:
-    """Exhaustive sweep of the radius-r sector within word length k.
-
-    Counts exact curvature signs, checks every non-mixed prediction against
-    the exact sign, and tallies per-(A, B) remainder-class fractions, each of
-    which must reach 1/(5r) in the band.
-    """
-    if k <= 2 * r:
-        raise EmptySectorError(f"need k > 2r, got k = {k}, r = {r}")
-    deltas = heis_conjugate_deltas(r)
-    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
-    report.sign_counts = {"+": 0, "0": 0, "-": 0}
-    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
-    spec = SectorSpec(r, k)
-    seen_bands = set()
-    found_any = False
+def _sector_bands(k: int, r: int) -> list[tuple[int, int, int, int]]:
+    """(A, B, c_lo, c_hi) for every (A, B) whose radius-r sector holds some C within length k."""
+    bands = []
     for A in range(5 * r, k):
         b_lo = _ceildiv(A, 5 * r)
         b_hi = (2 * A) // (5 * r)
@@ -368,32 +360,67 @@ def heis_density_experiment(k: int, r: int, *, keep_elements: bool = False) -> D
                 continue
             c_hi = min(A * max_ceil, A * A - A * B - A * r)
             c_lo = A * r
-            if c_hi < c_lo:
-                continue
-            if (A, B) not in seen_bands:
-                seen_bands.add((A, B))
-                report.band_rows.append(_band_counts(A, B, r))
-            for C in range(c_lo, c_hi + 1):
-                g = MalcevTriple(A, B, C)
-                assert spec.admits(g)
-                found_any = True
-                s = C % A
-                kap = heis_kappa_exact(g, deltas)
-                sign = "+" if kap > 0 else ("-" if kap < 0 else "0")
-                report.sign_counts[sign] += 1
-                if s == 0:
-                    predicted = "mixed"
-                    labels: tuple[str, ...] = ("degenerate",)
-                else:
-                    labels = tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
-                    predicted = heis_sign_predict(g, r)
-                report.predicted_counts[predicted] += 1
-                if predicted in "+0-" and predicted != sign:
-                    report.mismatches.append((g, predicted, sign))
-                if keep_elements:
-                    report.elements.append(
-                        SectorElementRecord(g, heis_length(g), s, labels, predicted, kap)
-                    )
-    if not found_any:
+            if c_hi >= c_lo:
+                bands.append((A, B, c_lo, c_hi))
+    return bands
+
+
+def heis_density_experiment(k: int, r: int, *, keep_elements: bool = False) -> DensityReport:
+    """Exhaustive sweep of the radius-r sector within word length k.
+
+    Counts exact curvature signs, checks every non-mixed prediction against
+    the exact sign, and tallies per-(A, B) remainder-class fractions, each of
+    which must reach 1/(5r) in the band.
+
+    Exact kappa is computed once per residue class C mod A of each (A, B),
+    by this lemma.  With n = |S_r|, the numerator n*|g| - sum |g^w| over w in
+    S_r of kappa_r(g) = numerator / (n*|g|) is the same for C and C + A when
+    both lie in the sector.  Proof: a conjugate has height C' = C + A*beta -
+    alpha*B with |A*beta - alpha*B| <= A*r, so the margins A*r <= C <=
+    A^2 - A*B - A*r put C' in the low branch, of length 2*ceil(C'/A) + A + B;
+    C -> C + A raises |g| and each of the n conjugate lengths by 2, which
+    cancels.  The labels and the prediction depend on s = C mod A alone, so
+    only the denominator changes within a class, and the sign not at all.
+    """
+    if r < 1:
+        raise DomainError(f"radius must be at least 1, got {r}")
+    if k > MAX_DENSITY_K:
+        raise DomainError(f"the census word length k is at most {MAX_DENSITY_K}, got {k}")
+    if k <= 2 * r:
+        raise EmptySectorError(f"need k > 2r, got k = {k}, r = {r}")
+    bands = _sector_bands(k, r)
+    if not bands:
         raise EmptySectorError(f"the radius-{r} sector is empty within length {k}")
+    deltas = heis_conjugate_deltas(r)
+    n = len(deltas)
+    weights = Counter(deltas)  # sphere elements with equal (alpha, beta) give the same conjugate
+    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
+    report.sign_counts = {"+": 0, "0": 0, "-": 0}
+    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    spec = SectorSpec(r, k)
+    for A, B, c_lo, c_hi in bands:
+        report.band_rows.append(_band_counts(A, B, r))
+        classes = []  # (numerator, sign, s, labels, predicted), one per residue, from C = c_lo on
+        for C in range(c_lo, min(c_lo + A, c_hi + 1)):
+            g = MalcevTriple(A, B, C)
+            numerator = n * heis_length(g) - sum(
+                m * heis_length((A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
+            )
+            sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
+            s = C % A
+            labels = ("degenerate",) if s == 0 else tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
+            classes.append((numerator, sign, s, labels, heis_sign_predict(g, r)))
+        for C in range(c_lo, c_hi + 1):
+            g = MalcevTriple(A, B, C)
+            assert spec.admits(g)
+            numerator, sign, s, labels, predicted = classes[(C - c_lo) % A]
+            report.sign_counts[sign] += 1
+            report.predicted_counts[predicted] += 1
+            if predicted in "+0-" and predicted != sign:
+                report.mismatches.append((g, predicted, sign))
+            if keep_elements:
+                length = heis_length(g)
+                report.elements.append(
+                    SectorElementRecord(g, length, s, labels, predicted, Fraction(numerator, n * length))
+                )
     return report

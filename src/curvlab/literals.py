@@ -13,7 +13,8 @@ Literal forms (see parse_element):
 
 Any group also accepts "w: <labels>", a whitespace-separated generator word
 with ^-1 (or ^<k>) powers and at most MAX_WORD_LETTERS letters in all, a^k
-counting |k|.  parse -> format -> parse is the identity on canonical forms.
+counting |k|.  The builders take sizes of at most MAX_BUILDER_SIZE.
+parse -> format -> parse is the identity on canonical forms.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .lamplighter import (
 
 
 MAX_WORD_LETTERS = 10_000  # bound on the letters of a word literal, so parsing time is bounded
+MAX_BUILDER_SIZE = 300  # bound on l, k and m in u(l,.), g(k), h(k,m) and d(m): u(300,pos) parses in about 0.5 s
 
 
 class ParseError(CurvlabError, ValueError):
@@ -94,6 +96,14 @@ def _parse_word(oracle: GroupOracle, text: str) -> Element:
     return out
 
 
+def _builder_size(digits: str, token: str) -> int:
+    """The size argument of a builder literal, checked against MAX_BUILDER_SIZE before any work."""
+    # digits first: int() refuses thousands of digits
+    if len(digits.lstrip("0")) > len(str(MAX_BUILDER_SIZE)) or int(digits) > MAX_BUILDER_SIZE:
+        raise ParseError(token, f"a builder size of at most {MAX_BUILDER_SIZE}")
+    return int(digits)
+
+
 def _parse_int_list(text: str, token: str) -> list[int]:
     text = text.strip()
     if not text:
@@ -123,7 +133,7 @@ def parse_element(group_id: str, text: str) -> Element:
     if group_id == L2_ID:
         m = re.fullmatch(r"d\(([1-9]\d*)\)(?:\*t\^(-?\d+))?", text)
         if m:
-            mval = int(m.group(1))
+            mval = _builder_size(m.group(1), text)
             return ll_dm_tk(mval, int(m.group(2))) if m.group(2) else ll_make_dm(mval)
         m = re.fullmatch(r"L2\{(.*);\s*p=(-?\d+)\s*\}", text)
         if not m:
@@ -156,16 +166,16 @@ def parse_element(group_id: str, text: str) -> Element:
     if group_id == H2_ID:
         m = re.fullmatch(r"g\(([1-9]\d*)\)", text)
         if m:
-            return h2_g(int(m.group(1)))
+            return h2_g(_builder_size(m.group(1), text))
         m = re.fullmatch(r"h\((\d+)\s*,\s*(\d+)\)", text)
         if m:
-            k, mm = int(m.group(1)), int(m.group(2))
+            k, mm = _builder_size(m.group(1), text), _builder_size(m.group(2), text)
             if not 1 <= mm <= k:
                 raise ParseError(text, "h(k,m) with 1 <= m <= k")
             return h2_h(k, mm)
         m = re.fullmatch(r"u\(([1-9]\d*)\s*,\s*(pos|neg)\)", text)
         if m:
-            return h2_u(int(m.group(1)), m.group(2))
+            return h2_u(_builder_size(m.group(1), text), m.group(2))
         m = re.fullmatch(r"H2\{(.*);\s*shift=(-?\d+)\s*\}", text)
         if not m:
             raise ParseError(

@@ -10,7 +10,7 @@ from curvlab.core import bfs_metric
 from curvlab.heisenberg import MalcevTriple
 from curvlab.houghton import h2_g, h2_h, h2_u
 from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_make_dm
-from curvlab.literals import MAX_WORD_LETTERS, ParseError, format_element, get_group, parse_element
+from curvlab.literals import MAX_BUILDER_SIZE, MAX_WORD_LETTERS, ParseError, format_element, get_group, parse_element
 
 
 def run_cli(*args):
@@ -56,6 +56,10 @@ def test_parse_lamplighter():
         parse_element("L2", "L2{ 1,1 ; p=0 }")
     with pytest.raises(ParseError):
         parse_element("L2", "d(0)")
+    assert parse_element("L2", f"d({MAX_BUILDER_SIZE})*t^-1") == ll_dm_tk(MAX_BUILDER_SIZE, -1)
+    for text in (f"d({MAX_BUILDER_SIZE + 1})", "d(" + "9" * 5000 + ")*t^2"):
+        with pytest.raises(ParseError, match=str(MAX_BUILDER_SIZE)):
+            parse_element("L2", text)
 
 
 def test_parse_wreath():
@@ -78,6 +82,11 @@ def test_parse_houghton():
         parse_element("H2", "H2{ 1:2, 2:3 ; shift=1 }")  # entries match the shift
     for builder in ("g(0)", "h(1,2)", "h(2,0)", "u(0,pos)"):
         with pytest.raises(ParseError):
+            parse_element("H2", builder)
+    n = MAX_BUILDER_SIZE
+    assert parse_element("H2", f"h({n},00{n})") == h2_h(n, n)
+    for builder in (f"g({n + 1})", f"h({n + 1},1)", f"h(5,0{n + 1})", f"u({n + 1},neg)", "u(" + "9" * 5000 + ",pos)"):
+        with pytest.raises(ParseError, match=str(n)):
             parse_element("H2", builder)
 
 
@@ -224,6 +233,10 @@ def test_cli_parse_error_exit_code():
         ("deadend", "--group", "L2", "--element", "d(2)", "--format", "csv"),  # json is its only format
         ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--format", "csv"),
         ("probe", "--group", "Z2", "--format", "json"),  # probe takes no --format
+        ("density", "--k", "25", "--radius", "0"),
+        ("density", "--k", "25", "--radius", "-1"),
+        ("density", "--k", "400", "--radius", "1"),  # above MAX_DENSITY_K
+        ("length", "--group", "H2", "--element", "u(2000,pos)"),  # above MAX_BUILDER_SIZE
     ],
 )
 def test_cli_malformed_input_one_line_error(args):

@@ -1,16 +1,20 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from density_reference import density_per_element, restrict_to_length
 
-from curvlab.core import bfs_metric
+from curvlab.core import DomainError, bfs_metric
 from curvlab.curvature import kappa
 from curvlab.heisenberg import (
+    MAX_DENSITY_K,
     DegenerateRemainderError,
     EmptySectorError,
     MalcevTriple,
     OutOfSectorError,
     SectorSpec,
+    density_csv_rows,
     heis_case_label,
     heis_ceil_jump,
     heis_compose,
@@ -194,6 +198,36 @@ def test_density_errors():
         heis_density_experiment(2, 1)
     with pytest.raises(EmptySectorError):
         heis_density_experiment(11, 2)  # k > 2r but the margin sector is empty
+    for r in (0, -1):
+        with pytest.raises(DomainError, match="radius must be at least 1"):
+            heis_density_experiment(25, r)
+    with pytest.raises(DomainError, match=str(MAX_DENSITY_K)):
+        heis_density_experiment(MAX_DENSITY_K + 1, 1)
+
+
+REFERENCE_K = {1: 60, 2: 60, 3: 70}
+
+
+@pytest.mark.parametrize("r", sorted(REFERENCE_K))
+def test_density_sweep_matches_the_per_element_reference(r):
+    # one kappa per residue class C mod A must reproduce a heis_kappa_exact call per element
+    full = density_per_element(REFERENCE_K[r], r, keep_elements=True)
+    direct = density_per_element(30, r, keep_elements=True)
+    assert density_csv_rows(restrict_to_length(full, 30)) == density_csv_rows(direct)
+    compared = 0
+    for k in range(2 * r + 1, REFERENCE_K[r] + 1):
+        want = restrict_to_length(full, k)
+        if want is None:
+            with pytest.raises(EmptySectorError):
+                heis_density_experiment(k, r)
+            continue
+        got = heis_density_experiment(k, r, keep_elements=k <= 45)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict()), k
+        assert got.mismatches == want.mismatches, k
+        if k <= 45:
+            assert density_csv_rows(got) == density_csv_rows(want), k
+        compared += 1
+    assert compared == REFERENCE_K[r] - 7 * r  # the shortest sector element, (5r, 1, 5r^2), has length 7r + 1
 
 
 def test_band_fraction_worst_case():
