@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from typing import Iterable
 
 from . import deadend as deadend_mod
 from . import heisenberg as heis_mod
@@ -34,7 +35,7 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _emit_csv(header: list, rows: list) -> None:
+def _emit_csv(header: list, rows: Iterable[list]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -89,9 +90,8 @@ def cmd_deadend(args) -> int:
     oracle = get_group(args.group)
     fmt = element_formatter(args.group)
     if args.scan:
-        horizon = args.horizon if args.horizon is not None else 7
-        table = cached_bfs_metric(oracle, horizon, args.cache, budget=args.budget)
-        for rep in deadend_mod.scan(oracle, table, horizon, args.max_depth):
+        table = _table(args, oracle, 7)
+        for rep in deadend_mod.scan(oracle, table, table.horizon, args.max_depth):
             _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
         return 0
     if args.element is None:
@@ -129,11 +129,10 @@ def cmd_backtracks(args) -> int:
 
 
 def cmd_density(args) -> int:
-    report = heis_mod.heis_density_experiment(args.k, args.radius, keep_elements=args.format == "csv")
     if args.format == "csv":
-        _emit_csv(heis_mod.CSV_HEADER, heis_mod.density_csv_rows(report))
+        _emit_csv(heis_mod.CSV_HEADER, heis_mod.density_csv_rows(args.k, args.radius))
     else:
-        _emit_json(report.to_json_dict())
+        _emit_json(heis_mod.heis_density_experiment(args.k, args.radius).to_json_dict())
     return 0
 
 
@@ -150,8 +149,7 @@ def cmd_transport(args) -> int:
 
 def cmd_probe(args) -> int:
     oracle = get_group(args.group)
-    horizon = args.horizon if args.horizon is not None else max(args.radius + 2, 4)
-    table = cached_bfs_metric(oracle, horizon, args.cache, budget=args.budget)
+    table = _table(args, oracle, max(args.radius + 2, 4))
     pool = [g for g in ball(table, min(args.ball, table.horizon)) if g != oracle.identity]
     if args.sample is not None and args.sample < len(pool):
         rng = random.Random(args.seed)

@@ -69,9 +69,6 @@ class GeneratorSet:
             if not (0 <= j < n) or self.inverse[j] != i:
                 raise ValueError("inverse pairing must be a self-inverse bijection on indices")
 
-    def is_involution(self, i: int) -> bool:
-        return self.inverse[i] == i
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -205,6 +202,19 @@ def ball(table: MetricTable, r: int) -> tuple[Element, ...]:
     for i in range(r + 1):
         out.extend(table.layers[i])
     return tuple(out)
+
+
+def sphere_or_ball(table: MetricTable, r: int, mode: str) -> tuple[Element, ...]:
+    """The sphere S_r (mode 'sphere') or the ball B_r (mode 'ball'); raises DomainError when it is empty."""
+    if mode == "sphere":
+        out = sphere(table, r)
+    elif mode == "ball":
+        out = ball(table, r)
+    else:
+        raise DomainError(f"mode must be 'sphere' or 'ball', got {mode!r}")
+    if not out:
+        raise DomainError(f"the {table.group_id} sphere of radius {r} is empty")
+    return out
 
 
 def word_length(oracle: GroupOracle, element: Element, table: Optional[MetricTable] = None) -> int:

@@ -19,8 +19,7 @@ from .core import (
     GroupOracle,
     IdentityElementError,
     MetricTable,
-    ball,
-    sphere,
+    sphere_or_ball,
     word_length,
 )
 
@@ -85,14 +84,6 @@ def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _conjugator_set(table: MetricTable, r: int, mode: Mode):
-    if mode == "sphere":
-        return sphere(table, r)
-    if mode == "ball":
-        return ball(table, r)
-    raise ValueError(f"mode must be 'sphere' or 'ball', got {mode!r}")
-
-
 def conjugate_breakdown(
     oracle: GroupOracle,
     table: MetricTable,
@@ -113,11 +104,8 @@ def conjugate_breakdown(
         raise DomainError(f"radius must be at least 1, got {r}")
     if length_table is None:
         length_table = table
-    conjugators = _conjugator_set(table, r, mode)
-    if not conjugators:
-        raise DomainError(f"the {table.group_id} sphere of radius {r} is empty")
     out = []
-    for w in conjugators:
+    for w in sphere_or_ball(table, r, mode):
         out.append((w, word_length(oracle, oracle.conjugate(g, w), length_table)))
     return tuple(out)
 

@@ -11,9 +11,10 @@ experiment enumerates a margin-guarded sector where every radius-r conjugate
 stays in the validated low branch, classifies the remainder s = C mod A into
 the ceiling cases, and compares the predicted curvature sign against the
 exact kappa computed from closed-form conjugate lengths.  In that sector
-kappa's numerator depends on C only through C mod A, so the sweep computes
-it once per residue class of each (A, B) and visits every element for the
-sector check and the tallies; word lengths up to MAX_DENSITY_K are admitted.
+kappa's numerator depends on C only through C mod A, so the one sweep
+computes it once per residue class of each (A, B) and streams every element
+with its class; the report tallies the stream and the CSV rows are made from
+it as they are written.  Word lengths up to MAX_DENSITY_K are admitted.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 from math import isqrt
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import CurvlabError, DomainError, GeneratorSet, GroupOracle, plain_encode
 
 HEIS_ID = "Heis"
-MAX_DENSITY_K = 120  # bound on the census word length: the slowest admitted sweep, k = 120, r = 1 in CSV, takes about 10 s
+MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted sweep, k = 120, r = 1 in CSV, takes 6-8 s
 
 
 class MalcevTriple(NamedTuple):
@@ -204,6 +206,20 @@ def heis_kappa_exact(g: MalcevTriple, deltas: list[tuple[int, int]]) -> Fraction
     return Fraction(base * len(deltas) - total, base * len(deltas))
 
 
+def _classify(A: int, B: int, s: int, r: int) -> tuple[tuple[str, ...], str]:
+    """(labels per t = 1..r, predicted sign) for the remainder s = C mod A.
+
+    s = 0 is labelled 'degenerate'; it and any boundary label yield 'mixed'.
+    """
+    if s == 0:
+        return ("degenerate",), "mixed"
+    labels = tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
+    pure = {"X": "+", "Y": "0", "Z": "-"}
+    if len(set(labels)) == 1 and labels[0] in pure:
+        return labels, pure[labels[0]]
+    return labels, "mixed"
+
+
 def heis_sign_predict(g: MalcevTriple, r: int) -> str:
     """'+', '0', '-' when one case holds for every t <= r; 'mixed' otherwise.
 
@@ -213,31 +229,11 @@ def heis_sign_predict(g: MalcevTriple, r: int) -> str:
     A, B, C = g
     if not SectorSpec(r).admits(g):
         raise OutOfSectorError(f"({A},{B},{C}) is outside the radius-{r} sector")
-    s = C % A
-    if s == 0:
-        return "mixed"
-    labels = {heis_case_label(A, B, s, t) for t in range(1, r + 1)}
-    if labels == {"X"}:
-        return "+"
-    if labels == {"Y"}:
-        return "0"
-    if labels == {"Z"}:
-        return "-"
-    return "mixed"
+    return _classify(A, B, C % A, r)[1]
 
 
 # ---------------------------------------------------------------------------
 # Density experiment
-
-
-@dataclass(frozen=True)
-class SectorElementRecord:
-    triple: MalcevTriple
-    length: int
-    remainder: int
-    labels: tuple[str, ...]  # per t = 1..r
-    predicted: str
-    kappa: Fraction
 
 
 @dataclass(frozen=True)
@@ -273,7 +269,6 @@ class DensityReport:
     predicted_counts: dict = field(default_factory=dict)
     mismatches: list = field(default_factory=list)
     band_rows: list = field(default_factory=list)
-    elements: list = field(default_factory=list)
     threshold: Fraction = Fraction(0)
 
     def all_signs_present(self) -> bool:
@@ -313,114 +308,116 @@ class DensityReport:
 CSV_HEADER = ["A", "B", "C", "length", "s", "labels", "predicted", "kappa"]
 
 
-def density_csv_rows(report: DensityReport) -> list[list]:
-    rows = []
-    for rec in report.elements:
-        rows.append(
-            [
-                rec.triple.a,
-                rec.triple.b,
-                rec.triple.c,
-                rec.length,
-                rec.remainder,
-                ";".join(rec.labels),
-                rec.predicted,
-                f"{rec.kappa.numerator}/{rec.kappa.denominator}",
-            ]
-        )
-    return rows
-
-
 def _band_counts(A: int, B: int, r: int) -> BandRow:
-    x = y = z = boundary = 0
-    for s in range(1, A):
-        in_x = all(s <= B * t for t in range(1, r + 1))
-        in_y = all(B * t <= s <= A - B * t for t in range(1, r + 1))
-        in_z = all(s >= A - B * t for t in range(1, r + 1))
-        x += in_x
-        y += in_y
-        z += in_z
-        if any(s in (B * t, A - B * t) for t in range(1, r + 1)):
-            boundary += 1
-    return BandRow(A, B, x, y, z, boundary)
+    """The band row of (A, B) at radius r in closed form: x = z = B, y = A - 2Br + 1, 2r boundaries.
+
+    Proof, for s in 1..A-1 and 5rB <= 2A, which every band satisfies.  With
+    shared endpoints credited to both classes, s is X at every t <= r iff
+    s <= B, Z at every t iff s >= A - B, and Y at every t iff
+    Br <= s <= A - Br, a range of A - 2Br + 1 values since 2Br < A.  The
+    endpoints Bt and A - Bt (t = 1..r) lie in 1..A-1 and are 2r distinct
+    values: Bt = A - Bt' would give A = B(t + t') <= 2rB < 5rB/2 <= A.
+    """
+    return BandRow(A, B, B, A - 2 * B * r + 1, B, 2 * r)
 
 
 def _sector_bands(k: int, r: int) -> list[tuple[int, int, int, int]]:
-    """(A, B, c_lo, c_hi) for every (A, B) whose radius-r sector holds some C within length k."""
+    """(A, B, c_lo, c_hi) for every (A, B) whose radius-r sector holds some C within length k.
+
+    Checks the census arguments: raises DomainError for r < 1 or
+    k > MAX_DENSITY_K, and EmptySectorError when no band is left.
+    """
+    if r < 1:
+        raise DomainError(f"radius must be at least 1, got {r}")
+    if k > MAX_DENSITY_K:
+        raise DomainError(f"the census word length k is at most {MAX_DENSITY_K}, got {k}")
     bands = []
     for A in range(5 * r, k):
-        b_lo = _ceildiv(A, 5 * r)
-        b_hi = (2 * A) // (5 * r)
-        for B in range(max(1, b_lo), b_hi + 1):
-            if A - B < 2 * r:
-                continue
-            # length <= k bounds ceil(C/A); intersect with the sector margins
-            max_ceil = (k - A - B) // 2
-            if max_ceil < r:
-                continue
-            c_hi = min(A * max_ceil, A * A - A * B - A * r)
-            c_lo = A * r
-            if c_hi >= c_lo:
-                bands.append((A, B, c_lo, c_hi))
+        for B in range(_ceildiv(A, 5 * r), (2 * A) // (5 * r) + 1):
+            # length <= k bounds ceil(C/A) by (k - A - B) // 2; intersect with the sector margins
+            c_hi = min(A * ((k - A - B) // 2), A * A - A * B - A * r)
+            if A - B >= 2 * r and c_hi >= A * r:
+                bands.append((A, B, A * r, c_hi))
+    if not bands:
+        raise EmptySectorError(f"the radius-{r} sector is empty within length {k}")
     return bands
 
 
-def heis_density_experiment(k: int, r: int, *, keep_elements: bool = False) -> DensityReport:
-    """Exhaustive sweep of the radius-r sector within word length k.
+class _Class(NamedTuple):
+    """What the elements of one residue class C mod A of a band share."""
 
-    Counts exact curvature signs, checks every non-mixed prediction against
-    the exact sign, and tallies per-(A, B) remainder-class fractions, each of
-    which must reach 1/(5r) in the band.
+    numerator: int  # kappa_r(g) = numerator / (n * |g|)
+    n: int  # |S_r|
+    sign: str  # of the exact kappa_r
+    s: int  # C mod A
+    labels: tuple[str, ...]
+    predicted: str
 
-    Exact kappa is computed once per residue class C mod A of each (A, B),
-    by this lemma.  With n = |S_r|, the numerator n*|g| - sum |g^w| over w in
-    S_r of kappa_r(g) = numerator / (n*|g|) is the same for C and C + A when
-    both lie in the sector.  Proof: a conjugate has height C' = C + A*beta -
+
+def _sweep(k: int, r: int, bands: list[tuple[int, int, int, int]]) -> Iterator[tuple[MalcevTriple, _Class]]:
+    """(g, its residue class) for every sector element of ``bands``, in (A, B, C) order.
+
+    Each element is checked against ``SectorSpec(r, k)``.  Exact kappa is
+    computed once per residue class C mod A of each (A, B), by this lemma.
+    With n = |S_r|, the numerator n*|g| - sum |g^w| over w in S_r of
+    kappa_r(g) = numerator / (n*|g|) is the same for C and C + A when both
+    lie in the sector.  Proof: a conjugate has height C' = C + A*beta -
     alpha*B with |A*beta - alpha*B| <= A*r, so the margins A*r <= C <=
     A^2 - A*B - A*r put C' in the low branch, of length 2*ceil(C'/A) + A + B;
     C -> C + A raises |g| and each of the n conjugate lengths by 2, which
     cancels.  The labels and the prediction depend on s = C mod A alone, so
     only the denominator changes within a class, and the sign not at all.
     """
-    if r < 1:
-        raise DomainError(f"radius must be at least 1, got {r}")
-    if k > MAX_DENSITY_K:
-        raise DomainError(f"the census word length k is at most {MAX_DENSITY_K}, got {k}")
-    if k <= 2 * r:
-        raise EmptySectorError(f"need k > 2r, got k = {k}, r = {r}")
-    bands = _sector_bands(k, r)
-    if not bands:
-        raise EmptySectorError(f"the radius-{r} sector is empty within length {k}")
     deltas = heis_conjugate_deltas(r)
     n = len(deltas)
     weights = Counter(deltas)  # sphere elements with equal (alpha, beta) give the same conjugate
-    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
-    report.sign_counts = {"+": 0, "0": 0, "-": 0}
-    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
     spec = SectorSpec(r, k)
     for A, B, c_lo, c_hi in bands:
-        report.band_rows.append(_band_counts(A, B, r))
-        classes = []  # (numerator, sign, s, labels, predicted), one per residue, from C = c_lo on
+        classes = []  # one per residue, from C = c_lo on
         for C in range(c_lo, min(c_lo + A, c_hi + 1)):
-            g = MalcevTriple(A, B, C)
-            numerator = n * heis_length(g) - sum(
+            numerator = n * heis_length(MalcevTriple(A, B, C)) - sum(
                 m * heis_length((A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
             )
             sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
             s = C % A
-            labels = ("degenerate",) if s == 0 else tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
-            classes.append((numerator, sign, s, labels, heis_sign_predict(g, r)))
+            classes.append(_Class(numerator, n, sign, s, *_classify(A, B, s, r)))
         for C in range(c_lo, c_hi + 1):
             g = MalcevTriple(A, B, C)
             assert spec.admits(g)
-            numerator, sign, s, labels, predicted = classes[(C - c_lo) % A]
-            report.sign_counts[sign] += 1
-            report.predicted_counts[predicted] += 1
-            if predicted in "+0-" and predicted != sign:
-                report.mismatches.append((g, predicted, sign))
-            if keep_elements:
-                length = heis_length(g)
-                report.elements.append(
-                    SectorElementRecord(g, length, s, labels, predicted, Fraction(numerator, n * length))
-                )
+            yield g, classes[(C - c_lo) % A]
+
+
+def heis_density_experiment(k: int, r: int) -> DensityReport:
+    """Exhaustive sweep of the radius-r sector within word length k.
+
+    Counts exact curvature signs, checks every non-mixed prediction against
+    the exact sign, and tallies per-(A, B) remainder-class fractions, each of
+    which must reach 1/(5r) in the band.
+    """
+    bands = _sector_bands(k, r)
+    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
+    report.sign_counts = {"+": 0, "0": 0, "-": 0}
+    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    report.band_rows = [_band_counts(A, B, r) for A, B, _, _ in bands]
+    for g, cls in _sweep(k, r, bands):
+        report.sign_counts[cls.sign] += 1
+        report.predicted_counts[cls.predicted] += 1
+        if cls.predicted in "+0-" and cls.predicted != cls.sign:
+            report.mismatches.append((g, cls.predicted, cls.sign))
     return report
+
+
+def _csv_row(g: MalcevTriple, cls: _Class) -> list:
+    length = heis_length(g)
+    kappa = Fraction(cls.numerator, cls.n * length)
+    labels = ";".join(cls.labels)
+    return [g.a, g.b, g.c, length, cls.s, labels, cls.predicted, f"{kappa.numerator}/{kappa.denominator}"]
+
+
+def density_csv_rows(k: int, r: int) -> Iterator[list]:
+    """The census as CSV rows (columns CSV_HEADER), one per sector element, made lazily as the sweep goes.
+
+    The arguments are checked at the call, before any row is made.
+    """
+    bands = _sector_bands(k, r)
+    return starmap(_csv_row, _sweep(k, r, bands))

@@ -13,7 +13,8 @@ Literal forms (see parse_element):
 
 Any group also accepts "w: <labels>", a whitespace-separated generator word
 with ^-1 (or ^<k>) powers and at most MAX_WORD_LETTERS letters in all, a^k
-counting |k|.  The builders take sizes of at most MAX_BUILDER_SIZE.
+counting |k|.  The builders take sizes of at most MAX_BUILDER_SIZE, and
+every other integer field at most MAX_INT_DIGITS digits.
 parse -> format -> parse is the identity on canonical forms.
 """
 
@@ -38,6 +39,7 @@ from .lamplighter import (
 
 MAX_WORD_LETTERS = 10_000  # bound on the letters of a word literal, so parsing time is bounded
 MAX_BUILDER_SIZE = 300  # bound on l, k and m in u(l,.), g(k), h(k,m) and d(m): u(300,pos) parses in about 0.5 s
+MAX_INT_DIGITS = 100  # bound on the digits of the other integer fields: coordinates, lamp indices, p=, shift=, t^k
 
 
 class ParseError(CurvlabError, ValueError):
@@ -71,6 +73,7 @@ def get_group(group_id: str) -> GroupOracle:
 def _parse_word(oracle: GroupOracle, text: str) -> Element:
     out = oracle.identity
     letters = 0
+    rule = f"a word of at most {MAX_WORD_LETTERS} letters, a^k counting |k|"
     for token in text.split():
         m = re.fullmatch(r"([^\^\s]+)(?:\^(-?)0*(\d+))?", token)
         if not m:
@@ -85,33 +88,41 @@ def _parse_word(oracle: GroupOracle, text: str) -> Element:
                 minus, digits = "", "1"
             except KeyError:
                 raise ParseError(token, f"a generator of {oracle.group_id}") from None
-        # digits first: a longer power is over the bound, and int() refuses thousands of digits
-        letters += int(digits) if len(digits) <= len(str(MAX_WORD_LETTERS)) else MAX_WORD_LETTERS + 1
+        power = _int_field(digits, text.strip(), MAX_WORD_LETTERS, rule)
+        letters += power
         if letters > MAX_WORD_LETTERS:
-            raise ParseError(text.strip(), f"a word of at most {MAX_WORD_LETTERS} letters, a^k counting |k|")
+            raise ParseError(text.strip(), rule)
         if minus:
             gen = oracle.invert(gen)
-        for _ in range(int(digits)):
+        for _ in range(power):
             out = oracle.compose(out, gen)
     return out
 
 
+_DIGITS_RULE = f"an integer of at most {MAX_INT_DIGITS} digits"
+
+
+def _int_field(text: str, token: str, bound: int = 10**MAX_INT_DIGITS - 1, rule: str = _DIGITS_RULE) -> int:
+    """The integer spelled by ``text``, an optionally signed digit string, if its absolute value is at most ``bound``.
+
+    The digit count is checked before int() reads the string, so the cost of
+    a rejection does not grow with its length; raises ParseError(token, rule).
+    """
+    if len(text.lstrip("+-").lstrip("0")) > len(str(bound)) or abs(int(text)) > bound:
+        raise ParseError(token, rule)
+    return int(text)
+
+
 def _builder_size(digits: str, token: str) -> int:
     """The size argument of a builder literal, checked against MAX_BUILDER_SIZE before any work."""
-    # digits first: int() refuses thousands of digits
-    if len(digits.lstrip("0")) > len(str(MAX_BUILDER_SIZE)) or int(digits) > MAX_BUILDER_SIZE:
-        raise ParseError(token, f"a builder size of at most {MAX_BUILDER_SIZE}")
-    return int(digits)
+    return _int_field(digits, token, MAX_BUILDER_SIZE, f"a builder size of at most {MAX_BUILDER_SIZE}")
 
 
 def _parse_int_list(text: str, token: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    try:
-        return [int(part.strip()) for part in text.split(",")]
-    except ValueError:
-        raise ParseError(token, "a comma-separated list of integers") from None
+    parts = [part.strip() for part in text.split(",")] if text.strip() else []
+    if not all(re.fullmatch(r"[-+]?\d+", part) for part in parts):
+        raise ParseError(token, "a comma-separated list of integers")
+    return [_int_field(part, token) for part in parts]
 
 
 def parse_element(group_id: str, text: str) -> Element:
@@ -134,14 +145,14 @@ def parse_element(group_id: str, text: str) -> Element:
         m = re.fullmatch(r"d\(([1-9]\d*)\)(?:\*t\^(-?\d+))?", text)
         if m:
             mval = _builder_size(m.group(1), text)
-            return ll_dm_tk(mval, int(m.group(2))) if m.group(2) else ll_make_dm(mval)
+            return ll_dm_tk(mval, _int_field(m.group(2), text)) if m.group(2) else ll_make_dm(mval)
         m = re.fullmatch(r"L2\{(.*);\s*p=(-?\d+)\s*\}", text)
         if not m:
             raise ParseError(text, '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k" with m >= 1')
         lamps = _parse_int_list(m.group(1), text)
         if len(set(lamps)) != len(lamps):
             raise ParseError(text, "distinct lamp indices")
-        return LampConfig(tuple(sorted(lamps)), int(m.group(2)))
+        return LampConfig(tuple(sorted(lamps)), _int_field(m.group(2), text))
 
     if group_id.startswith("W"):
         m = re.fullmatch(r"W\d*\{(.*);\s*p=(-?\d+)\s*\}", text)
@@ -155,13 +166,14 @@ def parse_element(group_id: str, text: str) -> Element:
             pm = re.fullmatch(r"(-?\d+)\s*:\s*(\d+)", pair)
             if not pm:
                 raise ParseError(pair, '"index:state"')
-            idx, state = int(pm.group(1)), int(pm.group(2))
-            if not 1 <= state <= n_states:
-                raise ParseError(pair, f"a nontrivial state in 1..{n_states}")
+            state_rule = f"a nontrivial state in 1..{n_states}"
+            idx, state = _int_field(pm.group(1), pair), _int_field(pm.group(2), pair, n_states, state_rule)
+            if state == 0:
+                raise ParseError(pair, state_rule)
             if idx in lamps:
                 raise ParseError(pair, "distinct lamp indices")
             lamps[idx] = state
-        return WreathConfig(tuple(sorted(lamps.items())), int(m.group(2)))
+        return WreathConfig(tuple(sorted(lamps.items())), _int_field(m.group(2), text))
 
     if group_id == H2_ID:
         m = re.fullmatch(r"g\(([1-9]\d*)\)", text)
@@ -186,13 +198,13 @@ def parse_element(group_id: str, text: str) -> Element:
             pm = re.fullmatch(r"(-?\d+)\s*:\s*(-?\d+)", pair)
             if not pm:
                 raise ParseError(pair, '"point:image"')
-            src, dst = int(pm.group(1)), int(pm.group(2))
+            src, dst = _int_field(pm.group(1), pair), _int_field(pm.group(2), pair)
             if src == 0 or dst == 0:
                 raise ParseError(pair, "nonzero bead indices")
             if src in moves:
                 raise ParseError(pair, "distinct source points")
             moves[src] = dst
-        el = HoughtonElement(int(m.group(2)), tuple(sorted(moves.items())))
+        el = HoughtonElement(_int_field(m.group(2), text), tuple(sorted(moves.items())))
         _validate_houghton(el, text)
         return el
 
@@ -200,7 +212,7 @@ def parse_element(group_id: str, text: str) -> Element:
         m = re.fullmatch(r"(?:Heis)?\((-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\)", text)
         if not m:
             raise ParseError(text, '"Heis(A,B,C)"')
-        return MalcevTriple(int(m.group(1)), int(m.group(2)), int(m.group(3)))
+        return MalcevTriple(*(_int_field(field, text) for field in m.groups()))
 
     # free groups and S3: whitespace-separated generator words
     return _parse_word(oracle, text)

@@ -31,12 +31,11 @@ from typing import Literal, Optional
 
 from .core import (
     CurvlabError,
-    DomainError,
     Element,
     GroupOracle,
     MetricTable,
-    ball,
     sphere,
+    sphere_or_ball,
     word_length,
 )
 
@@ -235,18 +234,6 @@ def enumerate_optimal(cost, optimum: int, cap: int = 1000) -> tuple[list[tuple[i
     return _optimal_plans(cost, match, u, v, cap)
 
 
-def _translators(table: MetricTable, support: Support, radius: int):
-    if support == "sphere":
-        ws = sphere(table, radius)
-    elif support == "ball":
-        ws = ball(table, radius)
-    else:
-        raise ValueError(f"support must be 'sphere' or 'ball', got {support!r}")
-    if not ws:
-        raise DomainError(f"the {table.group_id} sphere of radius {radius} is empty")
-    return ws
-
-
 def transport_distance(
     oracle: GroupOracle,
     table: MetricTable,
@@ -262,7 +249,7 @@ def transport_distance(
     """
     if length_table is None:
         length_table = table
-    ws = _translators(table, spec.support, spec.radius)
+    ws = sphere_or_ball(table, spec.radius, spec.support)
     xi = oracle.invert(spec.x)
     shift = oracle.compose(xi, spec.y)  # x^-1 y; costs are |u^-1 (x^-1 y) v|
     cost = []

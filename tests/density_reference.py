@@ -1,17 +1,18 @@
 """The Heisenberg density sweep computed element by element, for checking the library's sweep against.
 
 Every sector element gets its own ``heis_kappa_exact`` and ``heis_sign_predict``
-call; nothing is shared between elements of one residue class C mod A.
+call; nothing is shared between elements of one residue class C mod A.  The
+band rows come from a scan of every remainder, not from the library's closed
+form.
 """
 
 from fractions import Fraction
 
 from curvlab.heisenberg import (
+    BandRow,
     DensityReport,
     MalcevTriple,
-    SectorElementRecord,
     SectorSpec,
-    _band_counts,
     heis_case_label,
     heis_conjugate_deltas,
     heis_kappa_exact,
@@ -24,14 +25,24 @@ def _ceildiv(p, q):
     return -(-p // q)
 
 
-def density_per_element(k, r, *, keep_elements=False):
-    """The DensityReport of ``heis_density_experiment(k, r)``; None when the sector is empty."""
-    deltas = heis_conjugate_deltas(r)
-    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
-    report.sign_counts = {"+": 0, "0": 0, "-": 0}
-    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
-    spec = SectorSpec(r, k)
-    found_any = False
+def band_counts(A, B, r):
+    """The BandRow of (A, B) at radius r, by testing each remainder s = 1..A-1 at every t <= r."""
+    x = y = z = boundary = 0
+    for s in range(1, A):
+        in_x = all(s <= B * t for t in range(1, r + 1))
+        in_y = all(B * t <= s <= A - B * t for t in range(1, r + 1))
+        in_z = all(s >= A - B * t for t in range(1, r + 1))
+        x += in_x
+        y += in_y
+        z += in_z
+        if any(s in (B * t, A - B * t) for t in range(1, r + 1)):
+            boundary += 1
+    return BandRow(A, B, x, y, z, boundary)
+
+
+def sector_bands(k, r):
+    """(A, B, c_lo, c_hi) of every (A, B) with a radius-r sector element of length <= k."""
+    bands = []
     for A in range(5 * r, k):
         for B in range(max(1, _ceildiv(A, 5 * r)), (2 * A) // (5 * r) + 1):
             if A - B < 2 * r:
@@ -41,46 +52,70 @@ def density_per_element(k, r, *, keep_elements=False):
                 continue
             c_hi = min(A * max_ceil, A * A - A * B - A * r)
             c_lo = A * r
-            if c_hi < c_lo:
-                continue
-            report.band_rows.append(_band_counts(A, B, r))
-            for C in range(c_lo, c_hi + 1):
-                g = MalcevTriple(A, B, C)
-                assert spec.admits(g)
-                found_any = True
-                s = C % A
-                kap = heis_kappa_exact(g, deltas)
-                sign = "+" if kap > 0 else ("-" if kap < 0 else "0")
-                report.sign_counts[sign] += 1
-                if s == 0:
-                    predicted = "mixed"
-                    labels = ("degenerate",)
-                else:
-                    labels = tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
-                    predicted = heis_sign_predict(g, r)
-                report.predicted_counts[predicted] += 1
-                if predicted in "+0-" and predicted != sign:
-                    report.mismatches.append((g, predicted, sign))
-                if keep_elements:
-                    report.elements.append(SectorElementRecord(g, heis_length(g), s, labels, predicted, kap))
-    return report if found_any else None
+            if c_hi >= c_lo:
+                bands.append((A, B, c_lo, c_hi))
+    return bands
 
 
-def restrict_to_length(report, k):
-    """The report of the same sweep at word length k <= report.k, from its kept elements; None when empty.
+def density_per_element(k, r):
+    """(report, records) of the census at (k, r); None when the sector is empty.
+
+    ``report`` is the DensityReport of ``heis_density_experiment(k, r)``;
+    ``records`` holds (g, length, s, labels, predicted, kappa) per element in
+    (A, B, C) order.
+    """
+    deltas = heis_conjugate_deltas(r)
+    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
+    report.sign_counts = {"+": 0, "0": 0, "-": 0}
+    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    spec = SectorSpec(r, k)
+    records = []
+    for A, B, c_lo, c_hi in sector_bands(k, r):
+        report.band_rows.append(band_counts(A, B, r))
+        for C in range(c_lo, c_hi + 1):
+            g = MalcevTriple(A, B, C)
+            assert spec.admits(g)
+            s = C % A
+            kap = heis_kappa_exact(g, deltas)
+            sign = "+" if kap > 0 else ("-" if kap < 0 else "0")
+            report.sign_counts[sign] += 1
+            if s == 0:
+                predicted = "mixed"
+                labels = ("degenerate",)
+            else:
+                labels = tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
+                predicted = heis_sign_predict(g, r)
+            report.predicted_counts[predicted] += 1
+            if predicted in "+0-" and predicted != sign:
+                report.mismatches.append((g, predicted, sign))
+            records.append((g, heis_length(g), s, labels, predicted, kap))
+    return (report, records) if records else None
+
+
+def restrict_to_length(census, k):
+    """The (report, records) of the same census at word length k <= report.k; None when empty.
 
     The sweep at k visits exactly the elements of the sweep at report.k whose
     length is at most k, in the same (A, B, C) order, and nothing recorded for
     an element depends on k.
     """
+    report, records = census
     out = DensityReport(r=report.r, k=k, threshold=report.threshold)
     out.sign_counts = {"+": 0, "0": 0, "-": 0}
     out.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
-    out.elements = [rec for rec in report.elements if rec.length <= k]
-    bands = {(rec.triple.a, rec.triple.b) for rec in out.elements}
+    kept = [rec for rec in records if rec[1] <= k]
+    bands = {(g.a, g.b) for g, *_ in kept}
     out.band_rows = [row for row in report.band_rows if (row.A, row.B) in bands]
-    for rec in out.elements:
-        out.sign_counts["+" if rec.kappa > 0 else ("-" if rec.kappa < 0 else "0")] += 1
-        out.predicted_counts[rec.predicted] += 1
+    for _, _, _, _, predicted, kap in kept:
+        out.sign_counts["+" if kap > 0 else ("-" if kap < 0 else "0")] += 1
+        out.predicted_counts[predicted] += 1
     out.mismatches = [m for m in report.mismatches if heis_length(m[0]) <= k]
-    return out if out.elements else None
+    return (out, kept) if kept else None
+
+
+def csv_rows(records):
+    """The `curvlab density --format csv` rows, header excluded, of ``records``."""
+    return [
+        [g.a, g.b, g.c, length, s, ";".join(labels), predicted, f"{kap.numerator}/{kap.denominator}"]
+        for g, length, s, labels, predicted, kap in records
+    ]

@@ -1,16 +1,23 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from density_reference import csv_rows, density_per_element
 
 from curvlab.cache import cache_path, table_to_bytes
 from curvlab.core import bfs_metric
+from curvlab.heisenberg import CSV_HEADER as DENSITY_CSV_HEADER
 from curvlab.heisenberg import MalcevTriple
 from curvlab.houghton import h2_g, h2_h, h2_u
 from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_make_dm
 from curvlab.literals import MAX_BUILDER_SIZE, MAX_WORD_LETTERS, ParseError, format_element, get_group, parse_element
+
+
+NINES = "9" * 5000  # past the interpreter's default limit on int() of a digit string
 
 
 def run_cli(*args):
@@ -214,6 +221,13 @@ def test_cli_density():
     assert payload["prediction_mismatches"] == 0
 
 
+def test_cli_density_csv_is_the_reference_census():
+    proc = run_cli("density", "--k", "30", "--radius", "2", "--format", "csv")
+    assert proc.returncode == 0 and proc.stderr == ""
+    want = [DENSITY_CSV_HEADER] + csv_rows(density_per_element(30, 2)[1])
+    assert list(csv.reader(io.StringIO(proc.stdout))) == [[str(v) for v in row] for row in want]
+
+
 def test_cli_parse_error_exit_code():
     proc = run_cli("length", "--group", "L2", "--element", "nonsense")
     assert proc.returncode == 1
@@ -237,6 +251,13 @@ def test_cli_parse_error_exit_code():
         ("density", "--k", "25", "--radius", "-1"),
         ("density", "--k", "400", "--radius", "1"),  # above MAX_DENSITY_K
         ("length", "--group", "H2", "--element", "u(2000,pos)"),  # above MAX_BUILDER_SIZE
+        ("density", "--k", "2", "--format", "csv"),  # the arguments are checked before the CSV header
+        # integer fields longer than MAX_INT_DIGITS
+        ("length", "--group", "Heis", "--element", f"Heis({NINES},1,1)"),
+        ("length", "--group", "L2", "--element", f"d(1)*t^{NINES}"),
+        ("length", "--group", "L2", "--element", f"L2{{1;p={NINES}}}"),
+        ("length", "--group", "H2", "--element", f"H2{{;shift={NINES}}}"),
+        ("length", "--group", "W3", "--element", f"W3{{{NINES}:1;p=0}}"),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):

@@ -3,17 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from density_reference import density_per_element, restrict_to_length
+from density_reference import band_counts, csv_rows, density_per_element, restrict_to_length, sector_bands
 
 from curvlab.core import DomainError, bfs_metric
 from curvlab.curvature import kappa
 from curvlab.heisenberg import (
+    CSV_HEADER,
     MAX_DENSITY_K,
     DegenerateRemainderError,
     EmptySectorError,
     MalcevTriple,
     OutOfSectorError,
     SectorSpec,
+    _band_counts,
     density_csv_rows,
     heis_case_label,
     heis_ceil_jump,
@@ -185,12 +187,14 @@ def test_density_experiment_small():
     assert payload["band_threshold"] == "1/5"
 
 
-def test_density_keep_elements_rows():
-    rep = heis_density_experiment(25, 1, keep_elements=True)
-    assert rep.elements
-    for rec in rep.elements[:50]:
-        assert rec.length <= 25
-        assert rec.kappa is not None
+def test_density_csv_rows():
+    rows = list(density_csv_rows(25, 1))
+    assert rows
+    assert len(rows) == sum(heis_density_experiment(25, 1).sign_counts.values())
+    for row in rows[:50]:
+        assert len(row) == len(CSV_HEADER)
+        assert row[CSV_HEADER.index("length")] <= 25
+        assert Fraction(row[CSV_HEADER.index("kappa")]) is not None
 
 
 def test_density_errors():
@@ -203,6 +207,11 @@ def test_density_errors():
             heis_density_experiment(25, r)
     with pytest.raises(DomainError, match=str(MAX_DENSITY_K)):
         heis_density_experiment(MAX_DENSITY_K + 1, 1)
+    # the row function checks its arguments at the call, before any row is asked for
+    for k, r, error in ((2, 1, EmptySectorError), (11, 2, EmptySectorError), (25, 0, DomainError),
+                        (MAX_DENSITY_K + 1, 1, DomainError)):
+        with pytest.raises(error):
+            density_csv_rows(k, r)
 
 
 REFERENCE_K = {1: 60, 2: 60, 3: 70}
@@ -211,9 +220,9 @@ REFERENCE_K = {1: 60, 2: 60, 3: 70}
 @pytest.mark.parametrize("r", sorted(REFERENCE_K))
 def test_density_sweep_matches_the_per_element_reference(r):
     # one kappa per residue class C mod A must reproduce a heis_kappa_exact call per element
-    full = density_per_element(REFERENCE_K[r], r, keep_elements=True)
-    direct = density_per_element(30, r, keep_elements=True)
-    assert density_csv_rows(restrict_to_length(full, 30)) == density_csv_rows(direct)
+    full = density_per_element(REFERENCE_K[r], r)
+    direct = density_per_element(30, r)
+    assert csv_rows(restrict_to_length(full, 30)[1]) == csv_rows(direct[1])
     compared = 0
     for k in range(2 * r + 1, REFERENCE_K[r] + 1):
         want = restrict_to_length(full, k)
@@ -221,11 +230,12 @@ def test_density_sweep_matches_the_per_element_reference(r):
             with pytest.raises(EmptySectorError):
                 heis_density_experiment(k, r)
             continue
-        got = heis_density_experiment(k, r, keep_elements=k <= 45)
-        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict()), k
-        assert got.mismatches == want.mismatches, k
+        want_report, want_records = want
+        got = heis_density_experiment(k, r)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want_report.to_json_dict()), k
+        assert got.mismatches == want_report.mismatches, k
         if k <= 45:
-            assert density_csv_rows(got) == density_csv_rows(want), k
+            assert list(density_csv_rows(k, r)) == csv_rows(want_records), k
         compared += 1
     assert compared == REFERENCE_K[r] - 7 * r  # the shortest sector element, (5r, 1, 5r^2), has length 7r + 1
 
@@ -238,3 +248,15 @@ def test_band_fraction_worst_case():
     x, y, z = rows[(5, 1)].fractions()
     assert x == Fraction(1, 4) and z == Fraction(1, 4)
     assert min(x, y, z) >= Fraction(1, 5)
+
+
+def test_band_counts_closed_form_matches_the_remainder_scan():
+    # every band of every nonempty census with k <= MAX_DENSITY_K and r <= 7
+    checked = 0
+    for r in range(1, 8):
+        bands = {(A, B) for k in range(2 * r + 1, MAX_DENSITY_K + 1) for A, B, _, _ in sector_bands(k, r)}
+        assert bands
+        for A, B in sorted(bands):
+            assert _band_counts(A, B, r) == band_counts(A, B, r), (A, B, r)
+            checked += 1
+    assert checked > 1000
