@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .core import CurvlabError, GeneratorSet, GroupOracle, plain_encode
+from .core import CurvlabError, DomainError, GeneratorSet, GroupOracle, plain_encode
 
 
 # ---------------------------------------------------------------------------
@@ -20,7 +20,7 @@ from .core import CurvlabError, GeneratorSet, GroupOracle, plain_encode
 def make_zn(n: int) -> GroupOracle:
     """Z^n; elements are integer coordinate tuples, length is the L1 norm."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     labels = []
     inverse = []
     for i in range(n):
@@ -67,7 +67,7 @@ def _free_mul(x: tuple, y: tuple) -> tuple:
 def make_free(n: int) -> GroupOracle:
     """The free group F_n on n generators; length of a reduced word is its letter count."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     labels = []
     inverse = []
     gens = []

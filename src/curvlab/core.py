@@ -135,11 +135,6 @@ class MetricTable:
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers)
 
-    def ball_size(self, r: int) -> int:
-        if r > self.horizon:
-            raise OutOfHorizonError(f"radius {r} exceeds horizon {self.horizon}")
-        return sum(len(self.layers[i]) for i in range(r + 1))
-
 
 def bfs_tree(
     oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET

@@ -116,10 +116,9 @@ def comparison_distance(
     g: Element,
     r: int,
     mode: Mode = "sphere",
-    length_table: Optional[MetricTable] = None,
 ) -> Fraction:
     """Exact average of |w^-1 g w| over the chosen conjugator set."""
-    breakdown = conjugate_breakdown(oracle, table, g, r, mode, length_table)
+    breakdown = conjugate_breakdown(oracle, table, g, r, mode)
     return Fraction(sum(length for _, length in breakdown), len(breakdown))
 
 
@@ -150,11 +149,10 @@ def gencon(
     oracle: GroupOracle,
     table: MetricTable,
     g: Element,
-    length_table: Optional[MetricTable] = None,
 ) -> Fraction:
     """Average generator-conjugate length: the radius-1 sphere comparison distance.
 
     Kept as a named operation because it doubles as the identity transport
     plan in the transport module.
     """
-    return comparison_distance(oracle, table, g, 1, "sphere", length_table)
+    return comparison_distance(oracle, table, g, 1, "sphere")

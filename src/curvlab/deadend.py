@@ -1,6 +1,11 @@
 """Dead-end detection, escape depth, strict depth, and backtrack elements.
 
-Two distinct depth notions live here.
+All of them, strict depth and backtracks included, come from the escape
+search: a breadth-first search from g that stops at the first element longer
+than g, whose j-th layer is g S_j (w -> gw maps S_j onto the elements j steps
+from g).  The table serves only word lengths; its horizon caps no result,
+and a length it cannot decide raises OutOfHorizonError.  Depth bounds
+(``max_depth``, the CLI's ``--max-depth`` and ``--bound``) are at least 1.
 
 ``depth`` is the escape distance: the least k such that some product of k
 generators takes g to an element strictly longer than g.  The witness path in
@@ -12,7 +17,8 @@ chain condition |g| > |ga_1| > ... quantified over arbitrary generator
 sequences is unsatisfiable for k >= 2 with symmetric generators, since a_2
 may undo a_1; the spherical form is the one the nonnegative-curvature
 argument actually consumes.)  Strict depth k guarantees kappa_r >= 0 for all
-r < k.
+r < k.  No layer past r = |g| descends, so the search settles the strict
+depth within |g| + 1 layers, whatever the depth bound.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from typing import Iterator, Optional
 
 from .core import (
     CurvlabError,
+    DomainError,
     Element,
     GroupOracle,
     MetricTable,
     OutOfHorizonError,
-    ball,
     sphere,
     word_length,
 )
@@ -58,54 +64,70 @@ class DeadEndReport:
         }
 
 
-def _le_threshold(oracle: GroupOracle, table: MetricTable, el: Element, threshold: int) -> bool:
-    """Whether |el| <= threshold.
+def _length_within(oracle: GroupOracle, table: MetricTable, el: Element, bound: int) -> Optional[int]:
+    """|el| when it is at most ``bound``, otherwise None.
 
     Decidable even when el lies outside the table: absence from B_horizon
-    means the length exceeds the horizon, which settles any threshold within
-    it.
+    means the length exceeds the horizon, which settles any bound within it.
     """
     try:
-        return word_length(oracle, el, table) <= threshold
+        n = word_length(oracle, el, table)
     except OutOfHorizonError:
-        if threshold <= table.horizon:
-            return False
+        if bound <= table.horizon:
+            return None
         raise
+    return n if n <= bound else None
 
 
-def is_dead_end(oracle: GroupOracle, table: MetricTable, g: Element) -> bool:
-    """True iff no generator product of g is strictly longer than g."""
-    base = word_length(oracle, g, table)
-    return all(
-        _le_threshold(oracle, table, oracle.compose(g, a), base) for a in oracle.generators
-    )
+def _check_depth_bound(max_depth: int) -> None:
+    if max_depth < 1:
+        raise DomainError(f"the escape search needs a depth bound of at least 1, got {max_depth}")
 
 
-def _escape(
-    oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int
-) -> Optional[tuple[str, ...]]:
-    """A shortest generator path from g to an element longer than g, or None
-    when every path of at most ``max_depth`` steps stays within |g|."""
+def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int):
+    """The escape search from g: ``(base, layers, strict, witness)``.
+
+    ``base`` is |g|, ``layers[j]`` is g S_j in discovery order, ``strict`` the
+    strict depth, and ``witness`` a shortest generator path from g to an
+    element longer than g, or None when every path of at most ``max_depth``
+    steps stays within |g|.  The layers stop before the escape.  Past
+    ``max_depth`` they run only while every layer so far descends, the last
+    one to within |g| - 1, so no escape lies there.
+    """
+    _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
     parents: dict[Element, Optional[tuple[Element, str]]] = {g: None}
-    frontier: list[Element] = [g]
-    for _ in range(max_depth):
-        nxt = []
-        for el in frontier:
+    layers: list[list[Element]] = [[g]]
+    strict: Optional[int] = None
+    while strict is None or len(layers) <= max_depth:
+        j = len(layers)
+        layer, longest = [], 0
+        for el in layers[-1]:
             for label, gen in zip(oracle.generator_set.labels, oracle.generators):
                 h = oracle.compose(el, gen)
                 if h in parents:
                     continue
                 parents[h] = (el, label)
-                if not _le_threshold(oracle, table, h, base):
+                n = _length_within(oracle, table, h, base)
+                if n is None:  # h escapes, so layer j fails the descent
                     word = []
                     while h != g:
-                        h, lab = parents[h]
-                        word.append(lab)
-                    return tuple(reversed(word))
-                nxt.append(h)
-        frontier = nxt
-    return None
+                        h, label = parents[h]
+                        word.append(label)
+                    return base, layers, j - 1 if strict is None else strict, tuple(reversed(word))
+                layer.append(h)
+                longest = max(longest, n)
+        if strict is None and (not layer or longest > base - j):
+            strict = j - 1
+        if not layer:  # finite group exhausted; no deeper layers exist
+            break
+        layers.append(layer)
+    return base, layers, strict, None
+
+
+def is_dead_end(oracle: GroupOracle, table: MetricTable, g: Element) -> bool:
+    """True iff no generator product of g is strictly longer than g."""
+    return report(oracle, table, g, 1).is_dead_end
 
 
 def depth(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int) -> Optional[int]:
@@ -114,23 +136,12 @@ def depth(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int) -
     Non-dead-ends escape in one step, so they have depth 1.  Returns None
     when no escape exists within ``max_depth`` steps.
     """
-    witness = _escape(oracle, table, g, max_depth)
-    return None if witness is None else len(witness)
+    return report(oracle, table, g, max_depth).depth
 
 
 def strict_depth(oracle: GroupOracle, table: MetricTable, g: Element) -> int:
     """Largest k with |gw| <= |g| - r for all r <= k and all w in S_r."""
-    base = word_length(oracle, g, table)
-    k = 0
-    for r in range(1, table.horizon + 1):
-        layer = sphere(table, r)
-        if not layer:  # finite group exhausted; no deeper spheres exist
-            break
-        if all(_le_threshold(oracle, table, oracle.compose(g, w), base - r) for w in layer):
-            k = r
-        else:
-            return k
-    return k
+    return report(oracle, table, g, 1).strict_depth
 
 
 def report(
@@ -139,13 +150,13 @@ def report(
     g: Element,
     max_depth: int,
 ) -> DeadEndReport:
-    witness = _escape(oracle, table, g, max_depth)
+    base, _, strict, witness = _search(oracle, table, g, max_depth)
     return DeadEndReport(
         element=g,
-        base_length=word_length(oracle, g, table),
-        is_dead_end=is_dead_end(oracle, table, g),
+        base_length=base,
+        is_dead_end=witness is None or len(witness) > 1,
         depth=None if witness is None else len(witness),
-        strict_depth=strict_depth(oracle, table, g),
+        strict_depth=strict,
         witness=witness,
     )
 
@@ -156,28 +167,20 @@ def backtrack_elements(
     g: Element,
     bound: int,
 ) -> set[Element]:
-    """All continuations g*w' with 1 <= |w'| < depth(g) that stay within |g|."""
-    if not is_dead_end(oracle, table, g):
-        raise NotADeadEndError(f"{g!r} is not a dead end")
-    k = depth(oracle, table, g, bound)
-    if k is None:
+    """All continuations g*w' with 1 <= |w'| < depth(g) that stay within |g|.
+
+    These are the layers g S_1, ..., g S_(k-1) before the escape at depth k,
+    with no length test: an element of g S_j longer than |g| for some j < k
+    would be an escape at depth j, against the minimality of k.
+    """
+    _, layers, _, witness = _search(oracle, table, g, bound)
+    if witness is None:
         raise OutOfHorizonError(
             f"depth of {g!r} exceeds the bound {bound}; raise the bound to enumerate backtracks"
         )
-    if k - 1 > table.horizon:
-        raise OutOfHorizonError(
-            f"backtrack enumeration needs continuations up to length {k - 1}, "
-            f"beyond the table horizon {table.horizon}"
-        )
-    base = word_length(oracle, g, table)
-    out = set()
-    for w in ball(table, k - 1):
-        if w == oracle.identity:
-            continue
-        h = oracle.compose(g, w)
-        if _le_threshold(oracle, table, h, base):
-            out.add(h)
-    return out
+    if len(witness) == 1:
+        raise NotADeadEndError(f"{g!r} is not a dead end")
+    return set().union(*layers[1:])
 
 
 def scan(
@@ -186,10 +189,7 @@ def scan(
     radius: int,
     max_depth: int,
 ) -> Iterator[DeadEndReport]:
-    """Yield a report for every dead end in B_radius, in layer order."""
-    for r in range(radius + 1):
-        for g in sphere(table, r):
-            if g == oracle.identity:
-                continue
-            if is_dead_end(oracle, table, g):
-                yield report(oracle, table, g, max_depth)
+    """The report of every dead end in B_radius, in layer order, as a lazy iterator."""
+    _check_depth_bound(max_depth)
+    reports = (report(oracle, table, g, max_depth) for r in range(1, radius + 1) for g in sphere(table, r))
+    return (rep for rep in reports if rep.is_dead_end)

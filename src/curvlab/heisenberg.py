@@ -121,7 +121,7 @@ def heis_oracle() -> GroupOracle:
 def heis_ceil_jump(A: int, B: int, C: int, t: int) -> tuple[int, int]:
     """(ceil((C+Bt)/A), ceil((C-Bt)/A)), via the case formula, checked directly."""
     if A <= 0 or B <= 0 or t <= 0:
-        raise ValueError("need A, B, t positive")
+        raise DomainError("need A, B, t positive")
     if B * t > A:
         raise OutOfSectorError(f"case formula needs B*t <= A, got B*t = {B * t} > A = {A}")
     s = C % A

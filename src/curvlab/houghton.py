@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import GeneratorSet, GroupOracle, plain_encode
+from .core import DomainError, GeneratorSet, GroupOracle, plain_encode
 
 H2_ID = "H2"
 
@@ -87,9 +87,9 @@ def h2_u_word(l: int, orientation: str = "neg") -> tuple[str, ...]:
     exchanged), walking right first.  Both evaluate to the same element.
     """
     if l < 1:
-        raise ValueError("l must be at least 1")
+        raise DomainError("l must be at least 1")
     if orientation not in ("neg", "pos"):
-        raise ValueError("orientation must be 'neg' or 'pos'")
+        raise DomainError("orientation must be 'neg' or 'pos'")
     fwd, back = ("s", "s^-1") if orientation == "neg" else ("s^-1", "s")
     n = l - 1
     word = [back] * n
@@ -109,14 +109,14 @@ def h2_u(l: int, orientation: str = "neg") -> HoughtonElement:
 def h2_transposition(l: int) -> HoughtonElement:
     """The bead transposition (-l, l) written directly."""
     if l < 1:
-        raise ValueError("l must be at least 1")
+        raise DomainError("l must be at least 1")
     return HoughtonElement(0, ((-l, l), (l, -l)))
 
 
 def h2_h(k: int, m: int) -> HoughtonElement:
     """The element transposing the bead pairs +-l for m <= l <= k, shift 0."""
     if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k, got k={k}, m={m}")
+        raise DomainError(f"need 1 <= m <= k, got k={k}, m={m}")
     out = H2_IDENTITY
     for l in range(k, m - 1, -1):
         out = h2_compose(out, h2_transposition(l))
@@ -131,7 +131,7 @@ def h2_g(k: int) -> HoughtonElement:
 def h2_h_word(k: int, m: int, orientation: str = "neg", descending: bool = True) -> tuple[str, ...]:
     """One of the four concatenated u_l spellings of h(k, m)."""
     if not 1 <= m <= k:
-        raise ValueError(f"need 1 <= m <= k, got k={k}, m={m}")
+        raise DomainError(f"need 1 <= m <= k, got k={k}, m={m}")
     ls = range(k, m - 1, -1) if descending else range(m, k + 1)
     word: list[str] = []
     for l in ls:

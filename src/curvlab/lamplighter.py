@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .core import GeneratorSet, GroupOracle, plain_encode
+from .core import DomainError, GeneratorSet, GroupOracle, plain_encode
 
 L2_ID = "L2"
 
@@ -51,7 +51,7 @@ class FiniteGroupSpec(NamedTuple):
 def cyclic_spec(n: int) -> FiniteGroupSpec:
     """Z_n as a lamp group; state k is labelled s{k}."""
     if n < 2:
-        raise ValueError("lamp group must be nontrivial")
+        raise DomainError("lamp group must be nontrivial")
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     inverse = tuple((-i) % n for i in range(n))
     labels = tuple(f"s{k}" for k in range(n))
@@ -166,7 +166,7 @@ def zn_wreath_oracle(n: int) -> GroupOracle:
 def ll_make_dm(m: int) -> LampConfig:
     """Every lamp in [-m, m] lit, lamplighter back at the origin."""
     if m < 1:
-        raise ValueError("m must be at least 1")
+        raise DomainError("m must be at least 1")
     return LampConfig(tuple(range(-m, m + 1)), 0)
 
 
@@ -178,15 +178,15 @@ def ll_dm_tk(m: int, k: int) -> LampConfig:
 def wr_make_dm(spec: FiniteGroupSpec, states: Mapping[int, int]) -> WreathConfig:
     """The d_m analogue in A wr Z: chosen nontrivial states on exactly [-m, m]."""
     if not states:
-        raise ValueError("states must cover [-m, m] for some m >= 1")
+        raise DomainError("states must cover [-m, m] for some m >= 1")
     m = max(states)
     if m < 1 or sorted(states) != list(range(-m, m + 1)):
-        raise ValueError("state indices must be exactly the interval [-m, m] with m >= 1")
+        raise DomainError("state indices must be exactly the interval [-m, m] with m >= 1")
     for i, state in states.items():
         if state == spec.identity:
-            raise ValueError(f"state at index {i} is the identity of the lamp group")
+            raise DomainError(f"state at index {i} is the identity of the lamp group")
         if not 0 <= state < spec.order:
-            raise ValueError(f"state at index {i} is not an element of the lamp group")
+            raise DomainError(f"state at index {i} is not an element of the lamp group")
     return WreathConfig(tuple(sorted(states.items())), 0)
 
 
@@ -218,7 +218,7 @@ def wr_geodesic(spec: FiniteGroupSpec, cfg: WreathConfig) -> tuple[str, ...]:
     return _geodesic({i: spec.labels[state] for i, state in cfg.lamps}, cfg.pos)
 
 
-class EmbedError(ValueError):
+class EmbedError(DomainError):
     """The word is not a geodesic prefix of any d_M."""
 
 

@@ -13,8 +13,9 @@ Literal forms (see parse_element):
 
 Any group also accepts "w: <labels>", a whitespace-separated generator word
 with ^-1 (or ^<k>) powers and at most MAX_WORD_LETTERS letters in all, a^k
-counting |k|.  The builders take sizes of at most MAX_BUILDER_SIZE, and
-every other integer field at most MAX_INT_DIGITS digits.
+counting |k|.  The builders, and n in Z<n>, F<n> and W<n>, take sizes of at
+most MAX_BUILDER_SIZE, and every other integer field at most MAX_INT_DIGITS
+digits.
 parse -> format -> parse is the identity on canonical forms.
 """
 
@@ -38,7 +39,9 @@ from .lamplighter import (
 
 
 MAX_WORD_LETTERS = 10_000  # bound on the letters of a word literal, so parsing time is bounded
-MAX_BUILDER_SIZE = 300  # bound on l, k and m in u(l,.), g(k), h(k,m) and d(m): u(300,pos) parses in about 0.5 s
+# bound on l, k and m in u(l,.), g(k), h(k,m) and d(m), and on n in the group ids Z<n>, F<n> and W<n>:
+# u(300,pos) parses in about 0.5 s, and Z<n> builds 2n generators of n coordinates
+MAX_BUILDER_SIZE = 300
 MAX_INT_DIGITS = 100  # bound on the digits of the other integer fields: coordinates, lamp indices, p=, shift=, t^k
 
 
@@ -47,6 +50,12 @@ class ParseError(CurvlabError, ValueError):
         self.token = token
         self.rule = rule
         super().__init__(f"cannot parse {token!r}: expected {rule}")
+
+
+_GROUP_RULE = (
+    f"a group id of the form Zn or Fn (1 <= n <= {MAX_BUILDER_SIZE}), S3, L2, "
+    f"Wn (2 <= n <= {MAX_BUILDER_SIZE}), H2 or Heis"
+)
 
 
 def get_group(group_id: str) -> GroupOracle:
@@ -60,14 +69,14 @@ def get_group(group_id: str) -> GroupOracle:
         return heis_oracle()
     m = re.fullmatch(r"Z([1-9]\d*)", group_id)
     if m:
-        return make_zn(int(m.group(1)))
+        return make_zn(_group_size(m.group(1), group_id))
     m = re.fullmatch(r"F([1-9]\d*)", group_id)
     if m:
-        return make_free(int(m.group(1)))
+        return make_free(_group_size(m.group(1), group_id))
     m = re.fullmatch(r"W([2-9]|[1-9]\d+)", group_id)  # the lamp group Z_n must be nontrivial
     if m:
-        return zn_wreath_oracle(int(m.group(1)))
-    raise ParseError(group_id, "a group id of the form Zn or Fn (n >= 1), S3, L2, Wn (n >= 2), H2 or Heis")
+        return zn_wreath_oracle(_group_size(m.group(1), group_id))
+    raise ParseError(group_id, _GROUP_RULE)
 
 
 def _parse_word(oracle: GroupOracle, text: str) -> Element:
@@ -116,6 +125,11 @@ def _int_field(text: str, token: str, bound: int = 10**MAX_INT_DIGITS - 1, rule:
 def _builder_size(digits: str, token: str) -> int:
     """The size argument of a builder literal, checked against MAX_BUILDER_SIZE before any work."""
     return _int_field(digits, token, MAX_BUILDER_SIZE, f"a builder size of at most {MAX_BUILDER_SIZE}")
+
+
+def _group_size(digits: str, group_id: str) -> int:
+    """The n of a group id Z<n>, F<n> or W<n>, checked against MAX_BUILDER_SIZE before int() or the builder sees it."""
+    return _int_field(digits, group_id, MAX_BUILDER_SIZE, _GROUP_RULE)
 
 
 def _parse_int_list(text: str, token: str) -> list[int]:

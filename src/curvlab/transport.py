@@ -240,15 +240,12 @@ def transport_distance(
     spec: MeasureSpec,
     *,
     cap: int = 1000,
-    length_table: Optional[MetricTable] = None,
 ) -> TransportResult:
     """Exact T1 between the uniform measures of ``spec``, with all optimal plans.
 
     The identity permutation is the comparison-distance plan; whether it is
     among the optima is reported on the result.
     """
-    if length_table is None:
-        length_table = table
     ws = sphere_or_ball(table, spec.radius, spec.support)
     xi = oracle.invert(spec.x)
     shift = oracle.compose(xi, spec.y)  # x^-1 y; costs are |u^-1 (x^-1 y) v|
@@ -258,13 +255,13 @@ def transport_distance(
         row = []
         left = oracle.compose(ui, shift)
         for v in ws:
-            row.append(word_length(oracle, oracle.compose(left, v), length_table))
+            row.append(word_length(oracle, oracle.compose(left, v), table))
         cost.append(row)
     optimum, match, u_pot, v_pot = hungarian(cost)
     perms, truncated = _optimal_plans(cost, match, u_pot, v_pot, cap)
     n = len(ws)
     identity_cost = sum(cost[i][i] for i in range(n))
-    d = word_length(oracle, shift, length_table)
+    d = word_length(oracle, shift, table)
     t1 = Fraction(optimum, n)
     return TransportResult(
         spec=spec,
@@ -286,15 +283,11 @@ def kappa_star(
     y: Element,
     support: Support = "sphere",
     radius: int = 1,
-    *,
-    length_table: Optional[MetricTable] = None,
 ) -> Fraction:
     """Transport curvature 1 - T1/d(x, y) for distinct basepoints."""
     if x == y:
         raise EqualPointsError("transport curvature is undefined for equal basepoints")
-    result = transport_distance(
-        oracle, table, MeasureSpec(x, y, support, radius), length_table=length_table
-    )
+    result = transport_distance(oracle, table, MeasureSpec(x, y, support, radius))
     assert result.kappa_star is not None
     return result.kappa_star
 
@@ -307,7 +300,6 @@ def optimal_permutations(
     mode: Support = "sphere",
     *,
     cap: int = 1000,
-    length_table: Optional[MetricTable] = None,
 ) -> TransportResult:
     """The optimal transport permutations from the identity to g.
 
@@ -315,7 +307,7 @@ def optimal_permutations(
     sym(B_r) (the ball support includes the identity point).
     """
     spec = MeasureSpec(oracle.identity, g, mode, r)
-    return transport_distance(oracle, table, spec, cap=cap, length_table=length_table)
+    return transport_distance(oracle, table, spec, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -379,7 +371,6 @@ def question_probe(
     elements,
     *,
     cap: int = 1000,
-    length_table: Optional[MetricTable] = None,
 ) -> ProbeReport:
     """Probe the ball-optimum structure for each sampled element."""
     rows = []
@@ -390,7 +381,7 @@ def question_probe(
         bounds.append((start, start + size))
         start += size
     for g in elements:
-        res = optimal_permutations(oracle, table, g, r, "ball", cap=cap, length_table=length_table)
+        res = optimal_permutations(oracle, table, g, r, "ball", cap=cap)
         # Stitch per-sphere optima: cost of the best sphere-preserving plan.
         # A sphere-preserving ball optimum exists exactly when this reaches the ball optimum.
         block_cost = 0

@@ -235,7 +235,7 @@ def criterion_5(tier: str = "full") -> CriterionResult:
         for r in (1, 2):
             for w in sphere(table, r):
                 conj = oracle.conjugate(h22, w)
-                if not deadend._le_threshold(oracle, table, conj, base):
+                if deadend._length_within(oracle, table, conj, base) is None:
                     failures.append(f"conjugation by {w} lengthens h_22")
     bad_bound = sum(1 for el, d in table.dist.items() if d < h2_min_length_bound(el))
     if bad_bound:

@@ -92,25 +92,38 @@ def density_per_element(k, r):
     return (report, records) if records else None
 
 
-def restrict_to_length(census, k):
-    """The (report, records) of the same census at word length k <= report.k; None when empty.
+def census_by_length(census, first):
+    """Yield (k, restricted) for k = first, ..., report.k.
 
-    The sweep at k visits exactly the elements of the sweep at report.k whose
-    length is at most k, in the same (A, B, C) order, and nothing recorded for
-    an element depends on k.
+    ``restricted`` is the (report, records) of the same census at word length
+    k, or None when it is empty.  The sweep at k visits exactly the elements
+    of the sweep at report.k whose length is at most k, in the same (A, B, C)
+    order, and nothing recorded for an element depends on k.  So the tallies
+    and bands of every k grow in one pass over the records in order of length.
     """
     report, records = census
-    out = DensityReport(r=report.r, k=k, threshold=report.threshold)
-    out.sign_counts = {"+": 0, "0": 0, "-": 0}
-    out.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
-    kept = [rec for rec in records if rec[1] <= k]
-    bands = {(g.a, g.b) for g, *_ in kept}
-    out.band_rows = [row for row in report.band_rows if (row.A, row.B) in bands]
-    for _, _, _, _, predicted, kap in kept:
-        out.sign_counts["+" if kap > 0 else ("-" if kap < 0 else "0")] += 1
-        out.predicted_counts[predicted] += 1
-    out.mismatches = [m for m in report.mismatches if heis_length(m[0]) <= k]
-    return (out, kept) if kept else None
+    by_length = [[] for _ in range(report.k + 1)]
+    for rec in records:
+        by_length[rec[1]].append(rec)
+    sign_counts = {"+": 0, "0": 0, "-": 0}
+    predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    bands = set()
+    for k, new in enumerate(by_length):
+        for g, _, _, _, predicted, kap in new:
+            sign_counts["+" if kap > 0 else ("-" if kap < 0 else "0")] += 1
+            predicted_counts[predicted] += 1
+            bands.add((g.a, g.b))
+        if k < first:
+            continue
+        if not bands:
+            yield k, None
+            continue
+        out = DensityReport(r=report.r, k=k, threshold=report.threshold)
+        out.sign_counts = dict(sign_counts)
+        out.predicted_counts = dict(predicted_counts)
+        out.band_rows = [row for row in report.band_rows if (row.A, row.B) in bands]
+        out.mismatches = [m for m in report.mismatches if heis_length(m[0]) <= k]
+        yield k, (out, [rec for rec in records if rec[1] <= k])
 
 
 def csv_rows(records):

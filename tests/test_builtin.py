@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 
 from curvlab.builtin import IdentityWordError, S3_TABLE, free_gencon, make_free, make_s3, make_zn
-from curvlab.core import ball, bfs_metric, word_length
+from curvlab.core import CurvlabError, DomainError, ball, bfs_metric, word_length
 from curvlab.curvature import gencon, kappa
+from curvlab.heisenberg import heis_ceil_jump
+from curvlab.houghton import h2_h, h2_h_word, h2_transposition, h2_u_word
+from curvlab.lamplighter import LampConfig, cyclic_spec, ll_embed_in_dead_end, ll_make_dm, wr_make_dm
 
 
 def test_zn_length_is_l1():
@@ -83,3 +86,33 @@ def test_free_kappa_closed_form():
                 continue
             expected = Fraction(-(2 - Fraction(2, n)), len(g))
             assert kappa(oracle, table, g, 1).kappa == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_zn(0),
+        lambda: make_free(0),
+        lambda: cyclic_spec(1),
+        lambda: ll_make_dm(0),
+        lambda: wr_make_dm(cyclic_spec(3), {}),
+        lambda: wr_make_dm(cyclic_spec(3), {-1: 1, 0: 0, 1: 2}),
+        lambda: h2_u_word(0),
+        lambda: h2_u_word(2, "up"),
+        lambda: h2_transposition(0),
+        lambda: h2_h(1, 2),
+        lambda: h2_h_word(1, 2),
+        lambda: heis_ceil_jump(5, 0, 7, 1),
+        lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)),
+    ],
+    ids=[
+        "make_zn", "make_free", "cyclic_spec", "ll_make_dm", "wr_make_dm-empty", "wr_make_dm-identity-state",
+        "h2_u_word", "h2_u_word-orientation", "h2_transposition", "h2_h", "h2_h_word", "heis_ceil_jump",
+        "ll_embed_in_dead_end",
+    ],
+)
+def test_builder_argument_errors_are_library_errors(call):
+    # one error hierarchy: out-of-range builder arguments raise DomainError, a CurvlabError and a ValueError
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert isinstance(excinfo.value, CurvlabError) and isinstance(excinfo.value, ValueError)

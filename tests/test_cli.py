@@ -201,6 +201,21 @@ def test_cli_backtracks():
     assert "L2{-2,-1,0,1,2;p=1}" in payload["backtracks"]
 
 
+def test_cli_dead_end_results_do_not_depend_on_the_horizon():
+    # the escape search reads L2 lengths from the closed form, not from the table's spheres
+    payload = json.loads(run_cli("deadend", "--group", "L2", "--element", "d(3)", "--horizon", "1").stdout)
+    assert payload["strict_depth"] == 2
+    small = run_cli("backtracks", "--group", "L2", "--element", "d(2)", "--horizon", "3")
+    assert small.returncode == 0
+    assert small.stdout == run_cli("backtracks", "--group", "L2", "--element", "d(2)").stdout
+    assert json.loads(small.stdout)["count"] == 43
+    # a depth bound short of the escape does not cap the strict depth
+    s3 = json.loads(
+        run_cli("deadend", "--group", "S3", "--element", "s t s", "--horizon", "3", "--max-depth", "2").stdout
+    )
+    assert s3["depth"] is None and s3["strict_depth"] == 3
+
+
 def test_cli_transport_and_probe():
     proc = run_cli("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--radius", "1")
     payload = json.loads(proc.stdout)
@@ -258,14 +273,24 @@ def test_cli_parse_error_exit_code():
         ("length", "--group", "L2", "--element", f"L2{{1;p={NINES}}}"),
         ("length", "--group", "H2", "--element", f"H2{{;shift={NINES}}}"),
         ("length", "--group", "W3", "--element", f"W3{{{NINES}:1;p=0}}"),
+        # group sizes above MAX_BUILDER_SIZE, rejected before int() or the builder sees them
+        ("length", "--group", f"Z{NINES}", "--element", "(1)"),
+        ("length", "--group", "Z200000", "--element", "(1)"),
+        # depth bounds below 1
+        ("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "0"),
+        ("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "-3"),
+        ("backtracks", "--group", "L2", "--element", "d(2)", "--bound", "0"),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):
+    start = time.perf_counter()
     proc = run_cli(*args)
+    elapsed = time.perf_counter() - start
     assert proc.returncode == 1
     assert len(proc.stderr.strip().splitlines()) == 1
     assert proc.stderr.startswith("curvlab: ")
     assert proc.stdout == ""
+    assert elapsed < 1.0
 
 
 def test_cli_word_letter_bound_rejects_before_composing():

@@ -1,8 +1,9 @@
+import deadend_reference as ref
 import pytest
 
 from curvlab import deadend
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import OutOfHorizonError, ball, bfs_metric, word_length
+from curvlab.core import DomainError, OutOfHorizonError, ball, bfs_metric, word_length
 from curvlab.houghton import h2_g, h2_h, h2_oracle
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
 
@@ -135,3 +136,101 @@ def test_scan_streams_reports(l2):
     assert rep.strict_depth == 1
     payload = rep.to_json_dict()
     assert payload["is_dead_end"] is True
+
+
+# ---------------------------------------------------------------------------
+# the escape search against the table-based reference
+
+
+def _assert_matches_reference(oracle, table, g, max_depth=12):
+    witness = ref.escape(oracle, table, g, max_depth)
+    want = deadend.DeadEndReport(
+        element=g,
+        base_length=word_length(oracle, g, table),
+        is_dead_end=ref.is_dead_end(oracle, table, g),
+        depth=None if witness is None else len(witness),
+        strict_depth=ref.strict_depth(oracle, table, g),
+        witness=witness,
+    )
+    assert want.strict_depth < table.horizon  # the reference's spheres were not cut by the horizon
+    assert deadend.report(oracle, table, g, max_depth) == want
+    assert deadend.strict_depth(oracle, table, g) == want.strict_depth
+    assert deadend.is_dead_end(oracle, table, g) == want.is_dead_end
+    assert deadend.depth(oracle, table, g, max_depth) == want.depth
+    if not want.is_dead_end:
+        with pytest.raises(deadend.NotADeadEndError):
+            deadend.backtrack_elements(oracle, table, g, max_depth)
+    elif witness is None:
+        with pytest.raises(OutOfHorizonError):
+            deadend.backtrack_elements(oracle, table, g, max_depth)
+    else:
+        assert deadend.backtrack_elements(oracle, table, g, max_depth) == ref.backtrack_elements(
+            oracle, table, g, max_depth
+        )
+    return want
+
+
+@pytest.fixture(scope="module")
+def l2_h12():
+    oracle = l2_oracle()
+    return oracle, bfs_metric(oracle, 12)
+
+
+def test_escape_search_matches_reference_on_l2_dead_ends(l2_h12):
+    oracle, table = l2_h12
+    dead = [g for g in ball(table, 9) if g != oracle.identity and ref.is_dead_end(oracle, table, g)]
+    assert len(dead) > 1
+    for g in dead:
+        assert _assert_matches_reference(oracle, table, g).is_dead_end
+    for m in range(1, 6):
+        assert _assert_matches_reference(oracle, table, ll_make_dm(m)).depth == 2 * m + 1
+
+
+def test_escape_search_matches_reference_on_houghton_g2():
+    oracle = h2_oracle()
+    rep = _assert_matches_reference(oracle, bfs_metric(oracle, 12), h2_g(2))
+    assert rep.is_dead_end and rep.depth == 3
+
+
+@pytest.mark.parametrize("make", [make_s3, lambda: make_zn(2), lambda: make_free(2)], ids=["S3", "Z2", "F2"])
+def test_escape_search_matches_reference_on_small_balls(make):
+    oracle = make()
+    table = bfs_metric(oracle, 6)
+    for g in ball(table, 4):
+        if g != oracle.identity:
+            _assert_matches_reference(oracle, table, g)
+
+
+def test_strict_depth_is_not_capped_by_the_horizon():
+    oracle = l2_oracle()
+    d3 = ll_make_dm(3)
+    # every layer of the escape search gets its lengths from the closed form
+    assert deadend.report(oracle, bfs_metric(oracle, 1), d3, 12).strict_depth == 2
+
+
+def test_backtracks_are_not_capped_by_the_horizon(l2_h12):
+    oracle, table = l2_h12
+    g = ll_make_dm(2)
+    small = deadend.backtrack_elements(oracle, bfs_metric(oracle, 3), g, 12)
+    assert small == deadend.backtrack_elements(oracle, table, g, 12)
+    assert len(small) == 43
+
+
+def test_strict_depth_is_not_capped_by_max_depth():
+    oracle = make_s3()
+    rep = deadend.report(oracle, bfs_metric(oracle, 3), oracle.evaluate(["s", "t", "s"]), max_depth=2)
+    assert rep.depth is None and rep.strict_depth == 3
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_depth_bounds_below_one_are_rejected(l2, bad):
+    oracle, table = l2
+    g = ll_make_dm(2)
+    with pytest.raises(DomainError, match="at least 1"):
+        deadend.report(oracle, table, g, bad)
+    with pytest.raises(DomainError, match="at least 1"):
+        deadend.depth(oracle, table, g, bad)
+    with pytest.raises(DomainError, match="at least 1"):
+        deadend.backtrack_elements(oracle, table, g, bad)
+    with pytest.raises(DomainError, match="at least 1"):
+        deadend.scan(oracle, table, 0, bad)  # checked at the call, even for an empty scan
