@@ -4,9 +4,8 @@ from .builtin import free_gencon, make_free, make_s3, make_zn
 from .cache import cached_bfs_metric
 from .core import (
     CurvlabError,
-    GeneratorSet,
+    DomainError,
     GroupOracle,
-    IdentityElementError,
     MetricTable,
     OutOfHorizonError,
     ResourceLimitError,

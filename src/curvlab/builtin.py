@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .core import CurvlabError, DomainError, GeneratorSet, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle, plain_encode
 
 
 # ---------------------------------------------------------------------------
@@ -22,10 +22,8 @@ def make_zn(n: int) -> GroupOracle:
     if n < 1:
         raise DomainError("n must be at least 1")
     labels = []
-    inverse = []
     for i in range(n):
         labels += [f"a{i + 1}", f"a{i + 1}^-1"]
-        inverse += [2 * i + 1, 2 * i]
     gens = []
     for i in range(n):
         plus = tuple(1 if j == i else 0 for j in range(n))
@@ -33,7 +31,7 @@ def make_zn(n: int) -> GroupOracle:
         gens += [plus, minus]
     return GroupOracle(
         group_id=f"Z{n}",
-        generator_set=GeneratorSet(tuple(labels), tuple(inverse)),
+        labels=tuple(labels),
         generators=tuple(gens),
         identity=tuple(0 for _ in range(n)),
         compose=lambda x, y: tuple(a + b for a, b in zip(x, y)),
@@ -69,15 +67,13 @@ def make_free(n: int) -> GroupOracle:
     if n < 1:
         raise DomainError("n must be at least 1")
     labels = []
-    inverse = []
     gens = []
     for i in range(1, n + 1):
         labels += [free_letter_label(i, n), free_letter_label(-i, n)]
-        inverse += [len(inverse) + 1, len(inverse)]
         gens += [(i,), (-i,)]
     return GroupOracle(
         group_id=f"F{n}",
-        generator_set=GeneratorSet(tuple(labels), tuple(inverse)),
+        labels=tuple(labels),
         generators=tuple(gens),
         identity=(),
         compose=_free_mul,
@@ -90,12 +86,8 @@ def make_free(n: int) -> GroupOracle:
 def free_gencon(n: int, g: tuple) -> Fraction:
     """Average conjugate length of a nonempty reduced word: |g| + 2 - 2/n."""
     if len(g) == 0:
-        raise IdentityWordError("the generator-conjugation average is undefined at the empty word")
+        raise DomainError("the generator-conjugation average is undefined at the empty word")
     return Fraction(len(g)) + 2 - Fraction(2, n)
-
-
-class IdentityWordError(CurvlabError, ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +126,7 @@ def make_s3() -> GroupOracle:
     """The symmetric group S_3 with the two involutive generators s and t."""
     return GroupOracle(
         group_id="S3",
-        generator_set=GeneratorSet(("s", "t"), (0, 1)),
+        labels=("s", "t"),
         generators=(1, 2),
         identity=0,
         compose=lambda x, y: S3_TABLE[x][y],

@@ -13,10 +13,10 @@ layout (all integers little-endian, unsigned):
                into layer r-1, then counts[r] u16 generator indices
 
 The element at position j of layer r is ``compose(layers[r-1][parent[j]],
-generators[gen[j]])``.  Each layer is in encode order, and each element takes
-the least generator index i for which ``compose(el, generators[inverse[i]])``
-lies in the previous layer, and that element as its parent, so saves are
-canonical: a cache hit re-saves to the bytes of a fresh recomputation.  The
+generators[gen[j]])``.  Each layer is in encode order, and each element el
+takes the least generator index i with ``el = compose(p, generators[i])`` for
+some p in the previous layer, and that p (unique for i) as its parent, so
+saves are canonical: a cache hit re-saves to the bytes of a fresh recomputation.  The
 tree is the one :func:`curvlab.core.bfs_tree` records while it builds the
 ball, so a miss runs the same BFS as :func:`bfs_metric` and this module only
 packs its steps.

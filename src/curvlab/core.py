@@ -12,6 +12,7 @@ closed-form length and the independent cross-check for groups that have one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import count, repeat
 from typing import Any, Callable, Iterable, Optional
 
@@ -32,12 +33,12 @@ class ResourceLimitError(CurvlabError):
     """BFS enumeration exceeded the configured element budget; lower the horizon or raise the budget."""
 
 
-class IdentityElementError(CurvlabError):
-    """The requested quantity is undefined at the identity element."""
-
-
 class DomainError(CurvlabError, ValueError):
-    """An argument, such as a radius, lies outside the domain of the requested quantity."""
+    """An argument lies outside the domain of the requested quantity.
+
+    Examples: a radius below 1, the identity (which has no curvature), a
+    non-dead-end (which has no backtracks), or an empty Heisenberg sector.
+    """
 
 
 def plain_encode(value: Any) -> bytes:
@@ -45,32 +46,9 @@ def plain_encode(value: Any) -> bytes:
     return repr(value).encode("ascii")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """An ordered, inverse-closed generating set.
-
-    ``inverse[i]`` is the index of the formal inverse of ``labels[i]``.  The
-    pairing must be a self-inverse bijection; a generator paired with itself
-    is an involution and contributes a single entry.
-    """
-
-    labels: tuple[str, ...]
-    inverse: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if n == 0:
-            raise ValueError("generating set must be nonempty")
-        if len(set(self.labels)) != n:
-            raise ValueError("generator labels must be distinct")
-        if len(self.inverse) != n:
-            raise ValueError("inverse pairing must cover every generator")
-        for i, j in enumerate(self.inverse):
-            if not (0 <= j < n) or self.inverse[j] != i:
-                raise ValueError("inverse pairing must be a self-inverse bijection on indices")
-
-    def __len__(self) -> int:
-        return len(self.labels)
+def rational_str(q: Fraction) -> str:
+    """An exact rational as "numerator/denominator", also when the denominator is 1."""
+    return f"{q.numerator}/{q.denominator}"
 
 
 @dataclass(frozen=True)
@@ -84,10 +62,12 @@ class GroupOracle:
     order of ``generators``, so changing either changes the file format.
     ``closed_length`` may return ``None`` for elements outside the domain of
     the closed formula, in which case callers fall back to a BFS table.
+    ``labels[i]`` names ``generators[i]``; the labels are distinct and the
+    generating set is symmetric: ``invert`` maps it onto itself.
     """
 
     group_id: str
-    generator_set: GeneratorSet
+    labels: tuple[str, ...]
     generators: tuple[Element, ...]
     identity: Element
     compose: Callable[[Element, Element], Element]
@@ -95,9 +75,19 @@ class GroupOracle:
     encode: Callable[[Element], bytes]
     closed_length: Optional[Callable[[Element], Optional[int]]] = None
 
+    def __post_init__(self) -> None:
+        if not self.labels:
+            raise ValueError("generating set must be nonempty")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("generator labels must be distinct")
+        if len(self.labels) != len(self.generators):
+            raise ValueError("there must be one label per generator")
+        if {self.invert(gen) for gen in self.generators} != set(self.generators):
+            raise ValueError("generating set must be closed under inversion")
+
     def generator(self, label: str) -> Element:
         try:
-            return self.generators[self.generator_set.labels.index(label)]
+            return self.generators[self.labels.index(label)]
         except ValueError:
             raise KeyError(f"{self.group_id} has no generator {label!r}") from None
 

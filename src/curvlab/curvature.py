@@ -17,8 +17,8 @@ from .core import (
     DomainError,
     Element,
     GroupOracle,
-    IdentityElementError,
     MetricTable,
+    rational_str,
     sphere_or_ball,
     word_length,
 )
@@ -80,10 +80,6 @@ class CurvatureReport:
 CSV_HEADER = ["element", "radius", "mode", "base_length", "conjugator", "conjugate_length", "kappa"]
 
 
-def rational_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def conjugate_breakdown(
     oracle: GroupOracle,
     table: MetricTable,
@@ -99,7 +95,7 @@ def conjugate_breakdown(
     given (defaults to ``table``).
     """
     if g == oracle.identity:
-        raise IdentityElementError("comparison distances are undefined at the identity")
+        raise DomainError("comparison distances are undefined at the identity")
     if r < 1:
         raise DomainError(f"radius must be at least 1, got {r}")
     if length_table is None:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
-    CurvlabError,
     DomainError,
     Element,
     GroupOracle,
@@ -36,10 +35,6 @@ from .core import (
     sphere,
     word_length,
 )
-
-
-class NotADeadEndError(CurvlabError, ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,8 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     element longer than g, or None when every path of at most ``max_depth``
     steps stays within |g|.  The layers stop before the escape.  Past
     ``max_depth`` they run only while every layer so far descends, the last
-    one to within |g| - 1, so no escape lies there.
+    one to within |g| - 1, so no escape lies there.  They end with an empty
+    layer exactly when the search exhausts a finite group.
     """
     _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
@@ -103,7 +99,7 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
         j = len(layers)
         layer, longest = [], 0
         for el in layers[-1]:
-            for label, gen in zip(oracle.generator_set.labels, oracle.generators):
+            for label, gen in zip(oracle.labels, oracle.generators):
                 h = oracle.compose(el, gen)
                 if h in parents:
                     continue
@@ -119,9 +115,9 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
                 longest = max(longest, n)
         if strict is None and (not layer or longest > base - j):
             strict = j - 1
+        layers.append(layer)
         if not layer:  # finite group exhausted; no deeper layers exist
             break
-        layers.append(layer)
     return base, layers, strict, None
 
 
@@ -171,15 +167,20 @@ def backtrack_elements(
 
     These are the layers g S_1, ..., g S_(k-1) before the escape at depth k,
     with no length test: an element of g S_j longer than |g| for some j < k
-    would be an escape at depth j, against the minimality of k.
+    would be an escape at depth j, against the minimality of k.  Raises
+    DomainError when g is not a dead end or the search exhausts a finite
+    group, and OutOfHorizonError when the depth exceeds ``bound``.
     """
     _, layers, _, witness = _search(oracle, table, g, bound)
     if witness is None:
-        raise OutOfHorizonError(
-            f"depth of {g!r} exceeds the bound {bound}; raise the bound to enumerate backtracks"
-        )
+        if not layers[-1]:
+            raise DomainError(
+                f"the escape search exhausted {oracle.group_id} without reaching a longer element; "
+                "no bound gives backtracks"
+            )
+        raise OutOfHorizonError(f"the escape depth exceeds the bound {bound}; raise the bound to enumerate backtracks")
     if len(witness) == 1:
-        raise NotADeadEndError(f"{g!r} is not a dead end")
+        raise DomainError("the element is not a dead end")
     return set().union(*layers[1:])
 
 

@@ -26,7 +26,7 @@ from itertools import starmap
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
-from .core import CurvlabError, DomainError, GeneratorSet, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle, bfs_metric, plain_encode, rational_str, sphere
 
 HEIS_ID = "Heis"
 MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted sweep, k = 120, r = 1 in CSV, takes 6-8 s
@@ -36,18 +36,6 @@ class MalcevTriple(NamedTuple):
     a: int
     b: int
     c: int
-
-
-class OutOfSectorError(CurvlabError):
-    """The closed length formula only covers A > B > 0, C >= 0; fall back to BFS."""
-
-
-class DegenerateRemainderError(CurvlabError):
-    """The ceiling case analysis excludes remainder s = 0 (A divides C)."""
-
-
-class EmptySectorError(CurvlabError):
-    pass
 
 
 def heis_compose(x: MalcevTriple, y: MalcevTriple) -> MalcevTriple:
@@ -72,7 +60,7 @@ def heis_length(g: MalcevTriple) -> int:
     """
     A, B, C = g
     if not (A > B > 0 and C >= 0):
-        raise OutOfSectorError(f"({A},{B},{C}) is outside the sector A > B > 0, C >= 0")
+        raise DomainError(f"({A},{B},{C}) is outside the sector A > B > 0, C >= 0")
     if C <= A * A - A * B:
         return 2 * _ceildiv(C, A) + A + B
     n4 = 4 * (C + A * B)
@@ -92,7 +80,7 @@ def _heis_closed(g: MalcevTriple) -> Optional[int]:
 def heis_oracle() -> GroupOracle:
     return GroupOracle(
         group_id=HEIS_ID,
-        generator_set=GeneratorSet(("a", "a^-1", "b", "b^-1"), (1, 0, 3, 2)),
+        labels=("a", "a^-1", "b", "b^-1"),
         generators=(
             MalcevTriple(1, 0, 0),
             MalcevTriple(-1, 0, 0),
@@ -123,10 +111,10 @@ def heis_ceil_jump(A: int, B: int, C: int, t: int) -> tuple[int, int]:
     if A <= 0 or B <= 0 or t <= 0:
         raise DomainError("need A, B, t positive")
     if B * t > A:
-        raise OutOfSectorError(f"case formula needs B*t <= A, got B*t = {B * t} > A = {A}")
+        raise DomainError(f"case formula needs B*t <= A, got B*t = {B * t} > A = {A}")
     s = C % A
     if s == 0:
-        raise DegenerateRemainderError(f"A = {A} divides C = {C}")
+        raise DomainError(f"A = {A} divides C = {C}")
     k = C // A
     plus = k + (2 if s > A - B * t else 1)
     minus = k + (1 if s > B * t else 0)
@@ -144,7 +132,7 @@ def heis_case_label(A: int, B: int, s: int, t: int) -> str:
     from sign prediction.
     """
     if not 1 <= s <= A - 1:
-        raise DegenerateRemainderError(f"remainder {s} outside 1..{A - 1}")
+        raise DomainError(f"remainder {s} outside 1..{A - 1}")
     if s == B * t or s == A - B * t:
         return "boundary"
     if s < B * t:
@@ -186,8 +174,6 @@ class SectorSpec:
 
 def heis_conjugate_deltas(r: int) -> list[tuple[int, int]]:
     """(alpha, beta) exponent pairs of the sphere S_r; conjugation adds A*beta - alpha*B to C."""
-    from .core import bfs_metric, sphere
-
     table = bfs_metric(heis_oracle(), r)
     return [(w.a, w.b) for w in sphere(table, r)]
 
@@ -228,7 +214,7 @@ def heis_sign_predict(g: MalcevTriple, r: int) -> str:
     """
     A, B, C = g
     if not SectorSpec(r).admits(g):
-        raise OutOfSectorError(f"({A},{B},{C}) is outside the radius-{r} sector")
+        raise DomainError(f"({A},{B},{C}) is outside the radius-{r} sector")
     return _classify(A, B, C % A, r)[1]
 
 
@@ -288,7 +274,7 @@ class DensityReport:
             "predicted_counts": dict(self.predicted_counts),
             "prediction_mismatches": len(self.mismatches),
             "all_signs_present": self.all_signs_present(),
-            "band_threshold": f"{self.threshold.numerator}/{self.threshold.denominator}",
+            "band_threshold": rational_str(self.threshold),
             "band_fractions_ok": self.band_fractions_ok(),
             "bands": [
                 {
@@ -324,8 +310,8 @@ def _band_counts(A: int, B: int, r: int) -> BandRow:
 def _sector_bands(k: int, r: int) -> list[tuple[int, int, int, int]]:
     """(A, B, c_lo, c_hi) for every (A, B) whose radius-r sector holds some C within length k.
 
-    Checks the census arguments: raises DomainError for r < 1 or
-    k > MAX_DENSITY_K, and EmptySectorError when no band is left.
+    Checks the census arguments: raises DomainError for r < 1,
+    k > MAX_DENSITY_K, or when no band is left.
     """
     if r < 1:
         raise DomainError(f"radius must be at least 1, got {r}")
@@ -339,7 +325,7 @@ def _sector_bands(k: int, r: int) -> list[tuple[int, int, int, int]]:
             if A - B >= 2 * r and c_hi >= A * r:
                 bands.append((A, B, A * r, c_hi))
     if not bands:
-        raise EmptySectorError(f"the radius-{r} sector is empty within length {k}")
+        raise DomainError(f"the radius-{r} sector is empty within length {k}")
     return bands
 
 
@@ -411,7 +397,7 @@ def _csv_row(g: MalcevTriple, cls: _Class) -> list:
     length = heis_length(g)
     kappa = Fraction(cls.numerator, cls.n * length)
     labels = ";".join(cls.labels)
-    return [g.a, g.b, g.c, length, cls.s, labels, cls.predicted, f"{kappa.numerator}/{kappa.denominator}"]
+    return [g.a, g.b, g.c, length, cls.s, labels, cls.predicted, rational_str(kappa)]
 
 
 def density_csv_rows(k: int, r: int) -> Iterator[list]:

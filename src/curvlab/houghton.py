@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import DomainError, GeneratorSet, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle, plain_encode
 
 H2_ID = "H2"
 
@@ -70,7 +70,7 @@ def h2_invert(x: HoughtonElement) -> HoughtonElement:
 def h2_oracle() -> GroupOracle:
     return GroupOracle(
         group_id=H2_ID,
-        generator_set=GeneratorSet(("sigma", "s", "s^-1"), (0, 2, 1)),
+        labels=("sigma", "s", "s^-1"),
         generators=(SIGMA, S_RIGHT, HoughtonElement(-1, ())),
         identity=H2_IDENTITY,
         compose=h2_compose,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .core import DomainError, GeneratorSet, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle, plain_encode
 
 L2_ID = "L2"
 
@@ -100,7 +100,7 @@ def _l2_invert(x: LampConfig) -> LampConfig:
 def l2_oracle() -> GroupOracle:
     return GroupOracle(
         group_id=L2_ID,
-        generator_set=GeneratorSet(("a", "t", "t^-1"), (0, 2, 1)),
+        labels=("a", "t", "t^-1"),
         generators=(LampConfig((0,), 0), LampConfig((), 1), LampConfig((), -1)),
         identity=LampConfig((), 0),
         compose=_l2_compose,
@@ -134,17 +134,13 @@ def wreath_oracle(spec: FiniteGroupSpec, group_id: str) -> GroupOracle:
 
     nontrivial = [k for k in range(spec.order) if k != e]
     labels = tuple(spec.labels[k] for k in nontrivial) + ("t", "t^-1")
-    inverse_idx = tuple(nontrivial.index(spec.inverse[k]) for k in nontrivial) + (
-        len(nontrivial) + 1,
-        len(nontrivial),
-    )
     gens = tuple(WreathConfig(((0, k),), 0) for k in nontrivial) + (
         WreathConfig((), 1),
         WreathConfig((), -1),
     )
     return GroupOracle(
         group_id=group_id,
-        generator_set=GeneratorSet(labels, inverse_idx),
+        labels=labels,
         generators=gens,
         identity=WreathConfig((), 0),
         compose=compose,
@@ -218,10 +214,6 @@ def wr_geodesic(spec: FiniteGroupSpec, cfg: WreathConfig) -> tuple[str, ...]:
     return _geodesic({i: spec.labels[state] for i, state in cfg.lamps}, cfg.pos)
 
 
-class EmbedError(DomainError):
-    """The word is not a geodesic prefix of any d_M."""
-
-
 def ll_embed_in_dead_end(w: LampConfig) -> tuple[int, tuple[str, ...]]:
     """Smallest M with a geodesic spelling of w extending to one of d_M.
 
@@ -231,7 +223,7 @@ def ll_embed_in_dead_end(w: LampConfig) -> tuple[int, tuple[str, ...]]:
     Not every word admits such an M: a walk that passes an unlit lamp twice
     (lamps {0, 2}, back at 0, say) has spent both passes of the skipped
     position, and the shortfall |w^-1 d_M| - (|d_M| - |w|) is the same for
-    every M beyond the word's span.  Such inputs raise :class:`EmbedError`;
+    every M beyond the word's span.  Such inputs raise :class:`DomainError`;
     the search bound below is decisive because both sides of the equation
     grow by exactly 6 per unit of M once d_M's rim clears the word.
     """
@@ -250,6 +242,6 @@ def ll_embed_in_dead_end(w: LampConfig) -> tuple[int, tuple[str, ...]]:
             return m, ll_geodesic(oracle.compose(oracle.invert(w), ll_make_dm(m)))
     if deficit(top) != deficit(top - 1):
         raise AssertionError("deficit did not stabilize; search bound too small")
-    raise EmbedError(
+    raise DomainError(
         f"{w} is not a geodesic prefix of any d_M (stable length deficit {deficit(top)})"
     )

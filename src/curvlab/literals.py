@@ -145,7 +145,7 @@ def parse_element(group_id: str, text: str) -> Element:
     if text.startswith("w:"):
         return _parse_word(oracle, text[2:])
 
-    if group_id.startswith("Z") and group_id != "Z":  # Z^n coordinate vector
+    if group_id.startswith("Z"):  # Z^n coordinate vector
         m = re.fullmatch(r"\((.*)\)", text)
         if not m:
             raise ParseError(text, '"(c1,...,cn)" coordinates')
@@ -175,7 +175,7 @@ def parse_element(group_id: str, text: str) -> Element:
         lamps = {}
         body = m.group(1).strip()
         # generators are the nontrivial lamp states plus t and t^-1
-        n_states = len(oracle.generator_set.labels) - 2
+        n_states = len(oracle.labels) - 2
         for pair in filter(None, (p.strip() for p in body.split(","))):
             pm = re.fullmatch(r"(-?\d+)\s*:\s*(\d+)", pair)
             if not pm:
@@ -250,7 +250,7 @@ def _validate_houghton(el: HoughtonElement, token: str) -> None:
 
 
 def format_element(group_id: str, el: Element) -> str:
-    if group_id.startswith("Z") and group_id not in (L2_ID,):
+    if group_id.startswith("Z"):
         return "(" + ",".join(str(c) for c in el) + ")"
     if group_id == L2_ID:
         lamps = ",".join(str(i) for i in el.lamps)

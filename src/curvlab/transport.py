@@ -30,11 +30,12 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .core import (
-    CurvlabError,
+    DomainError,
     Element,
     GroupOracle,
     MetricTable,
     sphere,
+    rational_str,
     sphere_or_ball,
     word_length,
 )
@@ -42,10 +43,6 @@ from .core import (
 Support = Literal["sphere", "ball"]
 
 INF = float("inf")  # slack of a column no tree row reaches yet; every real slack is an int
-
-
-class EqualPointsError(CurvlabError, ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,13 @@ class TransportResult:
             "support": self.spec.support,
             "radius": self.spec.radius,
             "cost": [list(row) for row in self.cost],
-            "t1": f"{self.t1.numerator}/{self.t1.denominator}",
+            "t1": rational_str(self.t1),
             "t1_float": float(self.t1),
             "optimal_permutations": [list(p) for p in self.permutations],
             "truncated": self.truncated,
             "identity_optimal": self.identity_optimal,
             "distance": self.distance,
-            "kappa_star": None
-            if self.kappa_star is None
-            else f"{self.kappa_star.numerator}/{self.kappa_star.denominator}",
+            "kappa_star": None if self.kappa_star is None else rational_str(self.kappa_star),
             "kappa_star_float": None if self.kappa_star is None else float(self.kappa_star),
         }
 
@@ -286,7 +281,7 @@ def kappa_star(
 ) -> Fraction:
     """Transport curvature 1 - T1/d(x, y) for distinct basepoints."""
     if x == y:
-        raise EqualPointsError("transport curvature is undefined for equal basepoints")
+        raise DomainError("transport curvature is undefined for equal basepoints")
     result = transport_distance(oracle, table, MeasureSpec(x, y, support, radius))
     assert result.kappa_star is not None
     return result.kappa_star

@@ -161,15 +161,14 @@ def criterion_4(tier: str = "full") -> CriterionResult:
     checked_tr = checked_gen = 0
     for m in range(2, 7):
         dm = ll_make_dm(m)
-        t_el = oracle.generator("t")
         for k in range(1, m):
             g = ll_dm_tk(m, k)
             base = ll_length(g)
             for r in range(1, m - k):
                 tneg = oracle.evaluate(["t^-1"] * r)
                 tpos = oracle.evaluate(["t"] * r)
-                lhs1 = ll_length(oracle.compose(oracle.compose(tneg, dm), _power(oracle, t_el, k + r)))
-                lhs2 = ll_length(oracle.compose(oracle.compose(tpos, dm), _power(oracle, t_el, k - r)))
+                lhs1 = ll_length(oracle.compose(oracle.compose(tneg, dm), LampConfig((), k + r)))
+                lhs2 = ll_length(oracle.compose(oracle.compose(tpos, dm), LampConfig((), k - r)))
                 if not lhs1 == lhs2 == base:
                     failures.append(f"llconjtr fails at m={m}, k={k}, r={r}")
                 checked_tr += 1
@@ -193,14 +192,6 @@ def criterion_4(tier: str = "full") -> CriterionResult:
             break
     notes = [f"llconjtr: {checked_tr} instances", f"llconjgen: {checked_gen} instances"]
     return _result(4, "conjugation lemmas llconjtr/llconjgen", t0, failures, notes)
-
-
-def _power(oracle, el, n: int):
-    out = oracle.identity
-    step = el if n >= 0 else oracle.invert(el)
-    for _ in range(abs(n)):
-        out = oracle.compose(out, step)
-    return out
 
 
 def criterion_5(tier: str = "full") -> CriterionResult:

@@ -32,7 +32,7 @@ def escape(oracle, table, g, max_depth):
     for _ in range(max_depth):
         nxt = []
         for el in frontier:
-            for label, gen in zip(oracle.generator_set.labels, oracle.generators):
+            for label, gen in zip(oracle.labels, oracle.generators):
                 h = oracle.compose(el, gen)
                 if h in parents:
                     continue

@@ -2,12 +2,21 @@ from fractions import Fraction
 
 import pytest
 
-from curvlab.builtin import IdentityWordError, S3_TABLE, free_gencon, make_free, make_s3, make_zn
+from curvlab.builtin import S3_TABLE, free_gencon, make_free, make_s3, make_zn
 from curvlab.core import CurvlabError, DomainError, ball, bfs_metric, word_length
 from curvlab.curvature import gencon, kappa
-from curvlab.heisenberg import heis_ceil_jump
+from curvlab.deadend import backtrack_elements
+from curvlab.heisenberg import (
+    MalcevTriple,
+    heis_case_label,
+    heis_ceil_jump,
+    heis_density_experiment,
+    heis_length,
+    heis_sign_predict,
+)
 from curvlab.houghton import h2_h, h2_h_word, h2_transposition, h2_u_word
-from curvlab.lamplighter import LampConfig, cyclic_spec, ll_embed_in_dead_end, ll_make_dm, wr_make_dm
+from curvlab.lamplighter import LampConfig, cyclic_spec, l2_oracle, ll_embed_in_dead_end, ll_make_dm, wr_make_dm
+from curvlab.transport import kappa_star
 
 
 def test_zn_length_is_l1():
@@ -52,7 +61,7 @@ def test_free_gencon_formula():
     f3 = make_free(3)
     total = sum(f3.closed_length(f3.conjugate((1,), w)) for w in f3.generators)
     assert Fraction(total, 6) == Fraction(7, 3) == free_gencon(3, (1,))
-    with pytest.raises(IdentityWordError):
+    with pytest.raises(DomainError, match="undefined at the empty word"):
         free_gencon(2, ())
 
 
@@ -116,3 +125,35 @@ def test_builder_argument_errors_are_library_errors(call):
     with pytest.raises(DomainError) as excinfo:
         call()
     assert isinstance(excinfo.value, CurvlabError) and isinstance(excinfo.value, ValueError)
+
+
+def _backtracks(oracle, element):
+    return backtrack_elements(oracle, bfs_metric(oracle, 3), element, 12)
+
+
+@pytest.mark.parametrize(
+    "call, phrase",
+    [
+        (lambda: kappa(make_zn(2), bfs_metric(make_zn(2), 1), (0, 0), 1), "undefined at the identity"),
+        (lambda: free_gencon(2, ()), "undefined at the empty word"),
+        (lambda: kappa_star(make_zn(2), bfs_metric(make_zn(2), 2), (1, 0), (1, 0)), "equal basepoints"),
+        (lambda: _backtracks(l2_oracle(), LampConfig((), 1)), "not a dead end"),
+        (lambda: _backtracks(make_s3(), make_s3().evaluate(["s", "t", "s"])), "exhausted S3"),
+        (lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)), "not a geodesic prefix"),
+        (lambda: heis_length(MalcevTriple(1, 2, 3)), "outside the sector A > B > 0"),
+        (lambda: heis_ceil_jump(5, 4, 21, 3), "needs B\\*t <= A"),
+        (lambda: heis_ceil_jump(10, 2, 20, 1), "divides"),
+        (lambda: heis_case_label(10, 2, 0, 1), "remainder 0 outside"),
+        (lambda: heis_sign_predict(MalcevTriple(3, 1, 1), 1), "outside the radius-1 sector"),
+        (lambda: heis_density_experiment(2, 1), "sector is empty"),
+    ],
+    ids=[
+        "kappa-identity", "free_gencon-empty-word", "kappa_star-equal-points", "backtracks-not-dead-end",
+        "backtracks-exhausted", "ll_embed_in_dead_end", "heis_length-sector", "heis_ceil_jump-sector",
+        "heis_ceil_jump-remainder", "heis_case_label-remainder", "heis_sign_predict-sector", "density-empty-sector",
+    ],
+)
+def test_undefined_quantities_raise_domain_error(call, phrase):
+    # every argument outside the domain of the requested quantity raises the one DomainError
+    with pytest.raises(DomainError, match=phrase):
+        call()

@@ -201,6 +201,29 @@ def test_cli_backtracks():
     assert "L2{-2,-1,0,1,2;p=1}" in payload["backtracks"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # S3 holds no element longer than s t s: the search exhausts the group, so no bound helps
+        (
+            ("backtracks", "--group", "S3", "--element", "s t s"),
+            "the escape search exhausted S3 without reaching a longer element; no bound gives backtracks",
+        ),
+        (
+            ("backtracks", "--group", "L2", "--element", "d(2)", "--bound", "3"),
+            "the escape depth exceeds the bound 3; raise the bound to enumerate backtracks",
+        ),
+        (("backtracks", "--group", "L2", "--element", "L2{;p=1}"), "the element is not a dead end"),
+    ],
+)
+def test_cli_backtracks_errors(args, message):
+    # one line that names the cause, and no repr of the element the user typed
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"curvlab: {message}\n"
+
+
 def test_cli_dead_end_results_do_not_depend_on_the_horizon():
     # the escape search reads L2 lengths from the closed form, not from the table's spheres
     payload = json.loads(run_cli("deadend", "--group", "L2", "--element", "d(3)", "--horizon", "1").stdout)

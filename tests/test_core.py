@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,6 @@ from bfs_reference import naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
-    GeneratorSet,
     OutOfHorizonError,
     ResourceLimitError,
     ball,
@@ -17,18 +17,36 @@ from curvlab.core import (
 from curvlab.heisenberg import heis_oracle
 from curvlab.houghton import h2_oracle
 from curvlab.lamplighter import l2_oracle, zn_wreath_oracle
+from curvlab.literals import get_group
 
 ALL_ORACLES = [make_zn(2), make_free(2), make_s3(), l2_oracle(), h2_oracle(), heis_oracle(), zn_wreath_oracle(3)]
 
 
-def test_generator_set_validation():
-    GeneratorSet(("a", "t", "t^-1"), (0, 2, 1))
-    with pytest.raises(ValueError):
-        GeneratorSet(("a", "b"), (1, 0, 0))
-    with pytest.raises(ValueError):
-        GeneratorSet(("a", "b"), (1, 1))  # not self-inverse
-    with pytest.raises(ValueError):
-        GeneratorSet((), ())
+BUILTIN_IDS = ["Z1", "Z2", "Z3", "F1", "F2", "F3", "S3", "L2", "W2", "W3", "H2", "Heis"]
+
+
+def test_group_oracle_rejects_bad_generating_sets():
+    z1 = make_zn(1)
+    assert dataclasses.replace(z1, labels=("x", "X")).generator("X") == (-1,)
+    with pytest.raises(ValueError, match="nonempty"):
+        dataclasses.replace(z1, labels=(), generators=())
+    with pytest.raises(ValueError, match="distinct"):
+        dataclasses.replace(z1, labels=("a1", "a1"))
+    with pytest.raises(ValueError, match="one label per generator"):
+        dataclasses.replace(z1, labels=("a1", "a1^-1", "b1"))
+    with pytest.raises(ValueError, match="closed under inversion"):
+        dataclasses.replace(z1, labels=("a1",), generators=((1,),))
+
+
+@pytest.mark.parametrize("group_id", BUILTIN_IDS)
+def test_builtin_generating_sets_are_labelled_and_symmetric(group_id):
+    oracle = get_group(group_id)
+    gens = oracle.generators
+    assert len(oracle.labels) == len(set(oracle.labels)) == len(gens) == len(set(gens))
+    # invert permutes the generators, and is an involution on them
+    images = [gens.index(oracle.invert(gen)) for gen in gens]
+    assert sorted(images) == list(range(len(gens)))
+    assert all(images[images[i]] == i for i in range(len(gens)))
 
 
 def test_free_group_sphere_sizes():
@@ -88,14 +106,14 @@ def test_bfs_tree_is_the_naive_ball_with_least_generator_steps(oracle):
     table, steps = bfs_tree(oracle, 4)
     assert (table.layers, table.dist) == naive_ball(oracle, 4)
     assert bfs_metric(oracle, 4) == table
-    gens, inverse = oracle.generators, oracle.generator_set.inverse
+    gens = oracle.generators
     for r in range(1, 5):
         prev = table.layers[r - 1]
         assert len(steps[r - 1]) == len(table.layers[r])
         for el, code in zip(table.layers[r], steps[r - 1]):
             p, i = divmod(code, len(gens))
             assert oracle.compose(prev[p], gens[i]) == el
-            assert not any(oracle.compose(el, gens[inverse[j]]) in prev for j in range(i))
+            assert not any(oracle.compose(el, oracle.invert(gens[j])) in prev for j in range(i))
 
 
 def test_bfs_determinism():
@@ -140,7 +158,7 @@ def test_encode_injective_and_decodes(oracle):
 def test_encode_equal_for_equal_words(oracle):
     # compose random words two ways; equal elements must encode equally
     rng = random.Random(7)
-    labels = oracle.generator_set.labels
+    labels = oracle.labels
     for _ in range(40):
         word = [labels[rng.randrange(len(labels))] for _ in range(6)]
         cut = rng.randrange(1, 6)

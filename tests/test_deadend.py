@@ -102,13 +102,13 @@ def test_backtracks_of_dm(l2):
 
 def test_backtracks_not_dead_end_error(l2):
     oracle, table = l2
-    with pytest.raises(deadend.NotADeadEndError):
+    with pytest.raises(DomainError, match="^the element is not a dead end$"):
         deadend.backtrack_elements(oracle, table, oracle.generator("t"), 4)
 
 
 def test_backtracks_bound_too_small(l2):
     oracle, table = l2
-    with pytest.raises(OutOfHorizonError):
+    with pytest.raises(OutOfHorizonError, match="^the escape depth exceeds the bound 3; raise the bound"):
         deadend.backtrack_elements(oracle, table, ll_make_dm(2), bound=3)
 
 
@@ -158,10 +158,14 @@ def _assert_matches_reference(oracle, table, g, max_depth=12):
     assert deadend.is_dead_end(oracle, table, g) == want.is_dead_end
     assert deadend.depth(oracle, table, g, max_depth) == want.depth
     if not want.is_dead_end:
-        with pytest.raises(deadend.NotADeadEndError):
+        with pytest.raises(DomainError, match="not a dead end"):
+            deadend.backtrack_elements(oracle, table, g, max_depth)
+    elif witness is None and not table.layers[-1] and max_depth >= table.horizon:
+        # the table holds a whole finite group, so the search ran out of elements, not of depth
+        with pytest.raises(DomainError, match=f"exhausted {oracle.group_id}"):
             deadend.backtrack_elements(oracle, table, g, max_depth)
     elif witness is None:
-        with pytest.raises(OutOfHorizonError):
+        with pytest.raises(OutOfHorizonError, match="exceeds the bound"):
             deadend.backtrack_elements(oracle, table, g, max_depth)
     else:
         assert deadend.backtrack_elements(oracle, table, g, max_depth) == ref.backtrack_elements(
@@ -214,6 +218,15 @@ def test_backtracks_are_not_capped_by_the_horizon(l2_h12):
     small = deadend.backtrack_elements(oracle, bfs_metric(oracle, 3), g, 12)
     assert small == deadend.backtrack_elements(oracle, table, g, 12)
     assert len(small) == 43
+
+
+@pytest.mark.parametrize("bound", [12, 3, 2, 1])
+def test_backtracks_of_an_element_that_exhausts_its_group(bound):
+    # no element of S3 is longer than s t s, so no bound gives backtracks; below the
+    # strict depth 3 the search still runs to the end of the group
+    oracle = make_s3()
+    with pytest.raises(DomainError, match="^the escape search exhausted S3 without reaching a longer element; "):
+        deadend.backtrack_elements(oracle, bfs_metric(oracle, 3), oracle.evaluate(["s", "t", "s"]), bound)
 
 
 def test_strict_depth_is_not_capped_by_max_depth():

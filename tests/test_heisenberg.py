@@ -10,10 +10,7 @@ from curvlab.curvature import kappa
 from curvlab.heisenberg import (
     CSV_HEADER,
     MAX_DENSITY_K,
-    DegenerateRemainderError,
-    EmptySectorError,
     MalcevTriple,
-    OutOfSectorError,
     SectorSpec,
     _band_counts,
     density_csv_rows,
@@ -58,9 +55,9 @@ def test_length_examples():
     assert heis_length(MalcevTriple(5, 2, 10)) == 11
     assert heis_length(MalcevTriple(3, 1, 6)) == 8  # boundary, both branches
     assert heis_length(MalcevTriple(4, 1, 0)) == 5  # staircase word a^4 b
-    with pytest.raises(OutOfSectorError):
+    with pytest.raises(DomainError, match=r"^\(1,2,3\) is outside the sector A > B > 0, C >= 0$"):
         heis_length(MalcevTriple(1, 2, 3))
-    with pytest.raises(OutOfSectorError):
+    with pytest.raises(DomainError, match=r"^\(3,1,-1\) is outside the sector"):
         heis_length(MalcevTriple(3, 1, -1))
 
 
@@ -92,9 +89,9 @@ def test_ceil_jump_examples():
     assert heis_ceil_jump(10, 2, 23, 1) == (3, 3)
     assert heis_ceil_jump(10, 2, 21, 1) == (3, 2)
     assert heis_ceil_jump(10, 2, 29, 1) == (4, 3)
-    with pytest.raises(DegenerateRemainderError):
+    with pytest.raises(DomainError, match="^A = 10 divides C = 20$"):
         heis_ceil_jump(10, 2, 20, 1)
-    with pytest.raises(OutOfSectorError):
+    with pytest.raises(DomainError, match=r"^case formula needs B\*t <= A, got B\*t = 12 > A = 5$"):
         heis_ceil_jump(5, 4, 21, 3)  # B*t > A: the two-branch form does not apply
 
 
@@ -198,9 +195,9 @@ def test_density_csv_rows():
 
 
 def test_density_errors():
-    with pytest.raises(EmptySectorError):
+    with pytest.raises(DomainError, match="^the radius-1 sector is empty within length 2$"):
         heis_density_experiment(2, 1)
-    with pytest.raises(EmptySectorError):
+    with pytest.raises(DomainError, match="^the radius-2 sector is empty within length 11$"):
         heis_density_experiment(11, 2)  # k > 2r but the margin sector is empty
     for r in (0, -1):
         with pytest.raises(DomainError, match="radius must be at least 1"):
@@ -208,9 +205,9 @@ def test_density_errors():
     with pytest.raises(DomainError, match=str(MAX_DENSITY_K)):
         heis_density_experiment(MAX_DENSITY_K + 1, 1)
     # the row function checks its arguments at the call, before any row is asked for
-    for k, r, error in ((2, 1, EmptySectorError), (11, 2, EmptySectorError), (25, 0, DomainError),
-                        (MAX_DENSITY_K + 1, 1, DomainError)):
-        with pytest.raises(error):
+    for k, r, phrase in ((2, 1, "sector is empty"), (11, 2, "sector is empty"), (25, 0, "radius must be at least 1"),
+                         (MAX_DENSITY_K + 1, 1, f"is at most {MAX_DENSITY_K}")):
+        with pytest.raises(DomainError, match=phrase):
             density_csv_rows(k, r)
 
 
@@ -227,7 +224,7 @@ def test_density_sweep_matches_the_per_element_reference(r):
         if k == 30:
             assert csv_rows(want[1]) == csv_rows(direct[1])
         if want is None:
-            with pytest.raises(EmptySectorError):
+            with pytest.raises(DomainError, match="sector is empty"):
                 heis_density_experiment(k, r)
             continue
         want_report, want_records = want

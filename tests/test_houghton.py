@@ -53,7 +53,7 @@ def test_shift_inverse():
 def test_apply_matches_composition():
     rng = random.Random(23)
     oracle = h2_oracle()
-    labels = oracle.generator_set.labels
+    labels = oracle.labels
     for _ in range(30):
         word = [labels[rng.randrange(3)] for _ in range(8)]
         el = oracle.evaluate(word)
@@ -147,12 +147,12 @@ def test_h22_conjugation_and_curvature():
 def test_parsed_element_roundtrip_under_inverse():
     rng = random.Random(31)
     oracle = h2_oracle()
-    labels = oracle.generator_set.labels
+    labels = oracle.labels
+    gens = oracle.generators
+    inverse_label = {lab: labels[gens.index(oracle.invert(gen))] for lab, gen in zip(labels, gens)}
     for _ in range(40):
         word = [labels[rng.randrange(3)] for _ in range(10)]
         el = oracle.evaluate(word)
-        back = oracle.evaluate(
-            [labels[oracle.generator_set.inverse[labels.index(lab)]] for lab in reversed(word)]
-        )
+        back = oracle.evaluate([inverse_label[lab] for lab in reversed(word)])
         assert back == h2_invert(el)
         assert h2_compose(el, back) == oracle.identity

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from curvlab.core import ball, bfs_metric
+from curvlab.core import DomainError, bfs_metric
 from curvlab.lamplighter import (
     LampConfig,
     WreathConfig,
@@ -150,8 +150,6 @@ def test_embed_in_dead_end():
 
 
 def test_embed_random_words():
-    from curvlab.lamplighter import EmbedError
-
     oracle = l2_oracle()
     rng = random.Random(21)
     embedded = rejected = 0
@@ -160,7 +158,8 @@ def test_embed_random_words():
         w = LampConfig(lamps, rng.randint(-4, 4))
         try:
             m, ext = ll_embed_in_dead_end(w)
-        except EmbedError:
+        except DomainError as exc:
+            assert "not a geodesic prefix" in str(exc)
             # independent check: no M up to well past the span satisfies the
             # prefix equation
             for mm in range(1, 20):
@@ -177,8 +176,6 @@ def test_embed_random_words():
 
 
 def test_embed_gap_word_rejected():
-    from curvlab.lamplighter import EmbedError
-
     # both passes of the skipped lamp are spent, so no d_M extension exists
-    with pytest.raises(EmbedError):
+    with pytest.raises(DomainError, match="not a geodesic prefix of any d_M"):
         ll_embed_in_dead_end(LampConfig((0, 2), 0))

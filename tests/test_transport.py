@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import ball, bfs_metric
+from curvlab.core import DomainError, ball, bfs_metric
 from curvlab.curvature import gencon, kappa
 from curvlab.lamplighter import l2_oracle, ll_dm_tk
 from curvlab.literals import get_group, parse_element
 from curvlab.transport import (
-    EqualPointsError,
     MeasureSpec,
     enumerate_optimal,
     hungarian,
@@ -116,7 +115,7 @@ def test_equal_basepoints():
     assert res.t1 == 0
     assert res.identity_optimal
     assert res.kappa_star is None
-    with pytest.raises(EqualPointsError):
+    with pytest.raises(DomainError, match="equal basepoints"):
         kappa_star(oracle, table, (1, 0), (1, 0))
 
 
