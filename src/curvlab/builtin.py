@@ -38,6 +38,7 @@ def make_zn(n: int) -> GroupOracle:
         invert=lambda x: tuple(-a for a in x),
         encode=plain_encode,
         closed_length=lambda x: sum(abs(a) for a in x),
+        right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i in range(n) for d in (1, -1)),
     )
 
 
@@ -80,6 +81,8 @@ def make_free(n: int) -> GroupOracle:
         invert=lambda x: tuple(-a for a in reversed(x)),
         encode=plain_encode,
         closed_length=len,
+        # a letter cancels against the last one or is appended
+        right_steps=tuple((lambda x, k=k: x[:-1] if x and x[-1] == -k else x + (k,)) for (k,) in gens),
     )
 
 

@@ -12,21 +12,22 @@ layout (all integers little-endian, unsigned):
     tree       for each radius r = 1..horizon: counts[r] u32 parent indices
                into layer r-1, then counts[r] u16 generator indices
 
-The element at position j of layer r is ``compose(layers[r-1][parent[j]],
-generators[gen[j]])``.  Each layer is in encode order, and each element el
-takes the least generator index i with ``el = compose(p, generators[i])`` for
-some p in the previous layer, and that p (unique for i) as its parent, so
-saves are canonical: a cache hit re-saves to the bytes of a fresh recomputation.  The
-tree is the one :func:`curvlab.core.bfs_tree` records while it builds the
-ball, so a miss runs the same BFS as :func:`bfs_metric` and this module only
-packs its steps.
+The element at position j of layer r is ``steps[gen[j]](layers[r-1][parent[j]])``,
+which the oracle's steps contract makes ``compose(parent, generators[gen[j]])``.
+Each layer is in encode order, and each element el takes the least generator
+index i with ``el = compose(p, generators[i])`` for some p in the previous
+layer, and that p (unique for i) as its parent, so saves are canonical: a
+cache hit re-saves to the bytes of a fresh recomputation.  The tree is the
+one :func:`curvlab.core.bfs_tree` records while it builds the ball, so a miss
+runs the same BFS as :func:`bfs_metric` and this module only packs its tree.
 
-Loading parses no text.  It checks that every index is in range, that each
-layer is in strictly increasing encode order and that no element repeats one
-of an earlier layer.  Given the counts, these checks admit only the BFS table
-itself: an element one generator step from S_(r-1) and outside B_(r-1) lies in
-S_r, so counts[r] distinct such elements are all of S_r, and the order check
-fixes their order.  Every other input raises :class:`CacheFormatError`.
+Loading parses no text and makes one step per element.  It checks that every
+index is in range, that each layer is in strictly increasing encode order and
+that no element repeats one of an earlier layer.  Given the counts, these
+checks admit only the BFS table itself: an element one generator step from
+S_(r-1) and outside B_(r-1) lies in S_r, so counts[r] distinct such elements
+are all of S_r, and the order check fixes their order.  Every other input
+raises :class:`CacheFormatError`.
 
 Files of format version 1 (one ``repr`` key per element) are treated as a
 cache miss by :func:`cached_bfs_metric` and replaced.
@@ -60,8 +61,8 @@ class CacheFormatError(CurvlabError):
     """A cache file is not a well-formed table of the requested group."""
 
 
-def _to_bytes(oracle: GroupOracle, table: MetricTable, steps: list[tuple[int, ...]]) -> bytes:
-    """The cache file of a :func:`bfs_tree` result: its header, then each layer's steps."""
+def _to_bytes(oracle: GroupOracle, table: MetricTable, tree: list[tuple[int, ...]]) -> bytes:
+    """The cache file of a :func:`bfs_tree` result: its header, then each layer's tree."""
     n = len(oracle.generators)
     gid = oracle.group_id.encode("utf-8")
     header = MAGIC + struct.pack(
@@ -69,7 +70,7 @@ def _to_bytes(oracle: GroupOracle, table: MetricTable, steps: list[tuple[int, ..
     )
     trees = (
         struct.pack(f"<{len(codes)}I{len(codes)}H", *map(floordiv, codes, repeat(n)), *map(mod, codes, repeat(n)))
-        for codes in steps
+        for codes in tree
     )
     return header + b"".join(trees)
 
@@ -80,12 +81,12 @@ def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
     The tree is taken from a fresh BFS, so this costs as much as :func:`bfs_metric`.
     """
     try:
-        built, steps = bfs_tree(oracle, table.horizon, budget=len(table.dist))
+        built, tree = bfs_tree(oracle, table.horizon, budget=len(table.dist))
     except ResourceLimitError:
         built = None
     if built is None or table.group_id != oracle.group_id or built.layers != table.layers:
         raise ValueError(f"table is not the radius-{table.horizon} BFS ball of {oracle.group_id}")
-    return _to_bytes(oracle, built, steps)
+    return _to_bytes(oracle, built, tree)
 
 
 def _unpack(fmt: str, data: bytes, off: int) -> tuple:
@@ -130,7 +131,7 @@ def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_
             f"cached ball of radius {horizon} for {oracle.group_id} exceeds the element budget "
             f"({budget}); lower the horizon or raise the budget"
         )
-    compose, encode, generators = oracle.compose, oracle.encode, oracle.generators
+    encode, steps = oracle.encode, oracle.steps
     layers = [(oracle.identity,)]
     dist = {oracle.identity: 0}
     total = 1
@@ -140,9 +141,9 @@ def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_
         gens = struct.unpack_from(f"<{count}H", data, off)
         off += 2 * count
         prev = layers[-1]
-        if count and (max(parents) >= len(prev) or max(gens) >= len(generators)):
+        if count and (max(parents) >= len(prev) or max(gens) >= len(steps)):
             raise CacheFormatError(f"spanning-tree index out of range in layer {r}")
-        layer = tuple(map(compose, map(prev.__getitem__, parents), map(generators.__getitem__, gens)))
+        layer = tuple([steps[i](prev[p]) for p, i in zip(parents, gens)])
         keys = list(map(encode, layer))
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise CacheFormatError(f"layer {r} is not in strictly increasing encode order")
@@ -185,8 +186,8 @@ def cached_bfs_metric(
             return table_from_bytes(oracle, data, budget=budget)
         except CacheFormatError as exc:
             raise CacheFormatError(f"{path}: {exc}") from None
-    table, steps = bfs_tree(oracle, horizon, budget=budget)
-    data = _to_bytes(oracle, table, steps)
+    table, tree = bfs_tree(oracle, horizon, budget=budget)
+    data = _to_bytes(oracle, table, tree)
     os.makedirs(cache_dir, exist_ok=True)
     # A private temporary file per writer: concurrent writers never share one,
     # and the rename makes each complete file appear atomically.

@@ -64,6 +64,12 @@ class GroupOracle:
     the closed formula, in which case callers fall back to a BFS table.
     ``labels[i]`` names ``generators[i]``; the labels are distinct and the
     generating set is symmetric: ``invert`` maps it onto itself.
+    ``steps[i]`` is right multiplication by ``generators[i]``:
+    ``steps[i](x) == compose(x, generators[i])``.  The BFS, cache loads, the
+    escape search and :meth:`evaluate` make every product with one generator
+    through them.  An oracle may pass faster ``right_steps``; otherwise the
+    steps derive from ``compose``, and anew under ``dataclasses.replace(oracle,
+    compose=f)``.  Construction checks ``steps[i](identity) == generators[i]``.
     """
 
     group_id: str
@@ -74,6 +80,8 @@ class GroupOracle:
     invert: Callable[[Element], Element]
     encode: Callable[[Element], bytes]
     closed_length: Optional[Callable[[Element], Optional[int]]] = None
+    right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
+    steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -84,18 +92,27 @@ class GroupOracle:
             raise ValueError("there must be one label per generator")
         if {self.invert(gen) for gen in self.generators} != set(self.generators):
             raise ValueError("generating set must be closed under inversion")
+        steps = self.right_steps
+        if steps is None:
+            steps = tuple((lambda x, gen=gen, compose=self.compose: compose(x, gen)) for gen in self.generators)
+        if len(steps) != len(self.generators) or any(s(self.identity) != g for s, g in zip(steps, self.generators)):
+            raise ValueError("there must be one step per generator, taking the identity to that generator")
+        object.__setattr__(self, "steps", tuple(steps))
 
-    def generator(self, label: str) -> Element:
+    def _index(self, label: str) -> int:
         try:
-            return self.generators[self.labels.index(label)]
+            return self.labels.index(label)
         except ValueError:
             raise KeyError(f"{self.group_id} has no generator {label!r}") from None
+
+    def generator(self, label: str) -> Element:
+        return self.generators[self._index(label)]
 
     def evaluate(self, labels: Iterable[str]) -> Element:
         """Compose a word given as a sequence of generator labels."""
         out = self.identity
         for lab in labels:
-            out = self.compose(out, self.generator(lab))
+            out = self.steps[self._index(lab)](out)
         return out
 
     def conjugate(self, g: Element, w: Element) -> Element:
@@ -131,40 +148,41 @@ def bfs_tree(
 ) -> tuple[MetricTable, list[tuple[int, ...]]]:
     """Breadth-first enumeration of the ball of radius ``horizon``, with its spanning tree.
 
-    Returns the table and ``steps``.  Layers are sorted by encode key, so the
-    result is deterministic regardless of hash seeds.  ``steps[r - 1][j]`` is
+    Returns the table and ``tree``.  Layers are sorted by encode key, so the
+    result is deterministic regardless of hash seeds.  ``tree[r - 1][j]`` is
     ``p * len(generators) + i`` for element j of layer r: that element is
-    ``compose(layers[r - 1][p], generators[i])``, where i is the least
-    generator index that reaches it from the previous layer.  Generators are tried in index order over the whole
-    previous layer and p -> p * g_i is injective, so the first product hitting
-    an element gives that least i, with no extra ``compose``.
+    ``oracle.steps[i](layers[r - 1][p])``, where i is the least generator
+    index that reaches it from the previous layer.  Generators are tried in
+    index order over the whole previous layer and p -> p * g_i is injective,
+    so the first product hitting an element gives that least i, with no extra
+    product.
 
     Raises :class:`ResourceLimitError` once more than ``budget`` elements
     would be retained.
     """
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
-    compose, generators = oracle.compose, oracle.generators
+    n = len(oracle.steps)
     dist: dict[Element, int] = {oracle.identity: 0}
     layers: list[tuple[Element, ...]] = [(oracle.identity,)]
-    steps: list[tuple[int, ...]] = []
+    tree: list[tuple[int, ...]] = []
     for r in range(1, horizon + 1):
         prev = layers[-1]
-        step: dict[Element, int] = {}
-        for i, gen in enumerate(generators):
-            for code, el in zip(count(i, len(generators)), map(compose, prev, repeat(gen))):
-                if el not in dist and el not in step:
-                    step[el] = code
-        if len(dist) + len(step) > budget:
+        codes: dict[Element, int] = {}
+        for i, step in enumerate(oracle.steps):
+            for code, el in zip(count(i, n), map(step, prev)):
+                if el not in dist and el not in codes:
+                    codes[el] = code
+        if len(dist) + len(codes) > budget:
             raise ResourceLimitError(
                 f"ball of radius {r} for {oracle.group_id} exceeds the element budget "
                 f"({budget}); lower the horizon or raise the budget"
             )
-        layer = tuple(sorted(step, key=oracle.encode))
+        layer = tuple(sorted(codes, key=oracle.encode))
         dist.update(zip(layer, repeat(r)))
         layers.append(layer)
-        steps.append(tuple(map(step.__getitem__, layer)))
-    return MetricTable(oracle.group_id, horizon, tuple(layers), dist), steps
+        tree.append(tuple(map(codes.__getitem__, layer)))
+    return MetricTable(oracle.group_id, horizon, tuple(layers), dist), tree
 
 
 def bfs_metric(oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET) -> MetricTable:
@@ -217,7 +235,7 @@ def word_length(oracle: GroupOracle, element: Element, table: Optional[MetricTab
         if v is not None:
             return v
     raise OutOfHorizonError(
-        f"length of {element!r} in {oracle.group_id} is not covered by the table"
+        f"a word length in {oracle.group_id} is not covered by the table"
         + (f" (horizon {table.horizon})" if table is not None else " (no table)")
         + " and no closed form applies; raise the horizon"
     )

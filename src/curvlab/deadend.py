@@ -45,6 +45,7 @@ class DeadEndReport:
     depth: Optional[int]  # None: no escape within the search depth
     strict_depth: int
     witness: Optional[tuple[str, ...]]  # generator labels realizing depth
+    group_exhausted: bool  # no depth because the search visited a whole finite group; no bound helps
 
     def to_json_dict(self, format_element=repr) -> dict:
         return {
@@ -53,7 +54,8 @@ class DeadEndReport:
             "base_length": self.base_length,
             "is_dead_end": self.is_dead_end,
             "depth": self.depth,
-            "depth_horizon_exceeded": self.depth is None,
+            "depth_horizon_exceeded": self.depth is None and not self.group_exhausted,
+            "group_exhausted": self.group_exhausted,
             "strict_depth": self.strict_depth,
             "witness": list(self.witness) if self.witness is not None else None,
         }
@@ -99,8 +101,8 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
         j = len(layers)
         layer, longest = [], 0
         for el in layers[-1]:
-            for label, gen in zip(oracle.labels, oracle.generators):
-                h = oracle.compose(el, gen)
+            for label, step in zip(oracle.labels, oracle.steps):
+                h = step(el)
                 if h in parents:
                     continue
                 parents[h] = (el, label)
@@ -146,7 +148,7 @@ def report(
     g: Element,
     max_depth: int,
 ) -> DeadEndReport:
-    base, _, strict, witness = _search(oracle, table, g, max_depth)
+    base, layers, strict, witness = _search(oracle, table, g, max_depth)
     return DeadEndReport(
         element=g,
         base_length=base,
@@ -154,6 +156,7 @@ def report(
         depth=None if witness is None else len(witness),
         strict_depth=strict,
         witness=witness,
+        group_exhausted=not layers[-1],
     )
 
 

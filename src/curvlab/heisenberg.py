@@ -38,6 +38,9 @@ class MalcevTriple(NamedTuple):
     c: int
 
 
+_new = tuple.__new__  # builds a NamedTuple without the call to its generated __new__
+
+
 def heis_compose(x: MalcevTriple, y: MalcevTriple) -> MalcevTriple:
     return MalcevTriple(x.a + y.a, x.b + y.b, x.c + y.c - y.a * x.b)
 
@@ -92,6 +95,12 @@ def heis_oracle() -> GroupOracle:
         invert=heis_invert,
         encode=lambda el: plain_encode(tuple(el)),
         closed_length=_heis_closed,
+        right_steps=(  # x a, x a^-1, x b, x b^-1: the product law with y a generator
+            lambda x: _new(MalcevTriple, (x[0] + 1, x[1], x[2] - x[1])),
+            lambda x: _new(MalcevTriple, (x[0] - 1, x[1], x[2] + x[1])),
+            lambda x: _new(MalcevTriple, (x[0], x[1] + 1, x[2])),
+            lambda x: _new(MalcevTriple, (x[0], x[1] - 1, x[2])),
+        ),
     )
 
 

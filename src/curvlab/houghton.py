@@ -38,13 +38,6 @@ def bead_shift(p: int, n: int) -> int:
     return q + 1 if q >= 0 else q
 
 
-def h2_apply(x: HoughtonElement, p: int) -> int:
-    for src, dst in x.moves:
-        if src == p:
-            return dst
-    return bead_shift(p, x.shift)
-
-
 def h2_compose(x: HoughtonElement, y: HoughtonElement) -> HoughtonElement:
     xm = dict(x.moves)
     ym = dict(y.moves)
@@ -63,6 +56,24 @@ def h2_compose(x: HoughtonElement, y: HoughtonElement) -> HoughtonElement:
     return HoughtonElement(shift, tuple(sorted(moves)))
 
 
+_new = tuple.__new__  # builds a NamedTuple without the call to its generated __new__
+
+
+def _h2_move(n: int):
+    """x s^n: every moved point keeps its place, and its image slides n beads."""
+    return lambda x: _new(HoughtonElement, (x[0] + n, tuple([(p, bead_shift(q, n)) for p, q in x[1]])))
+
+
+def _h2_sigma(x: HoughtonElement) -> HoughtonElement:
+    """x sigma: the images -1 and 1 swap, including those of the two points the pure shift sends there."""
+    shift, moves = x
+    images = dict(moves)
+    for q in (-1, 1):
+        images.setdefault(bead_shift(q, -shift), q)
+    swapped = ((p, -q if q in (-1, 1) else q) for p, q in sorted(images.items()))
+    return _new(HoughtonElement, (shift, tuple([(p, q) for p, q in swapped if q != bead_shift(p, shift)])))
+
+
 def h2_invert(x: HoughtonElement) -> HoughtonElement:
     return HoughtonElement(-x.shift, tuple(sorted((dst, src) for src, dst in x.moves)))
 
@@ -77,6 +88,7 @@ def h2_oracle() -> GroupOracle:
         invert=h2_invert,
         encode=lambda el: plain_encode(tuple(el)),
         closed_length=None,  # no closed form exists; BFS is the metric source
+        right_steps=(_h2_sigma, _h2_move(1), _h2_move(-1)),
     )
 
 
@@ -126,17 +138,6 @@ def h2_h(k: int, m: int) -> HoughtonElement:
 def h2_g(k: int) -> HoughtonElement:
     """The dead-end element g_k = h(k, 1)."""
     return h2_h(k, 1)
-
-
-def h2_h_word(k: int, m: int, orientation: str = "neg", descending: bool = True) -> tuple[str, ...]:
-    """One of the four concatenated u_l spellings of h(k, m)."""
-    if not 1 <= m <= k:
-        raise DomainError(f"need 1 <= m <= k, got k={k}, m={m}")
-    ls = range(k, m - 1, -1) if descending else range(m, k + 1)
-    word: list[str] = []
-    for l in ls:
-        word.extend(h2_u_word(l, orientation))
-    return tuple(word)
 
 
 def h2_moved_points(x: HoughtonElement) -> frozenset[int]:

@@ -14,6 +14,7 @@ at the origin.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Mapping, NamedTuple
 
 from .core import DomainError, GroupOracle, plain_encode
@@ -97,6 +98,22 @@ def _l2_invert(x: LampConfig) -> LampConfig:
     return LampConfig(tuple(sorted(i - x.pos for i in x.lamps)), -x.pos)
 
 
+_new = tuple.__new__  # builds a NamedTuple without the call to its generated __new__
+
+
+def _l2_toggle(x: LampConfig) -> LampConfig:
+    """x a: toggle the lamp under the lamplighter."""
+    lamps, pos = x
+    k = bisect_left(lamps, pos)
+    rest = lamps[k + 1 :] if k < len(lamps) and lamps[k] == pos else (pos,) + lamps[k:]
+    return _new(LampConfig, (lamps[:k] + rest, pos))
+
+
+def _move(cls: type, d: int):
+    """Right multiplication by t^d: the lamplighter walks, the lamps stay."""
+    return lambda x: _new(cls, (x[0], x[1] + d))
+
+
 def l2_oracle() -> GroupOracle:
     return GroupOracle(
         group_id=L2_ID,
@@ -107,6 +124,7 @@ def l2_oracle() -> GroupOracle:
         invert=_l2_invert,
         encode=lambda el: plain_encode(tuple(el)),
         closed_length=ll_length,
+        right_steps=(_l2_toggle, _move(LampConfig, 1), _move(LampConfig, -1)),
     )
 
 
@@ -125,6 +143,19 @@ def wreath_oracle(spec: FiniteGroupSpec, group_id: str) -> GroupOracle:
             else:
                 lamps[j] = merged
         return WreathConfig(tuple(sorted(lamps.items())), x.pos + y.pos)
+
+    def act(state: int):
+        """x times the lamp state ``state`` at 0: it acts on the lamp under the lamplighter."""
+
+        def step(x: WreathConfig) -> WreathConfig:
+            lamps, pos = x
+            k = bisect_left(lamps, (pos,))
+            lit = k < len(lamps) and lamps[k][0] == pos
+            merged = mul[lamps[k][1]][state] if lit else state
+            kept = () if merged == e else ((pos, merged),)
+            return _new(WreathConfig, (lamps[:k] + kept + lamps[k + lit :], pos))
+
+        return step
 
     def invert(x: WreathConfig) -> WreathConfig:
         return WreathConfig(
@@ -147,6 +178,7 @@ def wreath_oracle(spec: FiniteGroupSpec, group_id: str) -> GroupOracle:
         invert=invert,
         encode=lambda el: plain_encode(tuple(el)),
         closed_length=wr_length,
+        right_steps=tuple(act(k) for k in nontrivial) + (_move(WreathConfig, 1), _move(WreathConfig, -1)),
     )
 
 
@@ -194,24 +226,16 @@ def _walk_stops(indices, pos: int) -> list[int]:
     return negs + nonnegs if pos >= 0 else nonnegs + negs
 
 
-def _geodesic(indices_to_label: Mapping[int, str], pos: int) -> tuple[str, ...]:
-    word: list[str] = []
-    cur = 0
-    for stop in _walk_stops(tuple(indices_to_label), pos):
-        word.extend(["t" if stop > cur else "t^-1"] * abs(stop - cur))
-        cur = stop
-        word.append(indices_to_label[stop])
-    word.extend(["t" if pos > cur else "t^-1"] * abs(pos - cur))
-    return tuple(word)
-
-
 def ll_geodesic(cfg: LampConfig) -> tuple[str, ...]:
     """A geodesic generator word evaluating to cfg (left-first for pos >= 0)."""
-    return _geodesic({i: "a" for i in cfg.lamps}, cfg.pos)
-
-
-def wr_geodesic(spec: FiniteGroupSpec, cfg: WreathConfig) -> tuple[str, ...]:
-    return _geodesic({i: spec.labels[state] for i, state in cfg.lamps}, cfg.pos)
+    word: list[str] = []
+    cur = 0
+    for stop in _walk_stops(cfg.lamps, cfg.pos):
+        word.extend(["t" if stop > cur else "t^-1"] * abs(stop - cur))
+        cur = stop
+        word.append("a")
+    word.extend(["t" if cfg.pos > cur else "t^-1"] * abs(cfg.pos - cur))
+    return tuple(word)
 
 
 def ll_embed_in_dead_end(w: LampConfig) -> tuple[int, tuple[str, ...]]:

@@ -14,7 +14,7 @@ from curvlab.heisenberg import (
     heis_length,
     heis_sign_predict,
 )
-from curvlab.houghton import h2_h, h2_h_word, h2_transposition, h2_u_word
+from curvlab.houghton import h2_h, h2_transposition, h2_u_word
 from curvlab.lamplighter import LampConfig, cyclic_spec, l2_oracle, ll_embed_in_dead_end, ll_make_dm, wr_make_dm
 from curvlab.transport import kappa_star
 
@@ -110,13 +110,12 @@ def test_free_kappa_closed_form():
         lambda: h2_u_word(2, "up"),
         lambda: h2_transposition(0),
         lambda: h2_h(1, 2),
-        lambda: h2_h_word(1, 2),
         lambda: heis_ceil_jump(5, 0, 7, 1),
         lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)),
     ],
     ids=[
         "make_zn", "make_free", "cyclic_spec", "ll_make_dm", "wr_make_dm-empty", "wr_make_dm-identity-state",
-        "h2_u_word", "h2_u_word-orientation", "h2_transposition", "h2_h", "h2_h_word", "heis_ceil_jump",
+        "h2_u_word", "h2_u_word-orientation", "h2_transposition", "h2_h", "heis_ceil_jump",
         "ll_embed_in_dead_end",
     ],
 )

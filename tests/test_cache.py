@@ -196,11 +196,21 @@ def test_cache_hit_checks_the_budget_first(tmp_path):
     n = len(cached_bfs_metric(oracle, 4, d).dist)
     assert len(cached_bfs_metric(oracle, 4, d, budget=n).dist) == n
 
-    def compose(x, y):
-        raise AssertionError("no element may be built over budget")
+    armed = False  # the oracle checks its steps when it is built
 
+    def refuse(product):
+        def guarded(*args):
+            if armed:
+                raise AssertionError("no element may be built over budget")
+            return product(*args)
+
+        return guarded
+
+    # a load builds its elements with the steps, so both the steps and compose refuse once armed
+    guarded = dataclasses.replace(oracle, compose=refuse(oracle.compose), right_steps=tuple(map(refuse, oracle.steps)))
+    armed = True
     with pytest.raises(ResourceLimitError):
-        cached_bfs_metric(dataclasses.replace(oracle, compose=compose), 4, d, budget=n - 1)
+        cached_bfs_metric(guarded, 4, d, budget=n - 1)
 
 
 def test_table_to_bytes_rejects_a_table_that_is_not_the_bfs_ball():

@@ -236,7 +236,34 @@ def test_cli_dead_end_results_do_not_depend_on_the_horizon():
     s3 = json.loads(
         run_cli("deadend", "--group", "S3", "--element", "s t s", "--horizon", "3", "--max-depth", "2").stdout
     )
-    assert s3["depth"] is None and s3["strict_depth"] == 3
+    assert s3["depth"] is None and s3["strict_depth"] == 3 and s3["group_exhausted"] is True
+
+
+def test_cli_deadend_tells_an_exhausted_group_from_a_reached_bound():
+    # S3 holds no element longer than s t s: the search runs out of elements and no bound was reached
+    s3 = run_cli("deadend", "--group", "S3", "--element", "s t s")
+    assert s3.returncode == 0 and s3.stderr == ""
+    assert json.loads(s3.stdout) == {
+        "group": "S3", "kind": "deadend", "element": "w: s t s", "base_length": 3, "is_dead_end": True,
+        "depth": None, "depth_horizon_exceeded": False, "group_exhausted": True, "strict_depth": 3, "witness": None,
+    }
+    # d(2) escapes at depth 5, so a bound of 3 is reached in the infinite group L2
+    l2 = run_cli("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "3")
+    assert l2.returncode == 0 and l2.stderr == ""
+    assert json.loads(l2.stdout) == {
+        "group": "L2", "kind": "deadend", "element": "L2{-2,-1,0,1,2;p=0}", "base_length": 13, "is_dead_end": True,
+        "depth": None, "depth_horizon_exceeded": True, "group_exhausted": False, "strict_depth": 2, "witness": None,
+    }
+
+
+def test_cli_out_of_horizon_error_is_one_line_without_repr():
+    proc = run_cli("curvature", "--group", "Heis", "--element", "Heis(5,2,1)", "--radius", "1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "curvlab: a word length in Heis is not covered by the table (horizon 3) and no closed form applies; "
+        "raise the horizon\n"
+    )
 
 
 def test_cli_transport_and_probe():
@@ -377,6 +404,7 @@ def test_cli_outputs_validate_against_schema():
         run_cli("length", "--group", "L2", "--element", "d(2)").stdout,
         run_cli("curvature", "--group", "F2", "--element", "a b", "--radius", "1").stdout,
         run_cli("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "6").stdout,
+        run_cli("deadend", "--group", "S3", "--element", "s t s").stdout,
         run_cli("backtracks", "--group", "L2", "--element", "d(2)", "--bound", "6").stdout,
         run_cli("density", "--k", "25", "--radius", "1").stdout,
         run_cli("transport", "--group", "S3", "--x", "w: s", "--y", "w:").stdout,

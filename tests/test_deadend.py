@@ -144,6 +144,8 @@ def test_scan_streams_reports(l2):
 
 def _assert_matches_reference(oracle, table, g, max_depth=12):
     witness = ref.escape(oracle, table, g, max_depth)
+    # the table holds a whole finite group, so a search without an escape runs out of elements, not of depth
+    exhausted = witness is None and not table.layers[-1] and max_depth >= table.horizon
     want = deadend.DeadEndReport(
         element=g,
         base_length=word_length(oracle, g, table),
@@ -151,6 +153,7 @@ def _assert_matches_reference(oracle, table, g, max_depth=12):
         depth=None if witness is None else len(witness),
         strict_depth=ref.strict_depth(oracle, table, g),
         witness=witness,
+        group_exhausted=exhausted,
     )
     assert want.strict_depth < table.horizon  # the reference's spheres were not cut by the horizon
     assert deadend.report(oracle, table, g, max_depth) == want
@@ -160,8 +163,7 @@ def _assert_matches_reference(oracle, table, g, max_depth=12):
     if not want.is_dead_end:
         with pytest.raises(DomainError, match="not a dead end"):
             deadend.backtrack_elements(oracle, table, g, max_depth)
-    elif witness is None and not table.layers[-1] and max_depth >= table.horizon:
-        # the table holds a whole finite group, so the search ran out of elements, not of depth
+    elif exhausted:
         with pytest.raises(DomainError, match=f"exhausted {oracle.group_id}"):
             deadend.backtrack_elements(oracle, table, g, max_depth)
     elif witness is None:

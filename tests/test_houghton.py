@@ -8,11 +8,9 @@ from curvlab.houghton import (
     SIGMA,
     HoughtonElement,
     bead_shift,
-    h2_apply,
     h2_compose,
     h2_g,
     h2_h,
-    h2_h_word,
     h2_invert,
     h2_min_length_bound,
     h2_moved_points,
@@ -24,6 +22,17 @@ from curvlab.houghton import (
 
 # frozen first-run regression for the growth of H_2 over {sigma, s, s^-1}
 H2_LAYER_SIZES_B8 = (1, 3, 6, 12, 24, 48, 91, 172, 325)
+
+
+def h2_apply(x, p):
+    """The image of the bead p under x."""
+    return dict(x.moves).get(p, bead_shift(p, x.shift))
+
+
+def h2_h_word(k, m, orientation, descending):
+    """One of the four concatenated u_l spellings of h(k, m)."""
+    ls = range(k, m - 1, -1) if descending else range(m, k + 1)
+    return tuple(lab for l in ls for lab in h2_u_word(l, orientation))
 
 
 @pytest.fixture(scope="module")
