@@ -6,7 +6,7 @@ curvature of the h(k, m) backtrack family.
 """
 
 from curvlab import deadend
-from curvlab.core import bfs_metric, sphere, word_length
+from curvlab.core import bfs_metric
 from curvlab.curvature import kappa
 from curvlab.houghton import (
     h2_g,
@@ -41,11 +41,9 @@ def main():
     print(f"{len(bts)} backtracks; h(2,2) among them: {h22 in bts}")
 
     print("\n== Curvature of h(2,2) ==")
-    base = word_length(oracle, h22, table)
-    for w in sphere(table, 1):
-        conj = oracle.conjugate(h22, w)
-        print(f"  conjugate by {w}: length {word_length(oracle, conj, table)} (base {base})")
     rep = kappa(oracle, table, h22, 1, "sphere")
+    for w, length in rep.breakdown:
+        print(f"  conjugate by {w}: length {length} (base {rep.base_length})")
     print(f"kappa_1(h(2,2)) = {rep.kappa} > 0")
 
     print("\n== The moved-point length bound ==")

@@ -8,7 +8,7 @@ identity plan optimal.
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import ball, bfs_metric
-from curvlab.curvature import gencon, kappa
+from curvlab.curvature import kappa
 from curvlab.transport import MeasureSpec, question_probe, transport_distance
 
 
@@ -18,9 +18,10 @@ def main():
     t3 = bfs_metric(s3, 3)
     s = s3.generator("s")
     res = transport_distance(s3, t3, MeasureSpec(s, s3.identity, "sphere", 1))
-    print(f"GenCon(s, e) = {gencon(s3, t3, s)}  (the identity plan)")
+    curv = kappa(s3, t3, s, 1)
+    print(f"GenCon(s, e) = {curv.comparison}  (the identity plan)")
     print(f"T_1(s, e) = {res.t1} via the swap permutation {res.permutations[0]}")
-    print(f"kappa*(s, e) = {res.kappa_star}  vs  kappa_1(s) = {kappa(s3, t3, s, 1).kappa}")
+    print(f"kappa*(s, e) = {res.kappa_star}  vs  kappa_1(s) = {curv.kappa}")
     sts = s3.evaluate(["s", "t", "s"])
     res2 = transport_distance(s3, t3, MeasureSpec(sts, s3.identity, "sphere", 1))
     print(f"(sts, e): identity plan optimal again: {res2.identity_optimal}")

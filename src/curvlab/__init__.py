@@ -14,14 +14,8 @@ from .core import (
     sphere,
     word_length,
 )
-from .curvature import CurvatureReport, comparison_distance, gencon, kappa
-from .deadend import (
-    DeadEndReport,
-    backtrack_elements,
-    depth,
-    is_dead_end,
-    strict_depth,
-)
+from .curvature import CurvatureReport, kappa
+from .deadend import DeadEndReport, backtrack_elements
 from .heisenberg import (
     MalcevTriple,
     SectorSpec,
@@ -55,8 +49,6 @@ from .literals import format_element, get_group, parse_element
 from .transport import (
     MeasureSpec,
     TransportResult,
-    kappa_star,
-    optimal_permutations,
     question_probe,
     transport_distance,
 )

@@ -16,8 +16,8 @@ The element at position j of layer r is ``steps[gen[j]](layers[r-1][parent[j]])`
 which the oracle's steps contract makes ``compose(parent, generators[gen[j]])``.
 Each layer is in encode order, and each element el takes the least generator
 index i with ``el = compose(p, generators[i])`` for some p in the previous
-layer, and that p (unique for i) as its parent, so saves are canonical: a
-cache hit re-saves to the bytes of a fresh recomputation.  The tree is the
+layer, and that p (unique for i) as its parent, so saves are canonical: every
+save of a ball writes the same bytes.  The tree is the
 one :func:`curvlab.core.bfs_tree` records while it builds the ball, so a miss
 runs the same BFS as :func:`bfs_metric` and this module only packs its tree.
 
@@ -73,20 +73,6 @@ def _to_bytes(oracle: GroupOracle, table: MetricTable, tree: list[tuple[int, ...
         for codes in tree
     )
     return header + b"".join(trees)
-
-
-def table_to_bytes(oracle: GroupOracle, table: MetricTable) -> bytes:
-    """The cache file of ``table``; raises ValueError unless it is the BFS ball of ``oracle``.
-
-    The tree is taken from a fresh BFS, so this costs as much as :func:`bfs_metric`.
-    """
-    try:
-        built, tree = bfs_tree(oracle, table.horizon, budget=len(table.dist))
-    except ResourceLimitError:
-        built = None
-    if built is None or table.group_id != oracle.group_id or built.layers != table.layers:
-        raise ValueError(f"table is not the radius-{table.horizon} BFS ball of {oracle.group_id}")
-    return _to_bytes(oracle, built, tree)
 
 
 def _unpack(fmt: str, data: bytes, off: int) -> tuple:

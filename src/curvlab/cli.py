@@ -21,7 +21,7 @@ from typing import Iterable
 from . import deadend as deadend_mod
 from . import heisenberg as heis_mod
 from .cache import cached_bfs_metric
-from .core import DEFAULT_BUDGET, CurvlabError, ball, word_length
+from .core import DEFAULT_BUDGET, CurvlabError, DomainError, ball, word_length
 from .curvature import CSV_HEADER as CURV_CSV_HEADER
 from .curvature import kappa
 from .literals import ParseError, element_formatter, get_group, parse_element
@@ -150,7 +150,9 @@ def cmd_transport(args) -> int:
 def cmd_probe(args) -> int:
     oracle = get_group(args.group)
     table = _table(args, oracle, max(args.radius + 2, 4))
-    pool = [g for g in ball(table, min(args.ball, table.horizon)) if g != oracle.identity]
+    if args.ball > table.horizon:
+        raise DomainError(f"--ball {args.ball} exceeds the table horizon {table.horizon}; raise --horizon")
+    pool = [g for g in ball(table, args.ball) if g != oracle.identity]
     if args.sample is not None and args.sample < len(pool):
         rng = random.Random(args.seed)
         pool = [pool[i] for i in sorted(rng.sample(range(len(pool)), args.sample))]

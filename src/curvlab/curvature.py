@@ -80,15 +80,15 @@ class CurvatureReport:
 CSV_HEADER = ["element", "radius", "mode", "base_length", "conjugator", "conjugate_length", "kappa"]
 
 
-def conjugate_breakdown(
+def kappa(
     oracle: GroupOracle,
     table: MetricTable,
     g: Element,
     r: int,
     mode: Mode = "sphere",
     length_table: Optional[MetricTable] = None,
-) -> tuple[tuple[Element, int], ...]:
-    """(w, |w^-1 g w|) for every w in S_r or B_r, in deterministic order.
+) -> CurvatureReport:
+    """The comparison curvature kappa_r of g, with its full conjugator breakdown.
 
     ``table`` enumerates the conjugators and only needs horizon >= r; conjugate
     lengths fall back to the oracle's closed form, or to ``length_table`` when
@@ -100,35 +100,10 @@ def conjugate_breakdown(
         raise DomainError(f"radius must be at least 1, got {r}")
     if length_table is None:
         length_table = table
-    out = []
-    for w in sphere_or_ball(table, r, mode):
-        out.append((w, word_length(oracle, oracle.conjugate(g, w), length_table)))
-    return tuple(out)
-
-
-def comparison_distance(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-    r: int,
-    mode: Mode = "sphere",
-) -> Fraction:
-    """Exact average of |w^-1 g w| over the chosen conjugator set."""
-    breakdown = conjugate_breakdown(oracle, table, g, r, mode)
-    return Fraction(sum(length for _, length in breakdown), len(breakdown))
-
-
-def kappa(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-    r: int,
-    mode: Mode = "sphere",
-    length_table: Optional[MetricTable] = None,
-) -> CurvatureReport:
-    """The comparison curvature kappa_r of g, with its full conjugator breakdown."""
-    breakdown = conjugate_breakdown(oracle, table, g, r, mode, length_table)
-    base = word_length(oracle, g, length_table if length_table is not None else table)
+    breakdown = tuple(
+        [(w, word_length(oracle, oracle.conjugate(g, w), length_table)) for w in sphere_or_ball(table, r, mode)]
+    )
+    base = word_length(oracle, g, length_table)
     comparison = Fraction(sum(length for _, length in breakdown), len(breakdown))
     return CurvatureReport(
         element=g,
@@ -139,16 +114,3 @@ def kappa(
         kappa=Fraction(base - comparison, base),
         breakdown=breakdown,
     )
-
-
-def gencon(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-) -> Fraction:
-    """Average generator-conjugate length: the radius-1 sphere comparison distance.
-
-    Kept as a named operation because it doubles as the identity transport
-    plan in the transport module.
-    """
-    return comparison_distance(oracle, table, g, 1, "sphere")

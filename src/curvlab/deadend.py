@@ -7,11 +7,13 @@ from g).  The table serves only word lengths; its horizon caps no result,
 and a length it cannot decide raises OutOfHorizonError.  Depth bounds
 (``max_depth``, the CLI's ``--max-depth`` and ``--bound``) are at least 1.
 
-``depth`` is the escape distance: the least k such that some product of k
-generators takes g to an element strictly longer than g.  The witness path in
-a :class:`DeadEndReport` realizes it.
+:func:`report` reads all of them off one search from g.  Its ``is_dead_end``
+is True iff no generator product of g is strictly longer than g; any depth
+bound settles it.  Its ``depth`` is the escape distance: the least k such
+that some product of k generators takes g to an element strictly longer than
+g, so non-dead-ends have depth 1; the ``witness`` path realizes it.
 
-``strict_depth`` is the uniform-descent radius: the largest k such that for
+Its ``strict_depth`` is the uniform-descent radius: the largest k such that for
 every r <= k and every w in the sphere S_r, |gw| <= |g| - r.  (The naive
 chain condition |g| > |ga_1| > ... quantified over arbitrary generator
 sequences is unsatisfiable for k >= 2 with symmetric generators, since a_2
@@ -123,25 +125,6 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     return base, layers, strict, None
 
 
-def is_dead_end(oracle: GroupOracle, table: MetricTable, g: Element) -> bool:
-    """True iff no generator product of g is strictly longer than g."""
-    return report(oracle, table, g, 1).is_dead_end
-
-
-def depth(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int) -> Optional[int]:
-    """Least k such that some k-generator path from g exceeds |g| in length.
-
-    Non-dead-ends escape in one step, so they have depth 1.  Returns None
-    when no escape exists within ``max_depth`` steps.
-    """
-    return report(oracle, table, g, max_depth).depth
-
-
-def strict_depth(oracle: GroupOracle, table: MetricTable, g: Element) -> int:
-    """Largest k with |gw| <= |g| - r for all r <= k and all w in S_r."""
-    return report(oracle, table, g, 1).strict_depth
-
-
 def report(
     oracle: GroupOracle,
     table: MetricTable,
@@ -166,7 +149,7 @@ def backtrack_elements(
     g: Element,
     bound: int,
 ) -> set[Element]:
-    """All continuations g*w' with 1 <= |w'| < depth(g) that stay within |g|.
+    """All continuations g*w' with 1 <= |w'| < k that stay within |g|, k the escape depth of g.
 
     These are the layers g S_1, ..., g S_(k-1) before the escape at depth k,
     with no length test: an element of g S_j longer than |g| for some j < k

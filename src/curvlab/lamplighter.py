@@ -1,10 +1,10 @@
-"""The lamplighter group L_2 = Z_2 wr Z and general A wr Z for finite A.
+"""The lamplighter group L_2 = Z_2 wr Z and the rank-n lamplighters Z_n wr Z.
 
 Elements are a finitely supported lamp configuration plus the lamplighter
 position.  The composition law shifts the right factor's lamps by the left
 factor's position, so that reading a generator word left to right matches the
 walk-and-toggle story: ``t`` moves the lamplighter one step right and ``a``
-(or a nontrivial element of A) acts on the lamp under the lamplighter.
+(or a nontrivial state of Z_n) acts on the lamp under the lamplighter.
 
 Conventions pinned here and validated against the frozen escape-profile
 regression: the conjugate t^i a t^-i toggles the lamp at index +i, and the
@@ -30,33 +30,10 @@ class LampConfig(NamedTuple):
 
 
 class WreathConfig(NamedTuple):
-    """An A wr Z element: sorted (index, nontrivial state) pairs, plus position."""
+    """A Z_n wr Z element: sorted (index, nontrivial state) pairs, plus position."""
 
     lamps: tuple[tuple[int, int], ...]
     pos: int
-
-
-class FiniteGroupSpec(NamedTuple):
-    """The lamp group A: multiplication table, identity index, per-element inverse."""
-
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-
-def cyclic_spec(n: int) -> FiniteGroupSpec:
-    """Z_n as a lamp group; state k is labelled s{k}."""
-    if n < 2:
-        raise DomainError("lamp group must be nontrivial")
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    inverse = tuple((-i) % n for i in range(n))
-    labels = tuple(f"s{k}" for k in range(n))
-    return FiniteGroupSpec(labels, table, 0, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +57,7 @@ def ll_length(cfg: LampConfig) -> int:
 
 
 def wr_length(cfg: WreathConfig) -> int:
-    """Closed-form word length in A wr Z; every nontrivial state has weight 1."""
+    """Closed-form word length in Z_n wr Z; every nontrivial state has weight 1."""
     return lamp_walk_length(tuple(i for i, _ in cfg.lamps), cfg.pos)
 
 
@@ -128,20 +105,20 @@ def l2_oracle() -> GroupOracle:
     )
 
 
-def wreath_oracle(spec: FiniteGroupSpec, group_id: str) -> GroupOracle:
-    """A wr Z with generating set (A minus identity) union {t, t^-1}."""
-    mul = spec.table
-    e = spec.identity
+def zn_wreath_oracle(n: int) -> GroupOracle:
+    """Z_n wr Z, the rank-n lamplighter, over the lamp states s1..s(n-1) and t, t^-1."""
+    if n < 2:
+        raise DomainError("lamp group must be nontrivial")
 
     def compose(x: WreathConfig, y: WreathConfig) -> WreathConfig:
         lamps = dict(x.lamps)
         for i, state in y.lamps:
             j = i + x.pos
-            merged = mul[lamps[j]][state] if j in lamps else state
-            if merged == e:
-                lamps.pop(j, None)
-            else:
+            merged = (lamps.get(j, 0) + state) % n
+            if merged:
                 lamps[j] = merged
+            else:
+                lamps.pop(j, None)
         return WreathConfig(tuple(sorted(lamps.items())), x.pos + y.pos)
 
     def act(state: int):
@@ -151,40 +128,27 @@ def wreath_oracle(spec: FiniteGroupSpec, group_id: str) -> GroupOracle:
             lamps, pos = x
             k = bisect_left(lamps, (pos,))
             lit = k < len(lamps) and lamps[k][0] == pos
-            merged = mul[lamps[k][1]][state] if lit else state
-            kept = () if merged == e else ((pos, merged),)
+            merged = ((lamps[k][1] if lit else 0) + state) % n
+            kept = ((pos, merged),) if merged else ()
             return _new(WreathConfig, (lamps[:k] + kept + lamps[k + lit :], pos))
 
         return step
 
     def invert(x: WreathConfig) -> WreathConfig:
-        return WreathConfig(
-            tuple(sorted((i - x.pos, spec.inverse[state]) for i, state in x.lamps)),
-            -x.pos,
-        )
+        return WreathConfig(tuple(sorted((i - x.pos, -state % n) for i, state in x.lamps)), -x.pos)
 
-    nontrivial = [k for k in range(spec.order) if k != e]
-    labels = tuple(spec.labels[k] for k in nontrivial) + ("t", "t^-1")
-    gens = tuple(WreathConfig(((0, k),), 0) for k in nontrivial) + (
-        WreathConfig((), 1),
-        WreathConfig((), -1),
-    )
+    states = range(1, n)
     return GroupOracle(
-        group_id=group_id,
-        labels=labels,
-        generators=gens,
+        group_id=f"W{n}",
+        labels=tuple(f"s{k}" for k in states) + ("t", "t^-1"),
+        generators=tuple(WreathConfig(((0, k),), 0) for k in states) + (WreathConfig((), 1), WreathConfig((), -1)),
         identity=WreathConfig((), 0),
         compose=compose,
         invert=invert,
         encode=lambda el: plain_encode(tuple(el)),
         closed_length=wr_length,
-        right_steps=tuple(act(k) for k in nontrivial) + (_move(WreathConfig, 1), _move(WreathConfig, -1)),
+        right_steps=tuple(map(act, states)) + (_move(WreathConfig, 1), _move(WreathConfig, -1)),
     )
-
-
-def zn_wreath_oracle(n: int) -> GroupOracle:
-    """Z_n wr Z, the rank-n lamplighter."""
-    return wreath_oracle(cyclic_spec(n), f"W{n}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +167,17 @@ def ll_dm_tk(m: int, k: int) -> LampConfig:
     return LampConfig(ll_make_dm(m).lamps, k)
 
 
-def wr_make_dm(spec: FiniteGroupSpec, states: Mapping[int, int]) -> WreathConfig:
-    """The d_m analogue in A wr Z: chosen nontrivial states on exactly [-m, m]."""
+def wr_make_dm(n: int, states: Mapping[int, int]) -> WreathConfig:
+    """The d_m analogue in Z_n wr Z: chosen nontrivial states on exactly [-m, m]."""
     if not states:
         raise DomainError("states must cover [-m, m] for some m >= 1")
     m = max(states)
     if m < 1 or sorted(states) != list(range(-m, m + 1)):
         raise DomainError("state indices must be exactly the interval [-m, m] with m >= 1")
     for i, state in states.items():
-        if state == spec.identity:
+        if state == 0:
             raise DomainError(f"state at index {i} is the identity of the lamp group")
-        if not 0 <= state < spec.order:
+        if not 0 <= state < n:
             raise DomainError(f"state at index {i} is not an element of the lamp group")
     return WreathConfig(tuple(sorted(states.items())), 0)
 

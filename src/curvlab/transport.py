@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .core import (
-    DomainError,
     Element,
     GroupOracle,
     MetricTable,
@@ -271,40 +270,6 @@ def transport_distance(
     )
 
 
-def kappa_star(
-    oracle: GroupOracle,
-    table: MetricTable,
-    x: Element,
-    y: Element,
-    support: Support = "sphere",
-    radius: int = 1,
-) -> Fraction:
-    """Transport curvature 1 - T1/d(x, y) for distinct basepoints."""
-    if x == y:
-        raise DomainError("transport curvature is undefined for equal basepoints")
-    result = transport_distance(oracle, table, MeasureSpec(x, y, support, radius))
-    assert result.kappa_star is not None
-    return result.kappa_star
-
-
-def optimal_permutations(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-    r: int,
-    mode: Support = "sphere",
-    *,
-    cap: int = 1000,
-) -> TransportResult:
-    """The optimal transport permutations from the identity to g.
-
-    Sphere mode realizes the map into sym(S_r), ball mode the map into
-    sym(B_r) (the ball support includes the identity point).
-    """
-    spec = MeasureSpec(oracle.identity, g, mode, r)
-    return transport_distance(oracle, table, spec, cap=cap)
-
-
 @dataclass(frozen=True)
 class ProbeRow:
     element: Element
@@ -367,7 +332,7 @@ def question_probe(
     *,
     cap: int = 1000,
 ) -> ProbeReport:
-    """Probe the ball-optimum structure for each sampled element."""
+    """Probe the optimal plans from the identity to each sampled g, over the ball B_r."""
     rows = []
     layer_sizes = [len(sphere(table, i)) for i in range(r + 1)]
     bounds = []
@@ -376,7 +341,7 @@ def question_probe(
         bounds.append((start, start + size))
         start += size
     for g in elements:
-        res = optimal_permutations(oracle, table, g, r, "ball", cap=cap)
+        res = transport_distance(oracle, table, MeasureSpec(oracle.identity, g, "ball", r), cap=cap)
         # Stitch per-sphere optima: cost of the best sphere-preserving plan.
         # A sphere-preserving ball optimum exists exactly when this reaches the ball optimum.
         block_cost = 0

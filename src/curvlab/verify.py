@@ -21,8 +21,8 @@ from typing import Callable
 
 from . import deadend
 from .builtin import make_free, make_s3, make_zn
-from .core import ball, bfs_metric, sphere
-from .curvature import gencon, kappa
+from .core import ball, bfs_metric
+from .curvature import kappa
 from .heisenberg import (
     MalcevTriple,
     heis_ceil_jump,
@@ -40,7 +40,7 @@ from .lamplighter import (
     wr_length,
     zn_wreath_oracle,
 )
-from .transport import MeasureSpec, kappa_star, solve_assignment, transport_distance
+from .transport import MeasureSpec, solve_assignment, transport_distance
 
 
 @dataclass
@@ -208,26 +208,18 @@ def criterion_5(tier: str = "full") -> CriterionResult:
         failures.append(f"|u_2| = {table.distance(u2)} != 11")
     if horizon >= 12:
         g2 = h2_g(2)
-        if not deadend.is_dead_end(oracle, table, g2):
+        if not deadend.report(oracle, table, g2, 1).is_dead_end:
             failures.append("g_2 is not a dead end")
     else:
         notes.append("g_2 dead-end check needs horizon 12; skipped at this tier")
     h22 = h2_h(2, 2)
-    k1 = kappa(oracle, table, h22, 1, "sphere").kappa
-    if not k1 > 0:
-        failures.append(f"kappa_1(h_22) = {k1} not > 0")
+    reps = [kappa(oracle, table, h22, 1, "sphere")]
     if horizon >= 12:
-        # the horizon also covers radius 2: every conjugate of h_22 stays within
-        # |h_22| = 11 <= horizon - 2, so the sweep below is exhaustive
-        k2 = kappa(oracle, table, h22, 2, "sphere").kappa
-        if not k2 > 0:
-            failures.append(f"kappa_2(h_22) = {k2} not > 0")
-        base = 11
-        for r in (1, 2):
-            for w in sphere(table, r):
-                conj = oracle.conjugate(h22, w)
-                if deadend._length_within(oracle, table, conj, base) is None:
-                    failures.append(f"conjugation by {w} lengthens h_22")
+        reps.append(kappa(oracle, table, h22, 2, "sphere"))
+    for rep in reps:
+        if not rep.kappa > 0:
+            failures.append(f"kappa_{rep.radius}(h_22) = {rep.kappa} not > 0")
+        failures += [f"conjugation by {w} lengthens h_22" for w, n in rep.breakdown if n > rep.base_length]
     bad_bound = sum(1 for el, d in table.dist.items() if d < h2_min_length_bound(el))
     if bad_bound:
         failures.append(f"moved-point length bound fails on {bad_bound} elements")
@@ -312,8 +304,9 @@ def criterion_8(tier: str = "full") -> CriterionResult:
     s3 = make_s3()
     t3 = bfs_metric(s3, 3)
     s = s3.generator("s")
-    if gencon(s3, t3, s) != 2:
-        failures.append(f"GenCon(s) = {gencon(s3, t3, s)} != 2")
+    gencon = kappa(s3, t3, s, 1).comparison
+    if gencon != 2:
+        failures.append(f"GenCon(s) = {gencon} != 2")
     res = transport_distance(s3, t3, MeasureSpec(s, s3.identity, "sphere", 1))
     if res.t1 != 1:
         failures.append(f"S3 T1(s, e) = {res.t1} != 1")
@@ -334,7 +327,7 @@ def criterion_8(tier: str = "full") -> CriterionResult:
         y = (rng.randint(-6, 6), rng.randint(-6, 6))
         if x == y:
             continue
-        ks = kappa_star(z2, tz, x, y)
+        ks = transport_distance(z2, tz, MeasureSpec(x, y)).kappa_star
         g = z2.compose(z2.invert(x), y)
         kc = kappa(z2, tz, g, 1, "sphere").kappa
         if ks != kc:
@@ -345,7 +338,7 @@ def criterion_8(tier: str = "full") -> CriterionResult:
     for g in ball(tf, 4):
         if g == ():
             continue
-        if kappa_star(f2, tf, f2.identity, g) != kappa(f2, tf, g, 1, "sphere").kappa:
+        if transport_distance(f2, tf, MeasureSpec(f2.identity, g)).kappa_star != kappa(f2, tf, g, 1, "sphere").kappa:
             failures.append(f"F2 kappa* != kappa at {g}")
             break
 
@@ -361,7 +354,7 @@ def criterion_8(tier: str = "full") -> CriterionResult:
         g = candidates[rng.randrange(len(candidates))]
         if g == o.identity:
             continue
-        ks = kappa_star(o, table, o.identity, g)
+        ks = transport_distance(o, table, MeasureSpec(o.identity, g)).kappa_star
         kc = kappa(o, table, g, 1, "sphere").kappa
         if ks < kc:
             dominance_failures += 1
@@ -382,13 +375,11 @@ def criterion_9(tier: str = "full") -> CriterionResult:
     for el in ball(table, 7):
         if el == oracle.identity:
             continue
-        if not deadend.is_dead_end(oracle, table, el):
-            continue
-        k = deadend.strict_depth(oracle, table, el)
-        if k < 1:
+        dead = deadend.report(oracle, table, el, 1)
+        if not dead.is_dead_end or dead.strict_depth < 1:
             continue
         found += 1
-        for r in range(1, k):
+        for r in range(1, dead.strict_depth):
             rep = kappa(oracle, table, el, r, "sphere")
             if rep.kappa < 0:
                 failures.append(f"kappa_{r}(strict dead end {el}) = {rep.kappa} < 0")

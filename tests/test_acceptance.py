@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing its pass/fail line.
 
 Criterion 2 pins the depth of the lamplighter dead ends d_m for m <= 4: the
-escape depth is 2m + 1 = 3, 5, 7, 9, matching the contract of
-``deadend.depth`` (least k such that some k-generator path from g strictly
-exceeds |g|), and the witness path descends exactly m times.  See the README
+escape depth is 2m + 1 = 3, 5, 7, 9, matching the contract of the
+``depth`` field of ``deadend.report`` (least k such that some k-generator
+path from g strictly exceeds |g|), and the witness path descends exactly m
+times.  See the README
 section "Criterion 2: the depth of d_m".
 """
 

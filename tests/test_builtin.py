@@ -4,7 +4,7 @@ import pytest
 
 from curvlab.builtin import S3_TABLE, free_gencon, make_free, make_s3, make_zn
 from curvlab.core import CurvlabError, DomainError, ball, bfs_metric, word_length
-from curvlab.curvature import gencon, kappa
+from curvlab.curvature import kappa
 from curvlab.deadend import backtrack_elements
 from curvlab.heisenberg import (
     MalcevTriple,
@@ -15,8 +15,7 @@ from curvlab.heisenberg import (
     heis_sign_predict,
 )
 from curvlab.houghton import h2_h, h2_transposition, h2_u_word
-from curvlab.lamplighter import LampConfig, cyclic_spec, l2_oracle, ll_embed_in_dead_end, ll_make_dm, wr_make_dm
-from curvlab.transport import kappa_star
+from curvlab.lamplighter import LampConfig, l2_oracle, ll_embed_in_dead_end, ll_make_dm, wr_make_dm, zn_wreath_oracle
 
 
 def test_zn_length_is_l1():
@@ -72,7 +71,7 @@ def test_free_gencon_matches_generic(n):
     for g in ball(table, 3):
         if g == ():
             continue
-        assert gencon(oracle, table, g) == free_gencon(n, g)
+        assert kappa(oracle, table, g, 1).comparison == free_gencon(n, g)
 
 
 def test_zn_curvature_vanishes():
@@ -102,10 +101,10 @@ def test_free_kappa_closed_form():
     [
         lambda: make_zn(0),
         lambda: make_free(0),
-        lambda: cyclic_spec(1),
+        lambda: zn_wreath_oracle(1),
         lambda: ll_make_dm(0),
-        lambda: wr_make_dm(cyclic_spec(3), {}),
-        lambda: wr_make_dm(cyclic_spec(3), {-1: 1, 0: 0, 1: 2}),
+        lambda: wr_make_dm(3, {}),
+        lambda: wr_make_dm(3, {-1: 1, 0: 0, 1: 2}),
         lambda: h2_u_word(0),
         lambda: h2_u_word(2, "up"),
         lambda: h2_transposition(0),
@@ -114,7 +113,7 @@ def test_free_kappa_closed_form():
         lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)),
     ],
     ids=[
-        "make_zn", "make_free", "cyclic_spec", "ll_make_dm", "wr_make_dm-empty", "wr_make_dm-identity-state",
+        "make_zn", "make_free", "zn_wreath_oracle", "ll_make_dm", "wr_make_dm-empty", "wr_make_dm-identity-state",
         "h2_u_word", "h2_u_word-orientation", "h2_transposition", "h2_h", "heis_ceil_jump",
         "ll_embed_in_dead_end",
     ],
@@ -135,7 +134,6 @@ def _backtracks(oracle, element):
     [
         (lambda: kappa(make_zn(2), bfs_metric(make_zn(2), 1), (0, 0), 1), "undefined at the identity"),
         (lambda: free_gencon(2, ()), "undefined at the empty word"),
-        (lambda: kappa_star(make_zn(2), bfs_metric(make_zn(2), 2), (1, 0), (1, 0)), "equal basepoints"),
         (lambda: _backtracks(l2_oracle(), LampConfig((), 1)), "not a dead end"),
         (lambda: _backtracks(make_s3(), make_s3().evaluate(["s", "t", "s"])), "exhausted S3"),
         (lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)), "not a geodesic prefix"),
@@ -147,7 +145,7 @@ def _backtracks(oracle, element):
         (lambda: heis_density_experiment(2, 1), "sector is empty"),
     ],
     ids=[
-        "kappa-identity", "free_gencon-empty-word", "kappa_star-equal-points", "backtracks-not-dead-end",
+        "kappa-identity", "free_gencon-empty-word", "backtracks-not-dead-end",
         "backtracks-exhausted", "ll_embed_in_dead_end", "heis_length-sector", "heis_ceil_jump-sector",
         "heis_ceil_jump-remainder", "heis_case_label-remainder", "heis_sign_predict-sector", "density-empty-sector",
     ],

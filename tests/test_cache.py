@@ -7,13 +7,7 @@ import pytest
 from bfs_reference import naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.cache import (
-    CacheFormatError,
-    cache_path,
-    cached_bfs_metric,
-    table_from_bytes,
-    table_to_bytes,
-)
+from curvlab.cache import CacheFormatError, cache_path, cached_bfs_metric, table_from_bytes
 from curvlab.core import CurvlabError, ResourceLimitError, bfs_metric
 from curvlab.heisenberg import heis_oracle
 from curvlab.houghton import h2_oracle
@@ -45,6 +39,14 @@ SMALL_TABLE_SHA256 = {
 }
 
 
+def _cache_file(tmp_path, oracle, horizon) -> bytes:
+    """The cache file of the radius-``horizon`` ball, as a miss writes it into ``tmp_path``."""
+    d = str(tmp_path)
+    cached_bfs_metric(oracle, horizon, d)
+    with open(cache_path(d, oracle.group_id, horizon), "rb") as fh:
+        return fh.read()
+
+
 def _version_1_blob(oracle, table):
     """The format-1 layout: the header, then a u32 length and the encode key per element."""
     gid = table.group_id.encode("utf-8")
@@ -60,11 +62,11 @@ def _version_1_blob(oracle, table):
 def test_roundtrip_bit_identical(tmp_path):
     oracle = h2_oracle()
     table = bfs_metric(oracle, 6)
-    blob = table_to_bytes(oracle, table)
+    blob = _cache_file(tmp_path / "first", oracle, 6)
     restored = table_from_bytes(oracle, blob)
     assert restored.layers == table.layers
     assert restored.dist == table.dist
-    assert table_to_bytes(oracle, restored) == blob
+    assert _cache_file(tmp_path / "second", oracle, 6) == blob
 
 
 def test_cache_hit_matches_recomputation(tmp_path):
@@ -76,12 +78,14 @@ def test_cache_hit_matches_recomputation(tmp_path):
         first_bytes = fh.read()
     t2 = cached_bfs_metric(oracle, 5, d)  # hit
     assert t2.layers == t1.layers == bfs_metric(oracle, 5).layers
-    assert table_to_bytes(oracle, t2) == first_bytes
+    assert t2.dist == t1.dist
+    assert _cache_file(tmp_path / "fresh", oracle, 5) == first_bytes
+    with open(path, "rb") as fh:
+        assert fh.read() == first_bytes  # the hit left the file as it was
 
 
 def test_cache_rejects_wrong_group(tmp_path):
-    l2 = l2_oracle()
-    blob = table_to_bytes(l2, bfs_metric(l2, 3))
+    blob = _cache_file(tmp_path, l2_oracle(), 3)
     with pytest.raises(CacheFormatError):
         table_from_bytes(h2_oracle(), blob)
 
@@ -92,9 +96,9 @@ def test_cache_rejects_garbage():
         table_from_bytes(l2_oracle(), b"not a cache file")
 
 
-def test_cache_rejects_every_truncation():
+def test_cache_rejects_every_truncation(tmp_path):
     oracle = l2_oracle()
-    blob = table_to_bytes(oracle, bfs_metric(oracle, 2))
+    blob = _cache_file(tmp_path, oracle, 2)
     for end in range(len(blob)):
         with pytest.raises(CacheFormatError):
             table_from_bytes(oracle, blob[:end])
@@ -119,8 +123,7 @@ def test_cache_hit_equals_bfs_for_every_oracle(tmp_path, oracle, horizon):
     for table in (bfs_metric(oracle, horizon), built, loaded):
         assert table.layers == layers
         assert table.dist == dist
-    with open(cache_path(d, oracle.group_id, horizon), "rb") as fh:
-        assert table_to_bytes(oracle, loaded) == fh.read()
+    assert _cache_file(tmp_path / "fresh", oracle, horizon) == _cache_file(tmp_path, oracle, horizon)
 
 
 @pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
@@ -130,13 +133,13 @@ def test_cache_file_bytes_are_pinned(tmp_path, oracle, horizon):
     with open(cache_path(d, oracle.group_id, horizon), "rb") as fh:
         data = fh.read()
     assert hashlib.sha256(data).hexdigest() == SMALL_TABLE_SHA256[oracle.group_id]
-    assert table_to_bytes(oracle, table_from_bytes(oracle, data)) == data
+    assert table_from_bytes(oracle, data).layers == bfs_metric(oracle, horizon).layers
 
 
 @pytest.mark.parametrize("oracle, horizon", SMALL_TABLES, ids=SMALL_IDS)
-def test_cache_rejects_or_ignores_every_byte_edit(oracle, horizon):
+def test_cache_rejects_or_ignores_every_byte_edit(tmp_path, oracle, horizon):
     table = bfs_metric(oracle, horizon)
-    blob = table_to_bytes(oracle, table)
+    blob = _cache_file(tmp_path, oracle, horizon)
     for pos, b in enumerate(blob):
         for new in {b ^ 0x01, b ^ 0x10, b ^ 0x80, 0, 255} - {b}:
             edited = blob[:pos] + bytes([new]) + blob[pos + 1 :]
@@ -148,9 +151,9 @@ def test_cache_rejects_or_ignores_every_byte_edit(oracle, horizon):
             assert loaded.dist == table.dist, (pos, b, new)
 
 
-def test_cache_rejects_bad_layers():
+def test_cache_rejects_bad_layers(tmp_path):
     oracle = make_zn(2)
-    blob = table_to_bytes(oracle, bfs_metric(oracle, 2))
+    blob = _cache_file(tmp_path, oracle, 2)
     header = 4 + 4 + 2 + 2 + 4
     parents = header + 3 * 8
     for edited, reason in (
@@ -163,9 +166,9 @@ def test_cache_rejects_bad_layers():
             table_from_bytes(oracle, edited)
 
 
-def test_cache_rejects_an_element_of_an_earlier_layer():
+def test_cache_rejects_an_element_of_an_earlier_layer(tmp_path):
     oracle = make_zn(1)
-    blob = bytearray(table_to_bytes(oracle, bfs_metric(oracle, 2)))
+    blob = bytearray(_cache_file(tmp_path, oracle, 2))
     # S_2 of Z is (-2, 2), each one step on from its sign's element of S_1 = (-1, 1).
     # Step the 2 back instead: the layer becomes (-2, 0), in encode order, and 0 is in S_0.
     tree_2 = len(blob) - 2 * 6
@@ -185,9 +188,9 @@ def test_cache_replaces_a_version_1_file(tmp_path):
         table_from_bytes(oracle, _version_1_blob(oracle, table))
     rebuilt = cached_bfs_metric(oracle, 4, d)  # a miss
     assert rebuilt.layers == table.layers
-    with open(path, "rb") as fh:
-        assert fh.read() == table_to_bytes(oracle, table)
     assert os.listdir(d) == [os.path.basename(path)]
+    with open(path, "rb") as fh:
+        assert fh.read() == _cache_file(tmp_path / "fresh", oracle, 4)
 
 
 def test_cache_hit_checks_the_budget_first(tmp_path):
@@ -211,15 +214,3 @@ def test_cache_hit_checks_the_budget_first(tmp_path):
     armed = True
     with pytest.raises(ResourceLimitError):
         cached_bfs_metric(guarded, 4, d, budget=n - 1)
-
-
-def test_table_to_bytes_rejects_a_table_that_is_not_the_bfs_ball():
-    l2 = l2_oracle()
-    table = bfs_metric(l2, 3)
-    with pytest.raises(ValueError):
-        table_to_bytes(h2_oracle(), table)
-    shuffled = dataclasses.replace(table, layers=table.layers[:3] + (table.layers[3][::-1],))
-    with pytest.raises(ValueError):
-        table_to_bytes(l2, shuffled)
-    with pytest.raises(ValueError):
-        table_to_bytes(l2, dataclasses.replace(table, layers=table.layers[:3] + (table.layers[3][1:],)))

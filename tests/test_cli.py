@@ -8,8 +8,8 @@ import time
 import pytest
 from density_reference import csv_rows, density_per_element
 
-from curvlab.cache import cache_path, table_to_bytes
-from curvlab.core import bfs_metric
+from curvlab.cache import cache_path, cached_bfs_metric
+from curvlab.core import ball, bfs_metric
 from curvlab.heisenberg import CSV_HEADER as DENSITY_CSV_HEADER
 from curvlab.heisenberg import MalcevTriple
 from curvlab.houghton import h2_g, h2_h, h2_u
@@ -126,6 +126,17 @@ def test_parse_format_round_trip(group_id, literal):
     assert parse_element(group_id, printed) == el
 
 
+BALLS = [("Z1", 3), ("Z2", 4), ("Z3", 3), ("F2", 4), ("F3", 3), ("F30", 1), ("S3", 3), ("L2", 6), ("W2", 4),
+         ("W3", 4), ("H2", 4), ("Heis", 5)]
+
+
+@pytest.mark.parametrize("group_id,radius", BALLS, ids=[f"{g}-B{r}" for g, r in BALLS])
+def test_parse_format_round_trip_over_a_ball(group_id, radius):
+    # every element of the ball, so no literal shape of the group escapes the round trip
+    for el in ball(bfs_metric(get_group(group_id), radius), radius):
+        assert parse_element(group_id, format_element(group_id, el)) == el
+
+
 def test_unknown_group():
     for group_id in ("Q8", "Z0", "F0", "W0", "W1"):
         with pytest.raises(ParseError):
@@ -173,6 +184,19 @@ def test_cli_probe_seeded_sample_deterministic():
     assert out1 == out2
     other = run_cli(*args[:-1], "6").stdout
     assert other != out1  # a different seed samples differently
+
+
+def test_cli_probe_ball_beyond_the_horizon_is_an_error():
+    proc = run_cli("probe", "--group", "Z2", "--ball", "10", "--sample", "3")
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "--ball 10" in lines[0] and "horizon 4" in lines[0]
+
+
+def test_cli_probe_samples_the_whole_requested_ball():
+    proc = run_cli("probe", "--group", "Z1", "--ball", "10", "--horizon", "10")
+    assert proc.returncode == 0
+    assert {"(-10)", "(10)"} <= {row["element"] for row in json.loads(proc.stdout)["rows"]}
 
 
 def test_cli_csv_format():
@@ -361,10 +385,12 @@ def test_cli_help_exits_zero():
 
 @pytest.mark.parametrize("damage", ["truncated", "bad magic"])
 def test_cli_corrupt_cache_one_line_error(tmp_path, damage):
-    oracle = get_group("L2")
-    blob = table_to_bytes(oracle, bfs_metric(oracle, 3))
+    path = cache_path(str(tmp_path), "L2", 3)
+    cached_bfs_metric(get_group("L2"), 3, str(tmp_path))  # a miss writes the file
+    with open(path, "rb") as fh:
+        blob = fh.read()
     blob = blob[:-3] if damage == "truncated" else b"XXXX" + blob[4:]
-    with open(cache_path(str(tmp_path), "L2", 3), "wb") as fh:
+    with open(path, "wb") as fh:
         fh.write(blob)
     proc = run_cli("length", "--group", "L2", "--element", "d(1)", "--horizon", "3", "--cache", str(tmp_path))
     assert proc.returncode == 1

@@ -6,7 +6,8 @@ import pytest
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import DomainError, ball, bfs_metric, sphere, word_length
-from curvlab.curvature import comparison_distance, gencon, kappa
+from curvlab.curvature import kappa
+from curvlab.deadend import report
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
 
 
@@ -14,22 +15,22 @@ def test_identity_element_rejected():
     oracle = make_zn(2)
     table = bfs_metric(oracle, 2)
     with pytest.raises(DomainError, match="undefined at the identity"):
-        comparison_distance(oracle, table, (0, 0), 1)
+        kappa(oracle, table, (0, 0), 1)
 
 
 def test_comparison_distance_examples():
     z2 = make_zn(2)
     tz = bfs_metric(z2, 3)
-    assert comparison_distance(z2, tz, (1, 1), 3, "sphere") == 2
-    assert comparison_distance(z2, tz, (1, 1), 3, "ball") == 2
+    assert kappa(z2, tz, (1, 1), 3, "sphere").comparison == 2
+    assert kappa(z2, tz, (1, 1), 3, "ball").comparison == 2
 
     l2 = l2_oracle()
     tl = bfs_metric(l2, 2)
-    assert comparison_distance(l2, tl, ll_dm_tk(3, 1), 1) == Fraction(52, 3)
+    assert kappa(l2, tl, ll_dm_tk(3, 1), 1).comparison == Fraction(52, 3)
 
     f2 = make_free(2)
     tf = bfs_metric(f2, 2)
-    assert comparison_distance(f2, tf, f2.evaluate(["a", "b"]), 1) == 3
+    assert kappa(f2, tf, f2.evaluate(["a", "b"]), 1).comparison == 3
 
 
 def test_kappa_examples():
@@ -62,12 +63,12 @@ def test_kappa_dm_family_closed_form():
 def test_gencon_examples():
     s3 = make_s3()
     t3 = bfs_metric(s3, 3)
-    assert gencon(s3, t3, s3.generator("s")) == 2
+    assert kappa(s3, t3, s3.generator("s"), 1).comparison == 2
     z3 = make_zn(3)
     tz = bfs_metric(z3, 2)
     for g in ball(tz, 2):
         if g != z3.identity:
-            assert gencon(z3, tz, g) == word_length(z3, g, tz)
+            assert kappa(z3, tz, g, 1).comparison == word_length(z3, g, tz)
 
 
 def test_report_invariants():
@@ -95,7 +96,7 @@ def test_ball_sphere_consistency():
             layer = kappa(oracle, table, g, i, "sphere").breakdown
             total += sum(length for _, length in layer)
             count += len(layer)
-        assert comparison_distance(oracle, table, g, r, "ball") == Fraction(total, count)
+        assert kappa(oracle, table, g, r, "ball").comparison == Fraction(total, count)
 
 
 def test_translation_invariance():
@@ -112,20 +113,16 @@ def test_translation_invariance():
             x = oracle.compose(h, w)
             y = oracle.compose(oracle.compose(h, g), w)
             total += word_length(oracle, oracle.compose(oracle.invert(x), y), table)
-        assert Fraction(total, len(sphere(table, 2))) == comparison_distance(
-            oracle, table, g, 2, "sphere"
-        )
+        assert Fraction(total, len(sphere(table, 2))) == kappa(oracle, table, g, 2, "sphere").comparison
 
 
 def test_strict_dead_end_nonnegative_curvature():
     # the descent proposition, end to end on the d_m family
-    from curvlab.deadend import strict_depth
-
     oracle = l2_oracle()
     table = bfs_metric(oracle, 3)
     for m in (2, 3, 4):
         g = ll_make_dm(m)
-        k = strict_depth(oracle, table, g)
+        k = report(oracle, table, g, 1).strict_depth
         assert k == 2 if m > 1 else 1
         for r in range(1, k):
             assert kappa(oracle, table, g, r).kappa >= 0

@@ -16,26 +16,26 @@ def l2():
 
 def test_is_dead_end(l2):
     oracle, table = l2
-    assert deadend.is_dead_end(oracle, table, ll_make_dm(3))
-    assert not deadend.is_dead_end(oracle, table, oracle.generator("t"))
-    assert not deadend.is_dead_end(oracle, table, ll_dm_tk(3, 1))
+    assert deadend.report(oracle, table, ll_make_dm(3), 1).is_dead_end
+    assert not deadend.report(oracle, table, oracle.generator("t"), 1).is_dead_end
+    assert not deadend.report(oracle, table, ll_dm_tk(3, 1), 1).is_dead_end
 
 
 def test_escape_depth_of_dm_is_2m_plus_1(l2):
     # the valley around d_m: lengths only recover after walking past the far lamp
     oracle, table = l2
     for m in (1, 2, 3, 4):
-        assert deadend.depth(oracle, table, ll_make_dm(m), 2 * m + 2) == 2 * m + 1
+        assert deadend.report(oracle, table, ll_make_dm(m), 2 * m + 2).depth == 2 * m + 1
 
 
 def test_depth_of_non_dead_end_is_one(l2):
     oracle, table = l2
-    assert deadend.depth(oracle, table, oracle.generator("t"), 3) == 1
+    assert deadend.report(oracle, table, oracle.generator("t"), 3).depth == 1
 
 
 def test_depth_horizon_marker(l2):
     oracle, table = l2
-    d = deadend.depth(oracle, table, ll_make_dm(3), max_depth=4)
+    d = deadend.report(oracle, table, ll_make_dm(3), max_depth=4).depth
     assert d is None
 
 
@@ -51,14 +51,14 @@ def test_witness_realizes_depth(l2):
 
 def test_strict_depth_values(l2):
     oracle, table = l2
-    assert deadend.strict_depth(oracle, table, ll_make_dm(1)) == 1
+    assert deadend.report(oracle, table, ll_make_dm(1), 1).strict_depth == 1
     for m in (2, 3, 4):
         # a_{-1} in S_3 only sheds one lamp, so the uniform descent stops at 2
-        assert deadend.strict_depth(oracle, table, ll_make_dm(m)) == 2
-    assert deadend.strict_depth(oracle, table, oracle.generator("t")) == 0
+        assert deadend.report(oracle, table, ll_make_dm(m), 1).strict_depth == 2
+    assert deadend.report(oracle, table, oracle.generator("t"), 1).strict_depth == 0
     # |d_3 t t^-1| = |d_3| > |d_3 t| - 1 fails the descent at radius 1? no:
     # the descent condition is on sphere elements; t^-1 in S_1 sends d_3 t to d_3
-    assert deadend.strict_depth(oracle, table, ll_dm_tk(3, 1)) == 0
+    assert deadend.report(oracle, table, ll_dm_tk(3, 1), 1).strict_depth == 0
 
 
 def test_depth_one_iff_not_dead_end_b6():
@@ -67,8 +67,8 @@ def test_depth_one_iff_not_dead_end_b6():
         for g in ball(table, 6):
             if g == oracle.identity:
                 continue
-            d = deadend.depth(oracle, table, g, max_depth=3)
-            dead = deadend.is_dead_end(oracle, table, g)
+            d = deadend.report(oracle, table, g, max_depth=3).depth
+            dead = deadend.report(oracle, table, g, 1).is_dead_end
             if d == 1:
                 assert not dead
             else:
@@ -79,11 +79,11 @@ def test_s3_longest_element_is_dead_end():
     oracle = make_s3()
     table = bfs_metric(oracle, 3)
     sts = oracle.evaluate(["s", "t", "s"])
-    assert deadend.is_dead_end(oracle, table, sts)
+    assert deadend.report(oracle, table, sts, 1).is_dead_end
     # finite group: no escape exists at all
-    d = deadend.depth(oracle, table, sts, max_depth=6)
+    d = deadend.report(oracle, table, sts, max_depth=6).depth
     assert d is None
-    assert deadend.strict_depth(oracle, table, sts) == 3
+    assert deadend.report(oracle, table, sts, 1).strict_depth == 3
 
 
 def test_backtracks_of_dm(l2):
@@ -116,7 +116,7 @@ def test_houghton_g2_backtracks():
     oracle = h2_oracle()
     table = bfs_metric(oracle, 12)
     g2 = h2_g(2)
-    assert deadend.depth(oracle, table, g2, 4) == 3
+    assert deadend.report(oracle, table, g2, 4).depth == 3
     bts = deadend.backtrack_elements(oracle, table, g2, bound=4)
     assert h2_h(2, 2) in bts  # the h_{2,2} truncation
     assert len(bts) == 9  # frozen from the first exhaustive run
@@ -157,9 +157,8 @@ def _assert_matches_reference(oracle, table, g, max_depth=12):
     )
     assert want.strict_depth < table.horizon  # the reference's spheres were not cut by the horizon
     assert deadend.report(oracle, table, g, max_depth) == want
-    assert deadend.strict_depth(oracle, table, g) == want.strict_depth
-    assert deadend.is_dead_end(oracle, table, g) == want.is_dead_end
-    assert deadend.depth(oracle, table, g, max_depth) == want.depth
+    shallow = deadend.report(oracle, table, g, 1)  # the least depth bound settles both
+    assert (shallow.is_dead_end, shallow.strict_depth) == (want.is_dead_end, want.strict_depth)
     if not want.is_dead_end:
         with pytest.raises(DomainError, match="not a dead end"):
             deadend.backtrack_elements(oracle, table, g, max_depth)
@@ -243,8 +242,6 @@ def test_depth_bounds_below_one_are_rejected(l2, bad):
     g = ll_make_dm(2)
     with pytest.raises(DomainError, match="at least 1"):
         deadend.report(oracle, table, g, bad)
-    with pytest.raises(DomainError, match="at least 1"):
-        deadend.depth(oracle, table, g, bad)
     with pytest.raises(DomainError, match="at least 1"):
         deadend.backtrack_elements(oracle, table, g, bad)
     with pytest.raises(DomainError, match="at least 1"):

@@ -6,16 +6,14 @@ from fractions import Fraction
 import pytest
 
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import DomainError, ball, bfs_metric
-from curvlab.curvature import gencon, kappa
+from curvlab.core import ball, bfs_metric
+from curvlab.curvature import kappa
 from curvlab.lamplighter import l2_oracle, ll_dm_tk
 from curvlab.literals import get_group, parse_element
 from curvlab.transport import (
     MeasureSpec,
     enumerate_optimal,
     hungarian,
-    kappa_star,
-    optimal_permutations,
     question_probe,
     solve_assignment,
     transport_distance,
@@ -115,8 +113,6 @@ def test_equal_basepoints():
     assert res.t1 == 0
     assert res.identity_optimal
     assert res.kappa_star is None
-    with pytest.raises(DomainError, match="equal basepoints"):
-        kappa_star(oracle, table, (1, 0), (1, 0))
 
 
 def test_s3_worked_example():
@@ -128,7 +124,7 @@ def test_s3_worked_example():
     assert res.kappa_star == 0
     assert not res.identity_optimal
     assert res.permutations == ((1, 0),)  # the s <-> t swap
-    assert gencon(oracle, table, s) == 2
+    assert kappa(oracle, table, s, 1).comparison == 2
     assert kappa(oracle, table, s, 1).kappa == -1
 
     sts = oracle.evaluate(["s", "t", "s"])
@@ -155,7 +151,7 @@ def test_free_group_psi_contains_identity_and_swap():
     oracle = make_free(2)
     table = bfs_metric(oracle, 3)
     a = oracle.generator("a")
-    res = optimal_permutations(oracle, table, a, 1, "sphere")
+    res = transport_distance(oracle, table, MeasureSpec(oracle.identity, a, "sphere", 1))
     assert res.identity_optimal
     idx = {w: i for i, w in enumerate(res.translators)}
     swap = list(range(4))
@@ -173,13 +169,13 @@ def test_kappa_star_equals_comparison_on_abelian_and_free():
         if x == y:
             continue
         g = z2.compose(z2.invert(x), y)
-        assert kappa_star(z2, tz, x, y) == kappa(z2, tz, g, 1).kappa == 0
+        assert transport_distance(z2, tz, MeasureSpec(x, y)).kappa_star == kappa(z2, tz, g, 1).kappa == 0
     f2 = make_free(2)
     tf = bfs_metric(f2, 3)
     for g in ball(tf, 3):
         if g == ():
             continue
-        assert kappa_star(f2, tf, f2.identity, g) == kappa(f2, tf, g, 1).kappa
+        assert transport_distance(f2, tf, MeasureSpec(f2.identity, g)).kappa_star == kappa(f2, tf, g, 1).kappa
 
 
 def test_kappa_star_dominates_comparison():
@@ -201,7 +197,7 @@ def test_lamplighter_backtrack_transport():
     oracle = l2_oracle()
     table = bfs_metric(oracle, 2)
     g = ll_dm_tk(4, 1)
-    res = optimal_permutations(oracle, table, g, 1, "sphere")
+    res = transport_distance(oracle, table, MeasureSpec(oracle.identity, g, "sphere", 1))
     assert res.kappa_star is not None
     assert res.kappa_star >= kappa(oracle, table, g, 1).kappa > 0
 
