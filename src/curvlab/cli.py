@@ -155,7 +155,9 @@ def cmd_probe(args) -> int:
     pool = [g for g in ball(table, args.ball) if g != oracle.identity]
     if args.sample is not None and args.sample < len(pool):
         rng = random.Random(args.seed)
-        pool = [pool[i] for i in sorted(rng.sample(range(len(pool)), args.sample))]
+        pool = [pool[i] for i in sorted(rng.sample(range(len(pool)), max(args.sample, 0)))]
+    if not pool:
+        raise DomainError("the probe has no element to sample; --ball and --sample must be at least 1")
     report = question_probe(oracle, table, args.radius, pool, cap=args.cap)
     _emit_json(report.to_json_dict(element_formatter(args.group)))
     return 0

@@ -136,9 +136,6 @@ class MetricTable:
     def distance(self, element: Element) -> Optional[int]:
         return self.dist.get(element)
 
-    def __contains__(self, element: Element) -> bool:
-        return element in self.dist
-
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers)
 

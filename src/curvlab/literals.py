@@ -91,12 +91,7 @@ def _parse_word(oracle: GroupOracle, text: str) -> Element:
         try:
             gen = oracle.generator(name)
         except KeyError:
-            # "t^-1" may itself be a label; retry the raw token
-            try:
-                gen = oracle.generator(token)
-                minus, digits = "", "1"
-            except KeyError:
-                raise ParseError(token, f"a generator of {oracle.group_id}") from None
+            raise ParseError(token, f"a generator of {oracle.group_id}") from None
         power = _int_field(digits, text.strip(), MAX_WORD_LETTERS, rule)
         letters += power
         if letters > MAX_WORD_LETTERS:

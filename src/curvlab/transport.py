@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 from .core import (
+    DomainError,
     Element,
     GroupOracle,
     MetricTable,
@@ -210,6 +211,8 @@ def _tight_matchings(tight, match: list[int], limit: int) -> list[tuple[int, ...
 
 
 def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], bool]:
+    if cap < 0:
+        raise DomainError(f"the cap on listed optima must be at least 0, got {cap}")
     n = len(cost)
     tight = [[j for j in range(n) if cost[i][j] - u[i] == v[j]] for i in range(n)]
     plans = _tight_matchings(tight, match, cap + 1)

@@ -1,9 +1,10 @@
-"""Runners for the acceptance criteria, shared by the CLI and the test suite.
+"""The acceptance criteria behind ``curvlab verify``.
 
-Each criterion is a function returning a :class:`CriterionResult`; the CLI
-``verify`` command prints one pass/fail line per criterion and exits nonzero
-on any failure.  The ``fast`` tier trims the expensive sweeps to stay under a
-minute; the ``full`` tier runs everything at its stated scale.
+Each criterion is a check returning its failures and notes; :data:`CRITERIA`
+lists its id, title and check once, and :func:`run_criterion` times it and
+writes its pass/fail line, for the CLI and the test suite alike.  The ``fast``
+tier trims the expensive sweeps (0.5 s against 5.3 s for ``full`` on 2 cores);
+the ``full`` tier runs everything at its stated scale.
 
 Criterion 2 pins the depth of the lamplighter dead ends d_m: the escape depth
 is 2m + 1, and a shortest escape path descends exactly m times.  See the
@@ -52,14 +53,11 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(cid: int, title: str, started: float, failures: list[str], notes: list[str]) -> CriterionResult:
-    details = "; ".join(notes + [f"FAIL: {f}" for f in failures]) or "ok"
-    return CriterionResult(cid, title, not failures, details, time.time() - started)
+Findings = tuple[list[str], list[str]]  # a check's failures and notes
 
 
-def criterion_1(tier: str = "full") -> CriterionResult:
+def criterion_1(tier: str) -> Findings:
     """Closed-form lamplighter lengths agree with BFS on B_8 (L_2) and B_6 (Z_3 wr Z)."""
-    t0 = time.time()
     failures: list[str] = []
     l2_h, w3_h = (8, 6) if tier == "full" else (6, 5)
     l2 = l2_oracle()
@@ -73,16 +71,15 @@ def criterion_1(tier: str = "full") -> CriterionResult:
     if badw:
         failures.append(f"{badw} Z3 wr Z mismatches in B_{w3_h}")
     notes = [f"L2 B_{l2_h}: {len(table.dist)} elements", f"W3 B_{w3_h}: {len(wt.dist)} elements"]
-    return _result(1, "lamplighter closed length = BFS", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_2(tier: str = "full") -> CriterionResult:
+def criterion_2(tier: str) -> Findings:
     """d_3 dossier: length 19, exact escape profile, and the depth of d_m for m <= 4.
 
     The escape depth of d_m is 2m + 1; the witness path stays within |d_m|
     until its last step and descends exactly m times on the way.
     """
-    t0 = time.time()
     failures: list[str] = []
     notes: list[str] = []
     oracle = l2_oracle()
@@ -117,12 +114,11 @@ def criterion_2(tier: str = "full") -> CriterionResult:
             failures.append(f"d_{m} witness descends {descents[m]} times, not m = {m}")
     notes.append("escape depths " + ", ".join(f"d_{m}->{d}" for m, d in depths.items()) + " (= 2m+1)")
     notes.append("witness descents " + ", ".join(f"d_{m}->{n}" for m, n in descents.items()) + " (= m)")
-    return _result(2, "d_3 dossier and depth clause", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_3(tier: str = "full") -> CriterionResult:
+def criterion_3(tier: str) -> Findings:
     """Positive curvature of d_m t^k at the stated radii, both modes, exact values."""
-    t0 = time.time()
     failures: list[str] = []
     oracle = l2_oracle()
     table = bfs_metric(oracle, 3)
@@ -150,12 +146,11 @@ def criterion_3(tier: str = "full") -> CriterionResult:
     if rep.kappa != Fraction(1, 27):
         failures.append(f"kappa_1(d_3 t) = {rep.kappa} != 1/27")
     notes = ["kappa_1(d_3 t) = 1/27 from breakdown {16,18,18}; D(aga) = 6m-k-1 throughout"]
-    return _result(3, "lamplighter positive curvature", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_4(tier: str = "full") -> CriterionResult:
+def criterion_4(tier: str) -> Findings:
     """Conjugation lemmas, exhaustively over their hypotheses for m <= 6."""
-    t0 = time.time()
     failures: list[str] = []
     oracle = l2_oracle()
     checked_tr = checked_gen = 0
@@ -191,12 +186,11 @@ def criterion_4(tier: str = "full") -> CriterionResult:
         if tier == "fast" and m >= 4:
             break
     notes = [f"llconjtr: {checked_tr} instances", f"llconjgen: {checked_gen} instances"]
-    return _result(4, "conjugation lemmas llconjtr/llconjgen", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_5(tier: str = "full") -> CriterionResult:
+def criterion_5(tier: str) -> Findings:
     """Houghton at horizon 12: u_2 length, g_2 dead end, kappa(h_22) > 0, moved-point bound."""
-    t0 = time.time()
     failures: list[str] = []
     notes: list[str] = []
     horizon = 12 if tier == "full" else 11
@@ -223,12 +217,11 @@ def criterion_5(tier: str = "full") -> CriterionResult:
     bad_bound = sum(1 for el, d in table.dist.items() if d < h2_min_length_bound(el))
     if bad_bound:
         failures.append(f"moved-point length bound fails on {bad_bound} elements")
-    return _result(5, "Houghton horizon-12 suite", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_6(tier: str = "full") -> CriterionResult:
+def criterion_6(tier: str) -> Findings:
     """Heisenberg closed length vs BFS, branch agreement, ceiling case formulas."""
-    t0 = time.time()
     failures: list[str] = []
     oracle = heis_oracle()
     horizon = 10 if tier == "full" else 8
@@ -260,12 +253,11 @@ def criterion_6(tier: str = "full") -> CriterionResult:
                     heis_ceil_jump(A, B, A * 3 + s, t)  # raises on any disagreement
                     checked += 1
     notes = [f"B_{horizon} sector agreement", f"{checked} ceiling-case instances (B*t <= A)"]
-    return _result(6, "Heisenberg length formula", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_7(tier: str = "full") -> CriterionResult:
+def criterion_7(tier: str) -> Findings:
     """Sector sign structure at desk scale: all signs, exact prediction match, band shares."""
-    t0 = time.time()
     failures: list[str] = []
     notes: list[str] = []
     combos = [(1, 40), (1, 80), (2, 40), (2, 80)] if tier == "full" else [(1, 40), (2, 40)]
@@ -278,12 +270,11 @@ def criterion_7(tier: str = "full") -> CriterionResult:
         if not rep.band_fractions_ok():
             failures.append(f"(r={r}, k={k}): a band remainder fraction below 1/{5 * r}")
         notes.append(f"(r={r},k={k}): {rep.sign_counts}")
-    return _result(7, "Heisenberg signs and density", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_8(tier: str = "full") -> CriterionResult:
+def criterion_8(tier: str) -> Findings:
     """Transport: solver vs brute force, the S_3 story, and kappa* against comparison kappa."""
-    t0 = time.time()
     failures: list[str] = []
     notes: list[str] = []
     rng = random.Random(987654321)
@@ -362,51 +353,59 @@ def criterion_8(tier: str = "full") -> CriterionResult:
     if dominance_failures:
         failures.append(f"kappa* < kappa_1 on {dominance_failures} samples")
     notes.append(f"{checked} dominance samples across {len(groups)} groups")
-    return _result(8, "transport suite", t0, failures, notes)
+    return failures, notes
 
 
-def criterion_9(tier: str = "full") -> CriterionResult:
-    """Strict-depth proposition over B_7 of L_2, exhaustively."""
-    t0 = time.time()
+# The balls whose dead ends criterion 9 checks: d_2 in L2 B_13 has strict
+# depth 2, as have four central dead ends in Heis B_10, and s t s in S3 has 3.
+STRICT_DEPTH_BALLS = ((l2_oracle, 13), (heis_oracle, 10), (make_s3, 3))
+
+
+def criterion_9(tier: str) -> Findings:
+    """Strict-depth proposition: kappa_r >= 0 for every r below the strict depth of each dead end."""
     failures: list[str] = []
-    oracle = l2_oracle()
-    table = bfs_metric(oracle, 7)
-    found = 0
-    for el in ball(table, 7):
-        if el == oracle.identity:
-            continue
-        dead = deadend.report(oracle, table, el, 1)
-        if not dead.is_dead_end or dead.strict_depth < 1:
-            continue
-        found += 1
-        for r in range(1, dead.strict_depth):
-            rep = kappa(oracle, table, el, r, "sphere")
-            if rep.kappa < 0:
-                failures.append(f"kappa_{r}(strict dead end {el}) = {rep.kappa} < 0")
-    if found == 0:
-        failures.append("no strict dead ends found in B_7 (expected at least d_1)")
-    notes = [f"{found} strict dead ends in B_7"]
-    return _result(9, "strict-depth proposition", t0, failures, notes)
+    balls = []
+    pairs = 0
+    for make_oracle, horizon in STRICT_DEPTH_BALLS:
+        oracle = make_oracle()
+        table = bfs_metric(oracle, horizon)
+        balls.append(f"{oracle.group_id} B_{horizon}")
+        for dead in deadend.scan(oracle, table, horizon, 1):
+            for r in range(1, dead.strict_depth):
+                pairs += 1
+                k = kappa(oracle, table, dead.element, r, "sphere").kappa
+                if k < 0:
+                    failures.append(f"kappa_{r}({dead.element}) = {k} < 0 below strict depth {dead.strict_depth}")
+    if pairs == 0:
+        failures.append("no dead end of strict depth 2 or more, so no kappa_r was checked")
+    notes = [f"kappa_r >= 0 on {pairs} (element, r) pairs with r below the strict depth in " + ", ".join(balls)]
+    return failures, notes
 
 
-CRITERIA: list[tuple[int, Callable[[str], CriterionResult]]] = [
-    (1, criterion_1),
-    (2, criterion_2),
-    (3, criterion_3),
-    (4, criterion_4),
-    (5, criterion_5),
-    (6, criterion_6),
-    (7, criterion_7),
-    (8, criterion_8),
-    (9, criterion_9),
+CRITERIA: list[tuple[int, str, Callable[[str], Findings]]] = [
+    (1, "lamplighter closed length = BFS", criterion_1),
+    (2, "d_3 dossier and depth clause", criterion_2),
+    (3, "lamplighter positive curvature", criterion_3),
+    (4, "conjugation lemmas llconjtr/llconjgen", criterion_4),
+    (5, "Houghton horizon-12 suite", criterion_5),
+    (6, "Heisenberg length formula", criterion_6),
+    (7, "Heisenberg signs and density", criterion_7),
+    (8, "transport suite", criterion_8),
+    (9, "strict-depth proposition", criterion_9),
 ]
 
 
+def run_criterion(
+    cid: int, title: str, check: Callable[[str], Findings], tier: str, writer=print
+) -> CriterionResult:
+    """Run ``check`` at ``tier``, time it, and write its pass/fail line."""
+    started = time.perf_counter()
+    failures, notes = check(tier)
+    details = "; ".join(notes + [f"FAIL: {f}" for f in failures]) or "ok"
+    res = CriterionResult(cid, title, not failures, details, time.perf_counter() - started)
+    writer(f"[{'PASS' if res.passed else 'FAIL'}] criterion {cid}: {title} ({res.elapsed:.1f}s) - {details}")
+    return res
+
+
 def run_all(tier: str = "full", writer=print) -> list[CriterionResult]:
-    results = []
-    for cid, fn in CRITERIA:
-        res = fn(tier)
-        results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        writer(f"[{status}] criterion {res.cid}: {res.title} ({res.elapsed:.1f}s) - {res.details}")
-    return results
+    return [run_criterion(*criterion, tier, writer) for criterion in CRITERIA]

@@ -1,5 +1,6 @@
-"""Acceptance suite: one test per criterion, each printing its pass/fail line.
+"""Acceptance suite: every criterion of ``curvlab verify`` at both tiers, through the CLI's runner.
 
+Each test prints the criterion's pass/fail line (``pytest -s`` shows it).
 Criterion 2 pins the depth of the lamplighter dead ends d_m for m <= 4: the
 escape depth is 2m + 1 = 3, 5, 7, 9, matching the contract of the
 ``depth`` field of ``deadend.report`` (least k such that some k-generator
@@ -8,56 +9,24 @@ times.  See the README
 section "Criterion 2: the depth of d_m".
 """
 
+import pytest
+
 from curvlab import verify
+from curvlab.lamplighter import l2_oracle
 
 
-def _run(criterion_fn):
-    res = criterion_fn("full")
-    status = "PASS" if res.passed else "FAIL"
-    print(f"[{status}] criterion {res.cid}: {res.title} ({res.elapsed:.1f}s) - {res.details}")
-    return res
-
-
-def test_criterion_1_lamplighter_oracle_agreement():
-    res = _run(verify.criterion_1)
+@pytest.mark.parametrize("tier", ["fast", "full"])
+@pytest.mark.parametrize("criterion", verify.CRITERIA, ids=lambda criterion: str(criterion[0]))
+def test_criterion(criterion, tier):
+    res = verify.run_criterion(*criterion, tier)
     assert res.passed, res.details
 
 
-def test_criterion_2_d3_dossier_and_depth_clause():
-    res = _run(verify.criterion_2)
-    assert res.passed, res.details
-
-
-def test_criterion_3_lamplighter_positive_curvature():
-    res = _run(verify.criterion_3)
-    assert res.passed, res.details
-
-
-def test_criterion_4_conjugation_lemmas():
-    res = _run(verify.criterion_4)
-    assert res.passed, res.details
-
-
-def test_criterion_5_houghton():
-    res = _run(verify.criterion_5)
-    assert res.passed, res.details
-
-
-def test_criterion_6_heisenberg_formula():
-    res = _run(verify.criterion_6)
-    assert res.passed, res.details
-
-
-def test_criterion_7_heisenberg_signs_density():
-    res = _run(verify.criterion_7)
-    assert res.passed, res.details
-
-
-def test_criterion_8_transport():
-    res = _run(verify.criterion_8)
-    assert res.passed, res.details
-
-
-def test_criterion_9_strict_depth_proposition():
-    res = _run(verify.criterion_9)
-    assert res.passed, res.details
+def test_strict_depth_criterion_counts_its_pairs_and_fails_on_none(monkeypatch):
+    _, notes = verify.criterion_9("full")
+    assert notes[0].startswith("kappa_r >= 0 on 7 (element, r) pairs")
+    # d_1, the only dead end in L2 B_7, has strict depth 1: no kappa_r to check
+    monkeypatch.setattr(verify, "STRICT_DEPTH_BALLS", ((l2_oracle, 7),))
+    failures, notes = verify.criterion_9("full")
+    assert failures == ["no dead end of strict depth 2 or more, so no kappa_r was checked"]
+    assert notes == ["kappa_r >= 0 on 0 (element, r) pairs with r below the strict depth in L2 B_7"]

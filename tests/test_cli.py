@@ -8,6 +8,7 @@ import time
 import pytest
 from density_reference import csv_rows, density_per_element
 
+from curvlab import cli, verify
 from curvlab.cache import cache_path, cached_bfs_metric
 from curvlab.core import ball, bfs_metric
 from curvlab.heisenberg import CSV_HEADER as DENSITY_CSV_HEADER
@@ -354,6 +355,12 @@ def test_cli_parse_error_exit_code():
         ("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "0"),
         ("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "-3"),
         ("backtracks", "--group", "L2", "--element", "d(2)", "--bound", "0"),
+        # an empty probe pool, and caps below 0
+        ("probe", "--group", "Z2", "--sample", "-1"),
+        ("probe", "--group", "Z2", "--sample", "0"),
+        ("probe", "--group", "Z2", "--ball", "0"),
+        ("probe", "--group", "Z2", "--cap", "-1"),
+        ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--cap", "-1"),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):
@@ -438,3 +445,27 @@ def test_cli_outputs_validate_against_schema():
     ]
     for raw in outputs:
         jsonschema.validate(json.loads(raw), schema)
+
+
+def test_cli_verify_fast_tier():
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib.resources import files
+
+    proc = run_cli("verify", "--tier", "fast")
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)  # one JSON document
+    jsonschema.validate(payload, json.loads(files("curvlab").joinpath("schema/report.schema.json").read_text()))
+    assert [c["id"] for c in payload["criteria"]] == list(range(1, 10))
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 9
+    assert all(line.startswith(f"[PASS] criterion {i}: ") for i, line in enumerate(lines, 1))
+
+
+def test_cli_verify_exits_2_on_a_failing_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CRITERIA", [(1, "always fails", lambda tier: (["on purpose"], ["a note"]))])
+    assert cli.main(["verify", "--tier", "fast"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["criteria"][0]["details"] == "a note; FAIL: on purpose"
+    assert err.startswith("[FAIL] criterion 1: always fails (") and err.endswith(") - a note; FAIL: on purpose\n")

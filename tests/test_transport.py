@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import ball, bfs_metric
+from curvlab.core import DomainError, ball, bfs_metric
 from curvlab.curvature import kappa
 from curvlab.lamplighter import l2_oracle, ll_dm_tk
 from curvlab.literals import get_group, parse_element
@@ -66,6 +66,19 @@ def test_enumeration_cap():
     assert len(perms) == 5 and truncated
     with pytest.raises(ValueError):
         enumerate_optimal(zero3, 1)  # not the minimum
+    assert enumerate_optimal(zero3, 0, cap=0) == ([], True)  # at cap 0, truncated says that optima exist
+    s3 = make_s3()
+    t3 = bfs_metric(s3, 3)
+    spec = MeasureSpec(s3.generator("s"), s3.identity)
+    res = transport_distance(s3, t3, spec, cap=0)
+    assert res.permutations == () and res.truncated
+    for call in (
+        lambda: enumerate_optimal(zero3, 0, cap=-1),
+        lambda: transport_distance(s3, t3, spec, cap=-1),
+        lambda: question_probe(s3, t3, 1, [s3.generator("s")], cap=-1),
+    ):
+        with pytest.raises(DomainError, match="must be at least 0, got -1"):
+            call()
 
 
 @pytest.mark.parametrize(
