@@ -85,18 +85,18 @@ class GroupOracle:
 
     def __post_init__(self) -> None:
         if not self.labels:
-            raise ValueError("generating set must be nonempty")
+            raise DomainError("generating set must be nonempty")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("generator labels must be distinct")
+            raise DomainError("generator labels must be distinct")
         if len(self.labels) != len(self.generators):
-            raise ValueError("there must be one label per generator")
+            raise DomainError("there must be one label per generator")
         if {self.invert(gen) for gen in self.generators} != set(self.generators):
-            raise ValueError("generating set must be closed under inversion")
+            raise DomainError("generating set must be closed under inversion")
         steps = self.right_steps
         if steps is None:
             steps = tuple((lambda x, gen=gen, compose=self.compose: compose(x, gen)) for gen in self.generators)
         if len(steps) != len(self.generators) or any(s(self.identity) != g for s, g in zip(steps, self.generators)):
-            raise ValueError("there must be one step per generator, taking the identity to that generator")
+            raise DomainError("there must be one step per generator, taking the identity to that generator")
         object.__setattr__(self, "steps", tuple(steps))
 
     def _index(self, label: str) -> int:

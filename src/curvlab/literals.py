@@ -1,12 +1,14 @@
 """Element literal grammar and the built-in group registry.
 
-Group ids: Z<n>, F<n>, S3, L2, W<n> (Z_n wr Z), H2, Heis.
+One table, _FAMILIES, gives each group family its id pattern, oracle builder,
+literal parser and formatter; get_group, parse_element, format_element and
+element_formatter look the group id up in it.
 
 Literal forms (see parse_element):
     Z<n>     "(2,-3)"
     F<n>/S3  "a b a^-1"  or the generic word form "w: a b a^-1"
     L2       "L2{ -1,0,2 ; p=3 }", builders "d(3)", "d(5)*t^2"
-    W<n>     "W3{ 1:2, 0:1 ; p=0 }"  (index:state pairs)
+    W<n>     "W3{ 1:2, 0:1 ; p=0 }"  (index:state pairs; the head is the group id)
     H2       "H2{ 1:2, 2:1, -1:-2, -2:-1 ; shift=0 }", builders "g(2)",
              "h(3,2)", "u(2,pos)", "u(2,neg)"
     Heis     "Heis(1,2,3)" or "(1,2,3)"
@@ -22,11 +24,12 @@ parse -> format -> parse is the identity on canonical forms.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
-from .builtin import S3_WORDS, free_letter_label, make_free, make_s3, make_zn
+from .builtin import S3_WORDS, make_free, make_s3, make_zn
 from .core import CurvlabError, Element, GroupOracle
 from .heisenberg import HEIS_ID, MalcevTriple, heis_oracle
-from .houghton import H2_ID, HoughtonElement, h2_g, h2_h, h2_oracle, h2_u
+from .houghton import H2_ID, HoughtonElement, bead_shift, h2_g, h2_h, h2_oracle, h2_u
 from .lamplighter import (
     L2_ID,
     LampConfig,
@@ -56,27 +59,6 @@ _GROUP_RULE = (
     f"a group id of the form Zn or Fn (1 <= n <= {MAX_BUILDER_SIZE}), S3, L2, "
     f"Wn (2 <= n <= {MAX_BUILDER_SIZE}), H2 or Heis"
 )
-
-
-def get_group(group_id: str) -> GroupOracle:
-    if group_id == "S3":
-        return make_s3()
-    if group_id == L2_ID:
-        return l2_oracle()
-    if group_id == H2_ID:
-        return h2_oracle()
-    if group_id == HEIS_ID:
-        return heis_oracle()
-    m = re.fullmatch(r"Z([1-9]\d*)", group_id)
-    if m:
-        return make_zn(_group_size(m.group(1), group_id))
-    m = re.fullmatch(r"F([1-9]\d*)", group_id)
-    if m:
-        return make_free(_group_size(m.group(1), group_id))
-    m = re.fullmatch(r"W([2-9]|[1-9]\d+)", group_id)  # the lamp group Z_n must be nontrivial
-    if m:
-        return zn_wreath_oracle(_group_size(m.group(1), group_id))
-    raise ParseError(group_id, _GROUP_RULE)
 
 
 def _parse_word(oracle: GroupOracle, text: str) -> Element:
@@ -122,11 +104,6 @@ def _builder_size(digits: str, token: str) -> int:
     return _int_field(digits, token, MAX_BUILDER_SIZE, f"a builder size of at most {MAX_BUILDER_SIZE}")
 
 
-def _group_size(digits: str, group_id: str) -> int:
-    """The n of a group id Z<n>, F<n> or W<n>, checked against MAX_BUILDER_SIZE before int() or the builder sees it."""
-    return _int_field(digits, group_id, MAX_BUILDER_SIZE, _GROUP_RULE)
-
-
 def _parse_int_list(text: str, token: str) -> list[int]:
     parts = [part.strip() for part in text.split(",")] if text.strip() else []
     if not all(re.fullmatch(r"[-+]?\d+", part) for part in parts):
@@ -134,139 +111,150 @@ def _parse_int_list(text: str, token: str) -> list[int]:
     return [_int_field(part, token) for part in parts]
 
 
+def _braced(text: str, head: str, key: str, rule: str) -> tuple[str, str]:
+    """The body and the digits of key=<n> of the literal "<head>{ body ; key=<n> }"; else ParseError(text, rule)."""
+    m = re.fullmatch(re.escape(head) + r"\{(.*);\s*" + key + r"=(-?\d+)\s*\}", text)
+    if not m:
+        raise ParseError(text, rule)
+    return m.group(1), m.group(2)
+
+
+def _pairs(body: str, rule: str, image: str = r"-?\d+") -> Iterator[tuple[str, int, str]]:
+    """The "p:q" entries of a braced body as (entry, p, digits of q).
+
+    An entry that is not p:q with q matching ``image`` raises ParseError(entry, rule).
+    """
+    for entry in filter(None, (e.strip() for e in body.split(","))):
+        m = re.fullmatch(r"(-?\d+)\s*:\s*(" + image + ")", entry)
+        if not m:
+            raise ParseError(entry, rule)
+        yield entry, _int_field(m.group(1), entry), m.group(2)
+
+
+def _parse_zn(oracle: GroupOracle, text: str) -> tuple:
+    m = re.fullmatch(r"\((.*)\)", text)
+    if not m:
+        raise ParseError(text, '"(c1,...,cn)" coordinates')
+    coords = _parse_int_list(m.group(1), text)
+    n = len(oracle.identity)
+    if len(coords) != n:
+        raise ParseError(text, f"{n} coordinates for {oracle.group_id}")
+    return tuple(coords)
+
+
+def _parse_l2(oracle: GroupOracle, text: str) -> LampConfig:
+    m = re.fullmatch(r"d\(([1-9]\d*)\)(?:\*t\^(-?\d+))?", text)
+    if m:
+        mval = _builder_size(m.group(1), text)
+        return ll_dm_tk(mval, _int_field(m.group(2), text)) if m.group(2) else ll_make_dm(mval)
+    body, pos = _braced(text, L2_ID, "p", '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k" with m >= 1')
+    lamps = _parse_int_list(body, text)
+    if len(set(lamps)) != len(lamps):
+        raise ParseError(text, "distinct lamp indices")
+    return LampConfig(tuple(sorted(lamps)), _int_field(pos, text))
+
+
+def _parse_wreath(oracle: GroupOracle, text: str) -> WreathConfig:
+    body, pos = _braced(text, oracle.group_id, "p", '"W<n>{ index:state, ... ; p=<pos> }"')
+    # generators are the nontrivial lamp states plus t and t^-1
+    n_states = len(oracle.labels) - 2
+    state_rule = f"a nontrivial state in 1..{n_states}"
+    lamps = {}
+    for pair, idx, digits in _pairs(body, '"index:state"', r"\d+"):
+        state = _int_field(digits, pair, n_states, state_rule)
+        if state == 0:
+            raise ParseError(pair, state_rule)
+        if idx in lamps:
+            raise ParseError(pair, "distinct lamp indices")
+        lamps[idx] = state
+    return WreathConfig(tuple(sorted(lamps.items())), _int_field(pos, text))
+
+
+def _parse_h2(oracle: GroupOracle, text: str) -> HoughtonElement:
+    m = re.fullmatch(r"g\(([1-9]\d*)\)", text)
+    if m:
+        return h2_g(_builder_size(m.group(1), text))
+    m = re.fullmatch(r"h\((\d+)\s*,\s*(\d+)\)", text)
+    if m:
+        k, mm = _builder_size(m.group(1), text), _builder_size(m.group(2), text)
+        if not 1 <= mm <= k:
+            raise ParseError(text, "h(k,m) with 1 <= m <= k")
+        return h2_h(k, mm)
+    m = re.fullmatch(r"u\(([1-9]\d*)\s*,\s*(pos|neg)\)", text)
+    if m:
+        return h2_u(_builder_size(m.group(1), text), m.group(2))
+    body, shift_digits = _braced(
+        text, H2_ID, "shift", '"H2{ p:q, ... ; shift=<n> }" or a builder g(k) / h(k,m) / u(l,pos|neg) with k, l >= 1'
+    )
+    moves = {}
+    for pair, src, digits in _pairs(body, '"point:image"'):
+        dst = _int_field(digits, pair)
+        if src == 0 or dst == 0:
+            raise ParseError(pair, "nonzero bead indices")
+        if src in moves:
+            raise ParseError(pair, "distinct source points")
+        moves[src] = dst
+    shift = _int_field(shift_digits, text)
+    if len(set(moves.values())) != len(moves):
+        raise ParseError(text, "an injective exception table")
+    if {bead_shift(p, shift) for p in moves} != set(moves.values()):
+        raise ParseError(text, "an exception table that is a bijection against the shift outside it")
+    if any(q == bead_shift(p, shift) for p, q in moves.items()):
+        raise ParseError(text, "a trimmed exception table (no entries matching the shift)")
+    return HoughtonElement(shift, tuple(sorted(moves.items())))
+
+
+def _parse_heis(oracle: GroupOracle, text: str) -> MalcevTriple:
+    m = re.fullmatch(r"(?:Heis)?\((-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\)", text)
+    if not m:
+        raise ParseError(text, '"Heis(A,B,C)"')
+    return MalcevTriple(*(_int_field(field, text) for field in m.groups()))
+
+
+# One row per group family: the id pattern (its groups are the sizes the builder takes), the oracle builder,
+# the parser of the family's own literals (the word form "w: ..." is read for every family) and the formatter.
+_FAMILIES = (
+    (r"Z([1-9]\d*)", make_zn, _parse_zn, lambda oracle, el: "(" + ",".join(str(c) for c in el) + ")"),
+    # the labels of F<n> come in pairs: generator k, then its inverse
+    (r"F([1-9]\d*)", make_free, _parse_word,
+     lambda oracle, el: " ".join(["w:", *(oracle.labels[2 * abs(k) - 1 - (k > 0)] for k in el)])),
+    ("S3", make_s3, _parse_word, lambda oracle, el: " ".join(["w:", *S3_WORDS[el].split()])),
+    (L2_ID, l2_oracle, _parse_l2, lambda oracle, el: f"L2{{{','.join(str(i) for i in el.lamps)};p={el.pos}}}"),
+    # the lamp group Z_n must be nontrivial
+    (r"W([2-9]|[1-9]\d+)", zn_wreath_oracle, _parse_wreath,
+     lambda oracle, el: f"{oracle.group_id}{{{','.join(f'{i}:{s}' for i, s in el.lamps)};p={el.pos}}}"),
+    (H2_ID, h2_oracle, _parse_h2,
+     lambda oracle, el: f"H2{{{','.join(f'{p}:{q}' for p, q in el.moves)};shift={el.shift}}}"),
+    (HEIS_ID, heis_oracle, _parse_heis, lambda oracle, el: f"Heis({el.a},{el.b},{el.c})"),
+)
+
+
+def _family(group_id: str):
+    """The oracle of ``group_id`` with its family's parser and formatter.
+
+    The size n of Z<n>, F<n> and W<n> is checked against MAX_BUILDER_SIZE before int() or the builder sees it.
+    """
+    for pattern, build, parse, fmt in _FAMILIES:
+        m = re.fullmatch(pattern, group_id)
+        if m:
+            return build(*(_int_field(n, group_id, MAX_BUILDER_SIZE, _GROUP_RULE) for n in m.groups())), parse, fmt
+    raise ParseError(group_id, _GROUP_RULE)
+
+
+def get_group(group_id: str) -> GroupOracle:
+    return _family(group_id)[0]
+
+
 def parse_element(group_id: str, text: str) -> Element:
-    oracle = get_group(group_id)
+    oracle, parse, _ = _family(group_id)
     text = text.strip()
-    if text.startswith("w:"):
-        return _parse_word(oracle, text[2:])
-
-    if group_id.startswith("Z"):  # Z^n coordinate vector
-        m = re.fullmatch(r"\((.*)\)", text)
-        if not m:
-            raise ParseError(text, '"(c1,...,cn)" coordinates')
-        coords = _parse_int_list(m.group(1), text)
-        n = len(oracle.identity)
-        if len(coords) != n:
-            raise ParseError(text, f"{n} coordinates for {group_id}")
-        return tuple(coords)
-
-    if group_id == L2_ID:
-        m = re.fullmatch(r"d\(([1-9]\d*)\)(?:\*t\^(-?\d+))?", text)
-        if m:
-            mval = _builder_size(m.group(1), text)
-            return ll_dm_tk(mval, _int_field(m.group(2), text)) if m.group(2) else ll_make_dm(mval)
-        m = re.fullmatch(r"L2\{(.*);\s*p=(-?\d+)\s*\}", text)
-        if not m:
-            raise ParseError(text, '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k" with m >= 1')
-        lamps = _parse_int_list(m.group(1), text)
-        if len(set(lamps)) != len(lamps):
-            raise ParseError(text, "distinct lamp indices")
-        return LampConfig(tuple(sorted(lamps)), _int_field(m.group(2), text))
-
-    if group_id.startswith("W"):
-        m = re.fullmatch(r"W\d*\{(.*);\s*p=(-?\d+)\s*\}", text)
-        if not m:
-            raise ParseError(text, '"W<n>{ index:state, ... ; p=<pos> }"')
-        lamps = {}
-        body = m.group(1).strip()
-        # generators are the nontrivial lamp states plus t and t^-1
-        n_states = len(oracle.labels) - 2
-        for pair in filter(None, (p.strip() for p in body.split(","))):
-            pm = re.fullmatch(r"(-?\d+)\s*:\s*(\d+)", pair)
-            if not pm:
-                raise ParseError(pair, '"index:state"')
-            state_rule = f"a nontrivial state in 1..{n_states}"
-            idx, state = _int_field(pm.group(1), pair), _int_field(pm.group(2), pair, n_states, state_rule)
-            if state == 0:
-                raise ParseError(pair, state_rule)
-            if idx in lamps:
-                raise ParseError(pair, "distinct lamp indices")
-            lamps[idx] = state
-        return WreathConfig(tuple(sorted(lamps.items())), _int_field(m.group(2), text))
-
-    if group_id == H2_ID:
-        m = re.fullmatch(r"g\(([1-9]\d*)\)", text)
-        if m:
-            return h2_g(_builder_size(m.group(1), text))
-        m = re.fullmatch(r"h\((\d+)\s*,\s*(\d+)\)", text)
-        if m:
-            k, mm = _builder_size(m.group(1), text), _builder_size(m.group(2), text)
-            if not 1 <= mm <= k:
-                raise ParseError(text, "h(k,m) with 1 <= m <= k")
-            return h2_h(k, mm)
-        m = re.fullmatch(r"u\(([1-9]\d*)\s*,\s*(pos|neg)\)", text)
-        if m:
-            return h2_u(_builder_size(m.group(1), text), m.group(2))
-        m = re.fullmatch(r"H2\{(.*);\s*shift=(-?\d+)\s*\}", text)
-        if not m:
-            raise ParseError(
-                text, '"H2{ p:q, ... ; shift=<n> }" or a builder g(k) / h(k,m) / u(l,pos|neg) with k, l >= 1'
-            )
-        moves = {}
-        for pair in filter(None, (p.strip() for p in m.group(1).split(","))):
-            pm = re.fullmatch(r"(-?\d+)\s*:\s*(-?\d+)", pair)
-            if not pm:
-                raise ParseError(pair, '"point:image"')
-            src, dst = _int_field(pm.group(1), pair), _int_field(pm.group(2), pair)
-            if src == 0 or dst == 0:
-                raise ParseError(pair, "nonzero bead indices")
-            if src in moves:
-                raise ParseError(pair, "distinct source points")
-            moves[src] = dst
-        el = HoughtonElement(_int_field(m.group(2), text), tuple(sorted(moves.items())))
-        _validate_houghton(el, text)
-        return el
-
-    if group_id == HEIS_ID:
-        m = re.fullmatch(r"(?:Heis)?\((-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\)", text)
-        if not m:
-            raise ParseError(text, '"Heis(A,B,C)"')
-        return MalcevTriple(*(_int_field(field, text) for field in m.groups()))
-
-    # free groups and S3: whitespace-separated generator words
-    return _parse_word(oracle, text)
-
-
-def _validate_houghton(el: HoughtonElement, token: str) -> None:
-    from .houghton import bead_shift
-
-    srcs = [p for p, _ in el.moves]
-    dsts = [q for _, q in el.moves]
-    if len(set(dsts)) != len(dsts):
-        raise ParseError(token, "an injective exception table")
-    expected_dsts = {bead_shift(p, el.shift) for p in srcs}
-    if expected_dsts != set(dsts):
-        raise ParseError(
-            token, "an exception table that is a bijection against the shift outside it"
-        )
-    for p, q in el.moves:
-        if q == bead_shift(p, el.shift):
-            raise ParseError(token, "a trimmed exception table (no entries matching the shift)")
-
-
-def format_element(group_id: str, el: Element) -> str:
-    if group_id.startswith("Z"):
-        return "(" + ",".join(str(c) for c in el) + ")"
-    if group_id == L2_ID:
-        lamps = ",".join(str(i) for i in el.lamps)
-        return f"L2{{{lamps};p={el.pos}}}"
-    if group_id.startswith("W"):
-        lamps = ",".join(f"{i}:{s}" for i, s in el.lamps)
-        return f"{group_id}{{{lamps};p={el.pos}}}"
-    if group_id == H2_ID:
-        moves = ",".join(f"{p}:{q}" for p, q in el.moves)
-        return f"H2{{{moves};shift={el.shift}}}"
-    if group_id == HEIS_ID:
-        return f"Heis({el.a},{el.b},{el.c})"
-    if group_id == "S3":
-        return "w:" if el == 0 else "w: " + S3_WORDS[el]
-    if group_id.startswith("F"):
-        n = int(group_id[1:])
-        if not el:
-            return "w:"
-        return "w: " + " ".join(free_letter_label(letter, n) for letter in el)
-    raise ParseError(group_id, "a known group id")
+    return _parse_word(oracle, text[2:]) if text.startswith("w:") else parse(oracle, text)
 
 
 def element_formatter(group_id: str):
-    return lambda el: format_element(group_id, el)
+    oracle, _, fmt = _family(group_id)
+    return lambda el: fmt(oracle, el)
+
+
+def format_element(group_id: str, el: Element) -> str:
+    return element_formatter(group_id)(el)

@@ -227,7 +227,7 @@ def enumerate_optimal(cost, optimum: int, cap: int = 1000) -> tuple[list[tuple[i
     """
     best, match, u, v = hungarian(cost)
     if optimum != best:
-        raise ValueError(f"{optimum} is not the minimum assignment cost {best}")
+        raise DomainError(f"{optimum} is not the minimum assignment cost {best}")
     return _optimal_plans(cost, match, u, v, cap)
 
 

@@ -2,9 +2,13 @@ import dataclasses
 import hashlib
 import os
 import struct
+import tempfile
+from functools import lru_cache
 
 import pytest
 from bfs_reference import naive_ball
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.cache import CacheFormatError, cache_path, cached_bfs_metric, table_from_bytes
@@ -12,6 +16,7 @@ from curvlab.core import CurvlabError, ResourceLimitError, bfs_metric
 from curvlab.heisenberg import heis_oracle
 from curvlab.houghton import h2_oracle
 from curvlab.lamplighter import l2_oracle, zn_wreath_oracle
+from curvlab.literals import get_group
 
 # (oracle, horizon): every built-in oracle at a horizon with a blob of 0.1-0.6 kB
 SMALL_TABLES = [
@@ -214,3 +219,72 @@ def test_cache_hit_checks_the_budget_first(tmp_path):
     armed = True
     with pytest.raises(ResourceLimitError):
         cached_bfs_metric(guarded, 4, d, budget=n - 1)
+
+
+# group id -> the largest horizon drawn: balls of at most 300 elements
+PROPERTY_HORIZONS = {
+    "Z1": 8, "Z2": 5, "Z3": 3, "F2": 4, "F3": 3, "S3": 4, "L2": 6, "W2": 5, "W3": 4, "H2": 5, "Heis": 5,
+}
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+tables = st.sampled_from(sorted(PROPERTY_HORIZONS)).flatmap(
+    lambda gid: st.tuples(st.just(gid), st.integers(0, PROPERTY_HORIZONS[gid]))
+)
+
+
+@lru_cache(maxsize=None)
+def _written(group_id: str, horizon: int) -> tuple:
+    """The BFS table, the table a miss returns, the one a hit loads and the file between them."""
+    oracle = get_group(group_id)
+    with tempfile.TemporaryDirectory() as d:
+        built = cached_bfs_metric(oracle, horizon, d)
+        loaded = cached_bfs_metric(oracle, horizon, d)
+        with open(cache_path(d, group_id, horizon), "rb") as fh:
+            blob = fh.read()
+    return bfs_metric(oracle, horizon), built, loaded, blob
+
+
+@PROPERTY_SETTINGS
+@given(tables)
+def test_cache_file_loads_back_as_the_bfs_table(table_key):
+    table, built, loaded, blob = _written(*table_key)
+    assert built == table == loaded
+    assert table_from_bytes(get_group(table_key[0]), blob) == table
+
+
+# An edit is (position, kind, payload).  Kind "o" overwrites the bytes at the position with the payload, "i"
+# inserts it there and "d" deletes len(payload) + 1 bytes.  Kind "t" rewrites the spanning-tree entry of one element
+# with a small (parent, generator) pair, which is mostly in range, so the layer order and repeat checks see it.
+byte_edits = st.tuples(st.integers(0, 2**16), st.sampled_from("oid"), st.binary(max_size=8))
+tree_edits = st.tuples(st.integers(0, 2**16), st.just("t"), st.tuples(st.integers(0, 40), st.integers(0, 9)))
+edits = st.lists(st.one_of(byte_edits, tree_edits), min_size=1, max_size=4)
+
+
+def _tree_fields(table, blob: bytes) -> list[tuple[int, int]]:
+    """The file offsets of the u32 parent and the u16 generator index of each element past the identity."""
+    off = len(blob) - 6 * (len(table.dist) - 1)
+    fields = []
+    for count in table.layer_sizes()[1:]:
+        fields += [(off + 4 * j, off + 4 * count + 2 * j) for j in range(count)]
+        off += 6 * count
+    return fields
+
+
+@PROPERTY_SETTINGS
+@given(tables, edits)
+def test_cache_rejects_or_ignores_multi_byte_edits(table_key, edit_list):
+    table, _, _, blob = _written(*table_key)
+    fields = _tree_fields(table, blob)
+    for pos, kind, payload in edit_list:
+        if kind != "t":
+            pos %= len(blob) + 1
+            cut = {"o": len(payload), "i": 0, "d": len(payload) + 1}[kind]
+            blob = blob[:pos] + (b"" if kind == "d" else payload) + blob[pos + cut :]
+        elif fields:
+            (p_off, g_off), (parent, gen) = fields[pos % len(fields)], payload
+            blob = blob[:p_off] + struct.pack("<I", parent) + blob[p_off + 4 :]
+            blob = blob[:g_off] + struct.pack("<H", gen) + blob[g_off + 2 :]
+    try:
+        loaded = table_from_bytes(get_group(table_key[0]), blob)
+    except CurvlabError:
+        return
+    assert loaded == table

@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
+from functools import reduce
+from pathlib import Path
 
 import pytest
 from density_reference import csv_rows, density_per_element
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvlab import cli, verify
 from curvlab.cache import cache_path, cached_bfs_metric
@@ -15,7 +21,15 @@ from curvlab.heisenberg import CSV_HEADER as DENSITY_CSV_HEADER
 from curvlab.heisenberg import MalcevTriple
 from curvlab.houghton import h2_g, h2_h, h2_u
 from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_make_dm
-from curvlab.literals import MAX_BUILDER_SIZE, MAX_WORD_LETTERS, ParseError, format_element, get_group, parse_element
+from curvlab.literals import (
+    MAX_BUILDER_SIZE,
+    MAX_WORD_LETTERS,
+    ParseError,
+    element_formatter,
+    format_element,
+    get_group,
+    parse_element,
+)
 
 
 NINES = "9" * 5000  # past the interpreter's default limit on int() of a digit string
@@ -76,6 +90,12 @@ def test_parse_wreath():
         parse_element("W3", "W3{ 0:3 ; p=0 }")  # state out of range
     with pytest.raises(ParseError):
         parse_element("W3", "W3{ 0:0 ; p=0 }")  # identity state
+    # the head of the literal is the group id
+    for text in ("W7{0:1;p=0}", "W{0:1;p=0}", "W03{0:1;p=0}"):
+        with pytest.raises(ParseError, match="W<n>"):
+            parse_element("W3", text)
+    with pytest.raises(ParseError, match='expected "index:state"'):  # a negative state
+        parse_element("W3", "W3{0:-1;p=0}")
 
 
 def test_parse_houghton():
@@ -88,6 +108,8 @@ def test_parse_houghton():
         parse_element("H2", "H2{ 1:2 ; shift=0 }")  # not a bijection
     with pytest.raises(ParseError):
         parse_element("H2", "H2{ 1:2, 2:3 ; shift=1 }")  # entries match the shift
+    with pytest.raises(ParseError, match="'0:1': expected nonzero bead indices"):
+        parse_element("H2", "H2{0:1;shift=0}")
     for builder in ("g(0)", "h(1,2)", "h(2,0)", "u(0,pos)"):
         with pytest.raises(ParseError):
             parse_element("H2", builder)
@@ -138,6 +160,21 @@ def test_parse_format_round_trip_over_a_ball(group_id, radius):
         assert parse_element(group_id, format_element(group_id, el)) == el
 
 
+# every built-in family, F30 with the x<k> labels of more than 26 generators
+ROUND_TRIP_IDS = ["Z1", "Z2", "Z3", "F1", "F2", "F30", "S3", "L2", "W2", "W3", "W7", "H2", "Heis"]
+
+
+@pytest.mark.parametrize("group_id", ROUND_TRIP_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parse_format_round_trip_of_long_words(group_id, data):
+    # elements far outside the balls above: products of up to 300 random generators
+    oracle = get_group(group_id)
+    word = data.draw(st.lists(st.integers(0, len(oracle.steps) - 1), max_size=300))
+    el = reduce(lambda x, i: oracle.steps[i](x), word, oracle.identity)
+    assert parse_element(group_id, element_formatter(group_id)(el)) == el
+
+
 def test_unknown_group():
     for group_id in ("Q8", "Z0", "F0", "W0", "W1"):
         with pytest.raises(ParseError):
@@ -153,6 +190,18 @@ def test_cli_length_example():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["length"] == 19
+
+
+@pytest.mark.parametrize(
+    "literal, length, horizon",
+    [("(5,2,3)", 9, 0), ("Heis(1,2,3)", 7, 8), ("(0,1,0)", 1, 8)],
+)
+def test_cli_heisenberg_length_inside_and_outside_the_closed_form_sector(tmp_path, literal, length, horizon):
+    # the closed form covers A > B > 0, C >= 0; elsewhere the length comes from a table of horizon 8
+    proc = run_cli("length", "--group", "Heis", "--element", literal, "--cache", str(tmp_path))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["length"] == length
+    assert [f.name for f in tmp_path.iterdir()] == [f"Heis_h{horizon}.cvl"]
 
 
 def test_cli_curvature_positive():
@@ -361,6 +410,9 @@ def test_cli_parse_error_exit_code():
         ("probe", "--group", "Z2", "--ball", "0"),
         ("probe", "--group", "Z2", "--cap", "-1"),
         ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--cap", "-1"),
+        # a W literal whose head is not the group id
+        ("length", "--group", "W3", "--element", "W7{0:1;p=0}"),
+        ("length", "--group", "W3", "--element", "W{0:1;p=0}"),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):
@@ -445,6 +497,42 @@ def test_cli_outputs_validate_against_schema():
     ]
     for raw in outputs:
         jsonschema.validate(json.loads(raw), schema)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(heading: str) -> str:
+    text = README.read_text()
+    start = text.index(f"{heading}\n")
+    return text[start : text.index("\n#", start)]
+
+
+def test_readme_commands_and_literals(monkeypatch, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    from importlib.resources import files
+
+    schema = json.loads(files("curvlab").joinpath("schema/report.schema.json").read_text())
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    block = _readme_section("## Command line").split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("curvlab ")]
+    assert len(commands) == 10
+    for argv in commands:
+        if argv[1] == "verify":  # test_cli_verify_fast_tier runs it
+            continue
+        assert cli.main(argv[1:]) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == "" and out, argv
+        for line in out.splitlines():  # deadend --scan writes one JSON document per line
+            jsonschema.validate(json.loads(line), schema)
+    # every literal of the element-literal table, read in the group its row names first
+    table = _readme_section("### Element literals").splitlines()[4:]  # past the heading, a blank line and the header
+    rows = [line.split("|")[1:-1] for line in table if line.startswith("|")]
+    assert len(rows) == 7
+    for _, ids, literals in rows:
+        group_id = re.findall(r"`([^`]+)`", ids)[0]
+        for literal in re.findall(r"`([^`]+)`", literals):
+            parse_element(group_id, literal)
 
 
 def test_cli_verify_fast_tier():

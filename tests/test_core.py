@@ -6,6 +6,7 @@ from bfs_reference import naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
+    DomainError,
     OutOfHorizonError,
     ResourceLimitError,
     ball,
@@ -28,13 +29,13 @@ BUILTIN_IDS = ["Z1", "Z2", "Z3", "F1", "F2", "F3", "S3", "L2", "W2", "W3", "H2",
 def test_group_oracle_rejects_bad_generating_sets():
     z1 = make_zn(1)
     assert dataclasses.replace(z1, labels=("x", "X")).generator("X") == (-1,)
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(DomainError, match="nonempty"):
         dataclasses.replace(z1, labels=(), generators=())
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(DomainError, match="distinct"):
         dataclasses.replace(z1, labels=("a1", "a1"))
-    with pytest.raises(ValueError, match="one label per generator"):
+    with pytest.raises(DomainError, match="one label per generator"):
         dataclasses.replace(z1, labels=("a1", "a1^-1", "b1"))
-    with pytest.raises(ValueError, match="closed under inversion"):
+    with pytest.raises(DomainError, match="closed under inversion"):
         dataclasses.replace(z1, labels=("a1",), generators=((1,),))
 
 

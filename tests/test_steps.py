@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.builtin import make_s3, make_zn
-from curvlab.core import ball, bfs_metric
+from curvlab.core import DomainError, ball, bfs_metric
 from curvlab.heisenberg import MalcevTriple
 from curvlab.lamplighter import LampConfig, WreathConfig
 from curvlab.literals import get_group
@@ -93,9 +93,9 @@ def test_group_axioms(group_id, data):
 
 def test_group_oracle_checks_its_steps():
     z1 = make_zn(1)
-    with pytest.raises(ValueError, match="one step per generator"):
+    with pytest.raises(DomainError, match="one step per generator"):
         dataclasses.replace(z1, right_steps=z1.steps[:1])
-    with pytest.raises(ValueError, match="taking the identity to that generator"):
+    with pytest.raises(DomainError, match="taking the identity to that generator"):
         dataclasses.replace(z1, right_steps=z1.steps[::-1])
 
 

@@ -64,8 +64,8 @@ def test_enumeration_cap():
     assert enumerate_optimal(zero3, 0, cap=6) == (list(itertools.permutations(range(3))), False)
     perms, truncated = enumerate_optimal(zero3, 0, cap=5)
     assert len(perms) == 5 and truncated
-    with pytest.raises(ValueError):
-        enumerate_optimal(zero3, 1)  # not the minimum
+    with pytest.raises(DomainError, match="not the minimum assignment cost"):
+        enumerate_optimal(zero3, 1)
     assert enumerate_optimal(zero3, 0, cap=0) == ([], True)  # at cap 0, truncated says that optima exist
     s3 = make_s3()
     t3 = bfs_metric(s3, 3)
