@@ -4,7 +4,7 @@ A file stores the BFS spanning tree of the ball, not its elements.  Byte
 layout (all integers little-endian, unsigned):
 
     magic      4 bytes   b"CVL1"
-    version    u32       format version, currently 2
+    version    u32       format version, currently 3
     id_len     u16       length of the group id
     group_id   id_len bytes, UTF-8
     horizon    u32
@@ -14,23 +14,25 @@ layout (all integers little-endian, unsigned):
 
 The element at position j of layer r is ``steps[gen[j]](layers[r-1][parent[j]])``,
 which the oracle's steps contract makes ``compose(parent, generators[gen[j]])``.
-Each layer is in encode order, and each element el takes the least generator
-index i with ``el = compose(p, generators[i])`` for some p in the previous
-layer, and that p (unique for i) as its parent, so saves are canonical: every
-save of a ball writes the same bytes.  The tree is the
-one :func:`curvlab.core.bfs_tree` records while it builds the ball, so a miss
+Each layer is in increasing element order (``<``, see
+:class:`curvlab.core.GroupOracle`), and each element el takes the least
+generator index i with ``el = compose(p, generators[i])`` for some p in the
+previous layer, and that p (unique for i) as its parent, so saves are
+canonical: every save of a ball writes the same bytes.  The tree is the one
+:func:`curvlab.core.bfs_tree` records while it builds the ball, so a miss
 runs the same BFS as :func:`bfs_metric` and this module only packs its tree.
 
 Loading parses no text and makes one step per element.  It checks that every
-index is in range, that each layer is in strictly increasing encode order and
+index is in range, that each layer is in strictly increasing element order and
 that no element repeats one of an earlier layer.  Given the counts, these
 checks admit only the BFS table itself: an element one generator step from
 S_(r-1) and outside B_(r-1) lies in S_r, so counts[r] distinct such elements
 are all of S_r, and the order check fixes their order.  Every other input
 raises :class:`CacheFormatError`.
 
-Files of format version 1 (one ``repr`` key per element) are treated as a
-cache miss by :func:`cached_bfs_metric` and replaced.
+Files of format version 1 (one ``repr`` key per element) and version 2 (this
+layout with each layer in ``repr`` order) are treated as a cache miss by
+:func:`cached_bfs_metric` and replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import os
 import struct
 import tempfile
 from itertools import repeat
-from operator import floordiv, mod
+from operator import floordiv, lt, mod
 from typing import Optional
 
 from .core import (
@@ -53,8 +55,8 @@ from .core import (
 )
 
 MAGIC = b"CVL1"
-VERSION = 2
-_V1_HEADER = MAGIC + struct.pack("<I", 1)
+VERSION = 3
+_STALE_HEADERS = tuple(MAGIC + struct.pack("<I", v) for v in (1, 2))
 
 
 class CacheFormatError(CurvlabError):
@@ -117,7 +119,7 @@ def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_
             f"cached ball of radius {horizon} for {oracle.group_id} exceeds the element budget "
             f"({budget}); lower the horizon or raise the budget"
         )
-    encode, steps = oracle.encode, oracle.steps
+    steps = oracle.steps
     layers = [(oracle.identity,)]
     dist = {oracle.identity: 0}
     total = 1
@@ -130,15 +132,19 @@ def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_
         if count and (max(parents) >= len(prev) or max(gens) >= len(steps)):
             raise CacheFormatError(f"spanning-tree index out of range in layer {r}")
         layer = tuple([steps[i](prev[p]) for p, i in zip(parents, gens)])
-        keys = list(map(encode, layer))
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise CacheFormatError(f"layer {r} is not in strictly increasing encode order")
+        if not all(map(lt, layer, layer[1:])):
+            raise CacheFormatError(f"layer {r} is not in strictly increasing element order")
         dist.update(zip(layer, repeat(r)))
         total += count
         if len(dist) != total:
             raise CacheFormatError(f"layer {r} repeats an element of an earlier layer")
         layers.append(layer)
     return MetricTable(group_id, horizon, tuple(layers), dist)
+
+
+def _io_error(exc: OSError, path: str) -> CurvlabError:
+    """A failed cache read or write as one line: the path it concerns and the system's reason."""
+    return CurvlabError(f"{exc.filename or path}: {exc.strerror or exc}")
 
 
 def cache_path(cache_dir: str, group_id: str, horizon: int) -> str:
@@ -155,9 +161,10 @@ def cached_bfs_metric(
 ) -> MetricTable:
     """bfs_metric with a disk cache keyed by (group id, horizon).
 
-    A missing file or one of format version 1 is a miss: the table is built
-    and the file (re)written.  Any other malformed file raises
-    :class:`CacheFormatError`.
+    A missing file or one of format version 1 or 2 is a miss: the table is
+    built and the file (re)written.  Any other malformed file raises
+    :class:`CacheFormatError`, and a file or directory that cannot be read or
+    written raises :class:`CurvlabError` naming the path.
     """
     if cache_dir is None:
         return bfs_metric(oracle, horizon, budget=budget)
@@ -167,22 +174,28 @@ def cached_bfs_metric(
             data = fh.read()
     except FileNotFoundError:
         data = None
-    if data is not None and not data.startswith(_V1_HEADER):
+    except OSError as exc:
+        raise _io_error(exc, path) from exc
+    if data is not None and not data.startswith(_STALE_HEADERS):
         try:
             return table_from_bytes(oracle, data, budget=budget)
         except CacheFormatError as exc:
             raise CacheFormatError(f"{path}: {exc}") from None
     table, tree = bfs_tree(oracle, horizon, budget=budget)
     data = _to_bytes(oracle, table, tree)
-    os.makedirs(cache_dir, exist_ok=True)
-    # A private temporary file per writer: concurrent writers never share one,
-    # and the rename makes each complete file appear atomically.
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        os.makedirs(cache_dir, exist_ok=True)
+        # A private temporary file per writer: concurrent writers never share one,
+        # and the rename makes each complete file appear atomically.
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _io_error(exc, path) from exc
     return table
+

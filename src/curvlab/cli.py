@@ -110,7 +110,7 @@ def cmd_backtracks(args) -> int:
     table = _table(args, oracle, max(args.bound, 8))
     elements = deadend_mod.backtrack_elements(oracle, table, g, args.bound)
     fmt = element_formatter(args.group)
-    ordered = sorted(elements, key=oracle.encode)
+    ordered = sorted(elements)
     if args.format == "csv":
         _emit_csv(
             ["element", "backtrack", "length"],

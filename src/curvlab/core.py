@@ -2,10 +2,10 @@
 
 Every group handled by this library is supplied as an explicit
 :class:`GroupOracle`: generators, composition, inversion, identity, and a
-canonical byte encoding of elements.  :func:`bfs_metric` turns an oracle into
-a :class:`MetricTable` of exact word lengths out to a chosen horizon; it is
-:func:`bfs_tree`, the library's one BFS, without the spanning tree that the
-cache stores.  The table is both the metric source for groups without a
+canonical byte encoding of elements, which are totally ordered by ``<``.
+:func:`bfs_metric` turns an oracle into a :class:`MetricTable` of exact word
+lengths out to a chosen horizon; it is :func:`bfs_tree`, the library's one
+BFS, without the spanning tree that the cache stores.  The table is both the metric source for groups without a
 closed-form length and the independent cross-check for groups that have one.
 """
 
@@ -55,11 +55,15 @@ def rational_str(q: Fraction) -> str:
 class GroupOracle:
     """A group presented through explicit arithmetic on canonical elements.
 
+    Elements are totally ordered by ``<``, consistently with ``==``: for any
+    two, exactly one of ``x < y``, ``x == y``, ``y < x`` holds.  Ints and
+    (named) tuples of ints, the elements of every built-in group, are.  BFS
+    layer order and all deterministic output orderings derive from this
+    order; construction checks that the generators sort.  Cache files store
+    no elements, but their contents depend on the order of each layer and on
+    the order of ``generators``, so changing either changes the file format.
     ``encode`` must be injective (equal keys exactly for equal group
-    elements); BFS layer order and all deterministic output orderings derive
-    from the encode keys.  Nothing decodes a key.  Cache files store no keys,
-    but their contents depend on the encode order of each layer and on the
-    order of ``generators``, so changing either changes the file format.
+    elements); nothing in the library orders or decodes by it.
     ``closed_length`` may return ``None`` for elements outside the domain of
     the closed formula, in which case callers fall back to a BFS table.
     ``labels[i]`` names ``generators[i]``; the labels are distinct and the
@@ -97,6 +101,10 @@ class GroupOracle:
             steps = tuple((lambda x, gen=gen, compose=self.compose: compose(x, gen)) for gen in self.generators)
         if len(steps) != len(self.generators) or any(s(self.identity) != g for s, g in zip(steps, self.generators)):
             raise DomainError("there must be one step per generator, taking the identity to that generator")
+        try:
+            sorted(self.generators)
+        except TypeError:
+            raise DomainError("generators must be totally ordered by <") from None
         object.__setattr__(self, "steps", tuple(steps))
 
     def _index(self, label: str) -> int:
@@ -124,8 +132,8 @@ class GroupOracle:
 class MetricTable:
     """Exact word lengths for the ball of radius ``horizon`` around the identity.
 
-    ``layers[r]`` holds the sphere of radius r sorted by encode key; the table
-    is immutable after construction and safe for concurrent readers.
+    ``layers[r]`` holds the sphere of radius r in increasing element order;
+    the table is immutable after construction and safe for concurrent readers.
     """
 
     group_id: str
@@ -145,14 +153,14 @@ def bfs_tree(
 ) -> tuple[MetricTable, list[tuple[int, ...]]]:
     """Breadth-first enumeration of the ball of radius ``horizon``, with its spanning tree.
 
-    Returns the table and ``tree``.  Layers are sorted by encode key, so the
-    result is deterministic regardless of hash seeds.  ``tree[r - 1][j]`` is
-    ``p * len(generators) + i`` for element j of layer r: that element is
-    ``oracle.steps[i](layers[r - 1][p])``, where i is the least generator
-    index that reaches it from the previous layer.  Generators are tried in
-    index order over the whole previous layer and p -> p * g_i is injective,
-    so the first product hitting an element gives that least i, with no extra
-    product.
+    Returns the table and ``tree``.  Each layer is sorted by the elements'
+    own order (``<``), so the result is deterministic regardless of hash
+    seeds.  ``tree[r - 1][j]`` is ``p * len(generators) + i`` for element j
+    of layer r: that element is ``oracle.steps[i](layers[r - 1][p])``, where
+    i is the least generator index that reaches it from the previous layer.
+    Generators are tried in index order over the whole previous layer and
+    p -> p * g_i is injective, so the first product hitting an element gives
+    that least i, with no extra product.
 
     Raises :class:`ResourceLimitError` once more than ``budget`` elements
     would be retained.
@@ -175,7 +183,7 @@ def bfs_tree(
                 f"ball of radius {r} for {oracle.group_id} exceeds the element budget "
                 f"({budget}); lower the horizon or raise the budget"
             )
-        layer = tuple(sorted(codes, key=oracle.encode))
+        layer = tuple(sorted(codes))
         dist.update(zip(layer, repeat(r)))
         layers.append(layer)
         tree.append(tuple(map(codes.__getitem__, layer)))

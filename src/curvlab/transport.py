@@ -58,7 +58,7 @@ class MeasureSpec:
 @dataclass(frozen=True)
 class TransportResult:
     spec: MeasureSpec
-    translators: tuple[Element, ...]  # the common w-support, in encode order
+    translators: tuple[Element, ...]  # the common w-support, in layer (element) order
     cost: tuple[tuple[int, ...], ...]
     t1: Fraction
     permutations: tuple[tuple[int, ...], ...]  # optimal index bijections, lexicographic

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import re
 import struct
 import tempfile
 from functools import lru_cache
@@ -30,17 +31,18 @@ SMALL_TABLES = [
 ]
 SMALL_IDS = [o.group_id for o, _ in SMALL_TABLES]
 
-# SHA-256 of the format-version-2 cache file of each SMALL_TABLES ball.  Files already on
-# disk must keep loading and re-saving to their bytes, so the BFS and the packing must not
-# change these without a new format version.
+# SHA-256 of the format-version-3 cache file of each SMALL_TABLES ball (layers in element
+# order; each file was checked to load to naive_ball's table before it was pinned).  Files
+# already on disk must keep loading and re-saving to their bytes, so the BFS, the layer
+# order and the packing must not change these without a new format version.
 SMALL_TABLE_SHA256 = {
-    "L2": "54291ab9613181e21efa21aaf4b73cbf8e71ac2032c196f13973ac40f7103219",
-    "H2": "b1fc216200c8f8b7b5fef8afe5a5a6eafe177221d7b28202f12f54d5fdcda9a5",
-    "Heis": "fff655616ced90d12956a123f0627bfd2172e9827af12ee183f9a421ec87fe73",
-    "Z2": "2ab5ffad6d7ef55e6e964c66122802339ef776ca35b33565f86549fdbbd5381f",
-    "F2": "11ad675aadee74c47432e62b1fd53f66d8e2196a794d4cd6e2e5cf780a8e6817",
-    "S3": "7b70e138be24db7b84d16d8514c1601ffdffce8edc1eba5f7cac2aaa23b63cb5",
-    "W3": "66344941f7906f8be3c1cb824a027cb725c0513be2528f1ebc6c5af1c8bd4707",
+    "L2": "3a717c438d7589938eb69aaaba0594f991b3d79e7d20dfe48ec64cb57acb71f3",
+    "H2": "e50d41a813e2b1fa20a42a643c9a505d1cd2d077f47088b8abcb8399fd42079e",
+    "Heis": "8dfbd831591e8f637aba048c78b5479e3610d26c8668eec24b3e560b003865c0",
+    "Z2": "11dd7808ffe86919bc2dce5440ec15e5c96ca039c796d2edf07baba19f216566",
+    "F2": "f8b322b8bf6eafb19a929960aab5e47a65c0ced949a3a2c37af451d8ff26660a",
+    "S3": "20c6e2e150304231c42dc75ce9844765b457d4d87d85cab1df461d76cb20fb5a",
+    "W3": "8e582ad14a3b7dc285208d0802ad33361f4b53826b09c8565eb4bd2d2c7ca752",
 }
 
 
@@ -165,7 +167,7 @@ def test_cache_rejects_bad_layers(tmp_path):
         (blob[:header] + struct.pack("<Q", 2) + blob[header + 8 :], "layer 0"),
         (blob[:parents] + struct.pack("<I", 1) + blob[parents + 4 :], "out of range"),
         (blob[:parents + 16] + struct.pack("<H", 4) + blob[parents + 18 :], "out of range"),
-        (blob[:parents + 16] + struct.pack("<H", 0) + blob[parents + 18 :], "encode order"),
+        (blob[:parents + 16] + struct.pack("<H", 0) + blob[parents + 18 :], "increasing element order"),
     ):
         with pytest.raises(CacheFormatError, match=reason):
             table_from_bytes(oracle, edited)
@@ -175,7 +177,7 @@ def test_cache_rejects_an_element_of_an_earlier_layer(tmp_path):
     oracle = make_zn(1)
     blob = bytearray(_cache_file(tmp_path, oracle, 2))
     # S_2 of Z is (-2, 2), each one step on from its sign's element of S_1 = (-1, 1).
-    # Step the 2 back instead: the layer becomes (-2, 0), in encode order, and 0 is in S_0.
+    # Step the 2 back instead: the layer becomes (-2, 0), in increasing order, and 0 is in S_0.
     tree_2 = len(blob) - 2 * 6
     blob[tree_2 + 4 * 2 + 2] = 1  # the generator a1^-1
     with pytest.raises(CacheFormatError, match="earlier layer"):
@@ -196,6 +198,53 @@ def test_cache_replaces_a_version_1_file(tmp_path):
     assert os.listdir(d) == [os.path.basename(path)]
     with open(path, "rb") as fh:
         assert fh.read() == _cache_file(tmp_path / "fresh", oracle, 4)
+
+
+def test_cache_replaces_a_version_2_file(tmp_path):
+    oracle = h2_oracle()
+    d = str(tmp_path / "cache")
+    fresh = _cache_file(tmp_path / "fresh", oracle, 4)
+    version_2 = fresh[:4] + struct.pack("<I", 2) + fresh[8:]
+    with pytest.raises(CacheFormatError, match="version 2"):
+        table_from_bytes(oracle, version_2)
+    os.mkdir(d)
+    path = cache_path(d, oracle.group_id, 4)
+    with open(path, "wb") as fh:
+        fh.write(version_2)
+    rebuilt = cached_bfs_metric(oracle, 4, d)  # a miss
+    assert rebuilt.layers == bfs_metric(oracle, 4).layers
+    assert os.listdir(d) == [os.path.basename(path)]
+    with open(path, "rb") as fh:
+        assert fh.read() == fresh
+
+
+def test_cache_rejects_other_versions(tmp_path):
+    oracle = h2_oracle()
+    d = str(tmp_path)
+    fresh = _cache_file(tmp_path, oracle, 2)
+    path = cache_path(d, oracle.group_id, 2)
+    for version in (0, 4, 2**32 - 1):
+        with open(path, "wb") as fh:
+            fh.write(fresh[:4] + struct.pack("<I", version) + fresh[8:])
+        with pytest.raises(CacheFormatError, match=f"unsupported cache version {version}$"):
+            cached_bfs_metric(oracle, 2, d)
+
+
+def test_cache_read_or_write_failure_names_the_path(tmp_path, monkeypatch):
+    oracle = l2_oracle()
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    with pytest.raises(CurvlabError, match="^" + re.escape(f"{not_a_dir}/L2_h2.cvl: Not a directory") + "$"):
+        cached_bfs_metric(oracle, 2, str(not_a_dir))
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    d = str(tmp_path / "cache")
+    with pytest.raises(CurvlabError, match="L2_h2.cvl: Permission denied$"):
+        cached_bfs_metric(oracle, 2, d)
+    assert os.listdir(d) == []  # the temporary file is gone
 
 
 def test_cache_hit_checks_the_budget_first(tmp_path):

@@ -457,6 +457,14 @@ def test_cli_corrupt_cache_one_line_error(tmp_path, damage):
     assert len(lines) == 1 and "L2_h3.cvl" in lines[0]
 
 
+def test_cli_unusable_cache_path_one_line_error():
+    # a file where the cache directory should be: the read fails, and no traceback follows
+    proc = run_cli("length", "--group", "L2", "--element", "d(2)", "--horizon", "3", "--cache", str(README))
+    assert proc.returncode == 1
+    assert proc.stderr == f"curvlab: {README / 'L2_h3.cvl'}: Not a directory\n"
+    assert proc.stdout == ""
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, curvlab; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],

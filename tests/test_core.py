@@ -7,6 +7,7 @@ from bfs_reference import naive_ball
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
     DomainError,
+    GroupOracle,
     OutOfHorizonError,
     ResourceLimitError,
     ball,
@@ -37,6 +38,20 @@ def test_group_oracle_rejects_bad_generating_sets():
         dataclasses.replace(z1, labels=("a1", "a1^-1", "b1"))
     with pytest.raises(DomainError, match="closed under inversion"):
         dataclasses.replace(z1, labels=("a1",), generators=((1,),))
+
+
+def test_group_oracle_rejects_generators_that_do_not_sort():
+    # the cyclic group of order 4 as the complex units: a group, but complex numbers have no <
+    with pytest.raises(DomainError, match="totally ordered"):
+        GroupOracle(
+            group_id="C4",
+            labels=("i", "i^-1"),
+            generators=(1j, -1j),
+            identity=1,
+            compose=lambda x, y: x * y,
+            invert=lambda x: x.conjugate(),
+            encode=lambda x: repr(x).encode("ascii"),
+        )
 
 
 @pytest.mark.parametrize("group_id", BUILTIN_IDS)

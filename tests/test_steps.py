@@ -91,6 +91,22 @@ def test_group_axioms(group_id, data):
     assert (oracle.encode(x) == oracle.encode(y)) == (x == y)
 
 
+@pytest.mark.parametrize("group_id", list(BALLS))
+@SETTINGS
+@given(data=st.data())
+def test_elements_are_totally_ordered(group_id, data):
+    # the BFS and the cache order each layer by <, which must be a total order consistent with ==
+    oracle = ORACLES[group_id]
+    x = data.draw(_elements(group_id))
+    gen = data.draw(st.sampled_from(oracle.generators))
+    equal = oracle.compose(oracle.compose(x, gen), oracle.invert(gen))  # x again, built anew
+    y, z = (data.draw(st.one_of(_elements(group_id), st.just(equal))) for _ in range(2))
+    for u, v in ((x, y), (y, z), (x, z)):
+        assert [u < v, u == v, v < u].count(True) == 1
+    if x < y < z:
+        assert x < z
+
+
 def test_group_oracle_checks_its_steps():
     z1 = make_zn(1)
     with pytest.raises(DomainError, match="one step per generator"):
