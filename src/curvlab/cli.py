@@ -11,22 +11,15 @@ errors, 2 when verify reports a failing criterion.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import random
 import sys
 from typing import Iterable
 
-from . import deadend as deadend_mod
-from . import heisenberg as heis_mod
-from .cache import cached_bfs_metric
 from .core import DEFAULT_BUDGET, CurvlabError, DomainError, ball, word_length
-from .curvature import CSV_HEADER as CURV_CSV_HEADER
-from .curvature import kappa
 from .literals import ParseError, element_formatter, get_group, parse_element
-from .transport import MeasureSpec, question_probe, transport_distance
-from .verify import run_all
+
+# Each subcommand imports the modules it runs, so that a call loads only those.
 
 CACHE_ENV = "CURVLAB_CACHE"
 
@@ -36,6 +29,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _emit_csv(header: list, rows: Iterable[list]) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -56,6 +51,8 @@ def _add_common(
 
 
 def _table(args, oracle, default_horizon: int):
+    from .cache import cached_bfs_metric
+
     horizon = args.horizon if args.horizon is not None else default_horizon
     return cached_bfs_metric(oracle, horizon, args.cache, budget=args.budget)
 
@@ -75,40 +72,46 @@ def cmd_length(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import CSV_HEADER, kappa
+
     oracle = get_group(args.group)
     g = parse_element(args.group, args.element)
     table = _table(args, oracle, max(args.radius, 3))
     report = kappa(oracle, table, g, args.radius, args.mode)
     fmt = element_formatter(args.group)
     if args.format == "csv":
-        _emit_csv(CURV_CSV_HEADER, report.csv_rows(fmt))
+        _emit_csv(CSV_HEADER, report.csv_rows(fmt))
     else:
         _emit_json({"group": args.group, **report.to_json_dict(fmt)})
     return 0
 
 
 def cmd_deadend(args) -> int:
+    from . import deadend
+
     oracle = get_group(args.group)
     fmt = element_formatter(args.group)
     if args.scan:
         table = _table(args, oracle, 7)
-        for rep in deadend_mod.scan(oracle, table, table.horizon, args.max_depth):
+        for rep in deadend.scan(oracle, table, table.horizon, args.max_depth):
             _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
         return 0
     if args.element is None:
         raise ParseError("(missing)", "--element, or --scan to stream all dead ends in the ball")
     g = parse_element(args.group, args.element)
     table = _table(args, oracle, 8)
-    rep = deadend_mod.report(oracle, table, g, args.max_depth)
+    rep = deadend.report(oracle, table, g, args.max_depth)
     _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
     return 0
 
 
 def cmd_backtracks(args) -> int:
+    from .deadend import backtrack_elements
+
     oracle = get_group(args.group)
     g = parse_element(args.group, args.element)
     table = _table(args, oracle, max(args.bound, 8))
-    elements = deadend_mod.backtrack_elements(oracle, table, g, args.bound)
+    elements = backtrack_elements(oracle, table, g, args.bound)
     fmt = element_formatter(args.group)
     ordered = sorted(elements)
     if args.format == "csv":
@@ -130,14 +133,18 @@ def cmd_backtracks(args) -> int:
 
 
 def cmd_density(args) -> int:
+    from . import heisenberg
+
     if args.format == "csv":
-        _emit_csv(heis_mod.CSV_HEADER, heis_mod.density_csv_rows(args.k, args.radius))
+        _emit_csv(heisenberg.CSV_HEADER, heisenberg.density_csv_rows(args.k, args.radius))
     else:
-        _emit_json(heis_mod.heis_density_experiment(args.k, args.radius).to_json_dict())
+        _emit_json(heisenberg.heis_density_experiment(args.k, args.radius).to_json_dict())
     return 0
 
 
 def cmd_transport(args) -> int:
+    from .transport import MeasureSpec, transport_distance
+
     oracle = get_group(args.group)
     x = parse_element(args.group, args.x)
     y = parse_element(args.group, args.y)
@@ -149,6 +156,10 @@ def cmd_transport(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    import random
+
+    from .transport import question_probe
+
     oracle = get_group(args.group)
     table = _table(args, oracle, max(args.radius + 2, 4))
     if args.ball > table.horizon:
@@ -165,6 +176,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all
+
     results = run_all(args.tier, writer=lambda line: print(line, file=sys.stderr))
     _emit_json(
         {

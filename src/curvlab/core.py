@@ -12,9 +12,11 @@ closed-form length and the independent cross-check for groups that have one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count, repeat
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Element = Any  # canonical hashable value; each oracle fixes its own shape
 
@@ -195,17 +197,25 @@ def bfs_metric(oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGE
     return bfs_tree(oracle, horizon, budget=budget)[0]
 
 
-def sphere(table: MetricTable, r: int) -> tuple[Element, ...]:
-    """The sphere of radius r around the identity, in deterministic order."""
-    if r < 0 or r > table.horizon:
+def _check_radius(table: MetricTable, r: int) -> None:
+    if r < 0:
+        raise DomainError(f"radius {r} is negative")
+    if r > table.horizon:
         raise OutOfHorizonError(f"radius {r} outside table horizon {table.horizon}")
+
+
+def sphere(table: MetricTable, r: int) -> tuple[Element, ...]:
+    """The sphere of radius r around the identity, in deterministic order.
+
+    Raises DomainError for a negative r and OutOfHorizonError above the horizon.
+    """
+    _check_radius(table, r)
     return table.layers[r]
 
 
 def ball(table: MetricTable, r: int) -> tuple[Element, ...]:
-    """The ball of radius r around the identity (identity included)."""
-    if r < 0 or r > table.horizon:
-        raise OutOfHorizonError(f"radius {r} outside table horizon {table.horizon}")
+    """The ball of radius r around the identity (identity included); raises as :func:`sphere` does."""
+    _check_radius(table, r)
     out: list[Element] = []
     for i in range(r + 1):
         out.extend(table.layers[i])

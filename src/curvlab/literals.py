@@ -1,8 +1,11 @@
 """Element literal grammar and the built-in group registry.
 
-One table, _FAMILIES, gives each group family its id pattern, oracle builder,
-literal parser and formatter; get_group, parse_element, format_element and
-element_formatter look the group id up in it.
+One table, _FAMILIES, gives each group family its id pattern, the module that
+holds it and its oracle builder there, literal parser and formatter;
+get_group, parse_element, format_element and element_formatter look the group
+id up in it.  A family's module is imported on the first lookup of one of its
+groups, so reading a Z2 literal loads no lamplighter, Houghton or Heisenberg
+code.
 
 Literal forms (see parse_element):
     Z<n>     "(2,-3)"
@@ -24,21 +27,15 @@ parse -> format -> parse is the identity on canonical forms.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from importlib import import_module
+from typing import TYPE_CHECKING, Iterator
 
-from .builtin import S3_WORDS, make_free, make_s3, make_zn
 from .core import CurvlabError, Element, GroupOracle
-from .heisenberg import HEIS_ID, MalcevTriple, heis_oracle
-from .houghton import H2_ID, HoughtonElement, bead_shift, h2_g, h2_h, h2_oracle, h2_u
-from .lamplighter import (
-    L2_ID,
-    LampConfig,
-    WreathConfig,
-    l2_oracle,
-    ll_dm_tk,
-    ll_make_dm,
-    zn_wreath_oracle,
-)
+
+if TYPE_CHECKING:
+    from .heisenberg import MalcevTriple
+    from .houghton import HoughtonElement
+    from .lamplighter import LampConfig, WreathConfig
 
 
 MAX_WORD_LETTERS = 10_000  # bound on the letters of a word literal, so parsing time is bounded
@@ -143,11 +140,13 @@ def _parse_zn(oracle: GroupOracle, text: str) -> tuple:
 
 
 def _parse_l2(oracle: GroupOracle, text: str) -> LampConfig:
+    from .lamplighter import LampConfig, ll_dm_tk, ll_make_dm
+
     m = re.fullmatch(r"d\(([1-9]\d*)\)(?:\*t\^(-?\d+))?", text)
     if m:
         mval = _builder_size(m.group(1), text)
         return ll_dm_tk(mval, _int_field(m.group(2), text)) if m.group(2) else ll_make_dm(mval)
-    body, pos = _braced(text, L2_ID, "p", '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k" with m >= 1')
+    body, pos = _braced(text, oracle.group_id, "p", '"L2{ i1,i2,... ; p=<pos> }" or "d(m)" or "d(m)*t^k" with m >= 1')
     lamps = _parse_int_list(body, text)
     if len(set(lamps)) != len(lamps):
         raise ParseError(text, "distinct lamp indices")
@@ -155,6 +154,8 @@ def _parse_l2(oracle: GroupOracle, text: str) -> LampConfig:
 
 
 def _parse_wreath(oracle: GroupOracle, text: str) -> WreathConfig:
+    from .lamplighter import WreathConfig
+
     body, pos = _braced(text, oracle.group_id, "p", '"W<n>{ index:state, ... ; p=<pos> }"')
     # generators are the nontrivial lamp states plus t and t^-1
     n_states = len(oracle.labels) - 2
@@ -171,6 +172,8 @@ def _parse_wreath(oracle: GroupOracle, text: str) -> WreathConfig:
 
 
 def _parse_h2(oracle: GroupOracle, text: str) -> HoughtonElement:
+    from .houghton import HoughtonElement, bead_shift, h2_g, h2_h, h2_u
+
     m = re.fullmatch(r"g\(([1-9]\d*)\)", text)
     if m:
         return h2_g(_builder_size(m.group(1), text))
@@ -184,7 +187,10 @@ def _parse_h2(oracle: GroupOracle, text: str) -> HoughtonElement:
     if m:
         return h2_u(_builder_size(m.group(1), text), m.group(2))
     body, shift_digits = _braced(
-        text, H2_ID, "shift", '"H2{ p:q, ... ; shift=<n> }" or a builder g(k) / h(k,m) / u(l,pos|neg) with k, l >= 1'
+        text,
+        oracle.group_id,
+        "shift",
+        '"H2{ p:q, ... ; shift=<n> }" or a builder g(k) / h(k,m) / u(l,pos|neg) with k, l >= 1',
     )
     moves = {}
     for pair, src, digits in _pairs(body, '"point:image"'):
@@ -205,27 +211,37 @@ def _parse_h2(oracle: GroupOracle, text: str) -> HoughtonElement:
 
 
 def _parse_heis(oracle: GroupOracle, text: str) -> MalcevTriple:
+    from .heisenberg import MalcevTriple
+
     m = re.fullmatch(r"(?:Heis)?\((-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\)", text)
     if not m:
         raise ParseError(text, '"Heis(A,B,C)"')
     return MalcevTriple(*(_int_field(field, text) for field in m.groups()))
 
 
-# One row per group family: the id pattern (its groups are the sizes the builder takes), the oracle builder,
-# the parser of the family's own literals (the word form "w: ..." is read for every family) and the formatter.
+def _format_s3(oracle: GroupOracle, el: int) -> str:
+    from .builtin import S3_WORDS
+
+    return " ".join(["w:", *S3_WORDS[el].split()])
+
+
+# One row per group family: the id pattern (its groups are the sizes the builder takes), the module that holds the
+# family and the name of its oracle builder there, the parser of the family's own literals (the word form "w: ..."
+# is read for every family) and the formatter.
 _FAMILIES = (
-    (r"Z([1-9]\d*)", make_zn, _parse_zn, lambda oracle, el: "(" + ",".join(str(c) for c in el) + ")"),
+    (r"Z([1-9]\d*)", "builtin", "make_zn", _parse_zn, lambda oracle, el: "(" + ",".join(str(c) for c in el) + ")"),
     # the labels of F<n> come in pairs: generator k, then its inverse
-    (r"F([1-9]\d*)", make_free, _parse_word,
+    (r"F([1-9]\d*)", "builtin", "make_free", _parse_word,
      lambda oracle, el: " ".join(["w:", *(oracle.labels[2 * abs(k) - 1 - (k > 0)] for k in el)])),
-    ("S3", make_s3, _parse_word, lambda oracle, el: " ".join(["w:", *S3_WORDS[el].split()])),
-    (L2_ID, l2_oracle, _parse_l2, lambda oracle, el: f"L2{{{','.join(str(i) for i in el.lamps)};p={el.pos}}}"),
+    ("S3", "builtin", "make_s3", _parse_word, _format_s3),
+    ("L2", "lamplighter", "l2_oracle", _parse_l2,
+     lambda oracle, el: f"L2{{{','.join(str(i) for i in el.lamps)};p={el.pos}}}"),
     # the lamp group Z_n must be nontrivial
-    (r"W([2-9]|[1-9]\d+)", zn_wreath_oracle, _parse_wreath,
+    (r"W([2-9]|[1-9]\d+)", "lamplighter", "zn_wreath_oracle", _parse_wreath,
      lambda oracle, el: f"{oracle.group_id}{{{','.join(f'{i}:{s}' for i, s in el.lamps)};p={el.pos}}}"),
-    (H2_ID, h2_oracle, _parse_h2,
+    ("H2", "houghton", "h2_oracle", _parse_h2,
      lambda oracle, el: f"H2{{{','.join(f'{p}:{q}' for p, q in el.moves)};shift={el.shift}}}"),
-    (HEIS_ID, heis_oracle, _parse_heis, lambda oracle, el: f"Heis({el.a},{el.b},{el.c})"),
+    ("Heis", "heisenberg", "heis_oracle", _parse_heis, lambda oracle, el: f"Heis({el.a},{el.b},{el.c})"),
 )
 
 
@@ -234,9 +250,10 @@ def _family(group_id: str):
 
     The size n of Z<n>, F<n> and W<n> is checked against MAX_BUILDER_SIZE before int() or the builder sees it.
     """
-    for pattern, build, parse, fmt in _FAMILIES:
+    for pattern, module, builder, parse, fmt in _FAMILIES:
         m = re.fullmatch(pattern, group_id)
         if m:
+            build = getattr(import_module(f".{module}", __package__), builder)
             return build(*(_int_field(n, group_id, MAX_BUILDER_SIZE, _GROUP_RULE) for n in m.groups())), parse, fmt
     raise ParseError(group_id, _GROUP_RULE)
 

@@ -475,6 +475,78 @@ def test_import_loads_neither_scipy_nor_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+# the curvlab modules every call loads: the package, the frontend, the core and the literal grammar
+_FRONT = {"curvlab", "curvlab.cli", "curvlab.core", "curvlab.literals"}
+
+
+_IMPORT_CASES = [
+    (["length", "--group", "Z2", "--element", "(2,-3)"], {"cache", "builtin"}),
+    (["length", "--group", "L2", "--element", "d(3)", "--format", "csv"], {"cache", "lamplighter"}),
+    (["length", "--group", "H2", "--element", "g(1)", "--horizon", "5"], {"cache", "houghton"}),
+    (["length", "--group", "Heis", "--element", "(5,2,3)"], {"cache", "heisenberg"}),
+    (["curvature", "--group", "L2", "--element", "d(2)*t^1"], {"cache", "lamplighter", "curvature"}),
+    (["curvature", "--group", "S3", "--element", "s t", "--format", "csv"], {"cache", "builtin", "curvature"}),
+    (["deadend", "--group", "L2", "--element", "d(1)", "--horizon", "4"], {"cache", "lamplighter", "deadend"}),
+    (["backtracks", "--group", "L2", "--element", "d(1)", "--bound", "3", "--horizon", "6"],
+     {"cache", "lamplighter", "deadend"}),
+    (["density", "--k", "8"], {"heisenberg"}),
+    (["transport", "--group", "S3", "--x", "s", "--y", "w:"], {"cache", "builtin", "transport"}),
+    (["probe", "--group", "Z2", "--ball", "1"], {"cache", "builtin", "transport"}),
+    (["verify", "--tier", "fast"],
+     {"verify", "builtin", "curvature", "deadend", "heisenberg", "houghton", "lamplighter", "transport"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _IMPORT_CASES, ids=[" ".join(argv[:3]) for argv, _ in _IMPORT_CASES])
+def test_each_subcommand_loads_only_its_own_modules(tmp_path, argv, loaded):
+    code = (
+        "import json, sys\n"
+        "from curvlab import cli\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'curvlab')))"
+    )
+    argv = [*argv, "--cache", str(tmp_path)] if argv[0] not in ("density", "verify") else argv
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True)
+    status, _, modules = proc.stdout.splitlines()[-1].partition(" ")
+    assert status == "0", proc.stderr
+    assert set(json.loads(modules)) == _FRONT | {f"curvlab.{m}" for m in loaded}
+
+
+def test_package_exports_resolve_lazily():
+    import curvlab
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, curvlab; print(sorted(m for m in sys.modules if m.startswith('curvlab')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout.strip() == "['curvlab']", proc.stderr
+    for name in curvlab.__all__:
+        value = getattr(curvlab, name)
+        module = sys.modules[f"curvlab.{curvlab._MODULE_OF[name]}"]
+        assert value is getattr(module, name), name
+        assert vars(curvlab)[name] is value  # cached after the first use
+    star = {}
+    exec("from curvlab import *", star)
+    assert {name: star[name] for name in curvlab.__all__} == {name: getattr(curvlab, name) for name in curvlab.__all__}
+    assert set(curvlab.__all__) <= set(dir(curvlab))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        curvlab.no_such_name  # noqa: B018
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("transport", "--group", "Z2", "--x", "(0,0)", "--y", "(1,0)", "--radius", "-1"),
+        ("probe", "--group", "Z2", "--radius", "-1"),
+        ("probe", "--group", "Z2", "--ball", "-1"),
+    ],
+)
+def test_cli_negative_radius_is_a_domain_error(args):
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "curvlab: radius -1 is negative\n")
+
+
 def test_cli_cache_roundtrip(tmp_path):
     args = [
         "length", "--group", "H2", "--element", "g(1)", "--horizon", "5",

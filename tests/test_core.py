@@ -95,11 +95,20 @@ def test_sphere_ball_radius_zero():
     assert len(ball(table, 2)) == 1 + 4 + 8
 
 
+def test_negative_radius_is_a_domain_error():
+    table = bfs_metric(make_s3(), 1)
+    for enumerate_ in (sphere, ball):
+        with pytest.raises(DomainError, match="^radius -1 is negative$"):
+            enumerate_(table, -1)
+
+
 def test_out_of_horizon_errors():
     oracle = make_s3()
     table = bfs_metric(oracle, 1)
     with pytest.raises(OutOfHorizonError):
         sphere(table, 2)
+    with pytest.raises(OutOfHorizonError):
+        ball(table, 2)
     with pytest.raises(OutOfHorizonError):
         word_length(oracle, oracle.evaluate(["s", "t"]), table)
 
