@@ -27,8 +27,8 @@ from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
 from .core import DomainError, GroupOracle, bfs_metric, plain_encode, rational_str, sphere
+from .literals import HEIS_ID
 
-HEIS_ID = "Heis"
 MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted sweep, k = 120, r = 1 in CSV, takes 6-8 s
 
 

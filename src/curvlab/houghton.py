@@ -18,8 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import DomainError, GroupOracle, plain_encode
-
-H2_ID = "H2"
+from .literals import H2_ID
 
 
 class HoughtonElement(NamedTuple):

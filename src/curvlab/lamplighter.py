@@ -18,8 +18,7 @@ from bisect import bisect_left
 from typing import Mapping, NamedTuple
 
 from .core import DomainError, GroupOracle, plain_encode
-
-L2_ID = "L2"
+from .literals import L2_ID
 
 
 class LampConfig(NamedTuple):

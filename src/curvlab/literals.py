@@ -38,6 +38,11 @@ if TYPE_CHECKING:
     from .lamplighter import LampConfig, WreathConfig
 
 
+# the ids of the one-group families, which their modules build their oracles with
+L2_ID = "L2"
+H2_ID = "H2"
+HEIS_ID = "Heis"
+
 MAX_WORD_LETTERS = 10_000  # bound on the letters of a word literal, so parsing time is bounded
 # bound on l, k and m in u(l,.), g(k), h(k,m) and d(m), and on n in the group ids Z<n>, F<n> and W<n>:
 # u(300,pos) parses in about 0.5 s, and Z<n> builds 2n generators of n coordinates
@@ -234,14 +239,14 @@ _FAMILIES = (
     (r"F([1-9]\d*)", "builtin", "make_free", _parse_word,
      lambda oracle, el: " ".join(["w:", *(oracle.labels[2 * abs(k) - 1 - (k > 0)] for k in el)])),
     ("S3", "builtin", "make_s3", _parse_word, _format_s3),
-    ("L2", "lamplighter", "l2_oracle", _parse_l2,
+    (L2_ID, "lamplighter", "l2_oracle", _parse_l2,
      lambda oracle, el: f"L2{{{','.join(str(i) for i in el.lamps)};p={el.pos}}}"),
     # the lamp group Z_n must be nontrivial
     (r"W([2-9]|[1-9]\d+)", "lamplighter", "zn_wreath_oracle", _parse_wreath,
      lambda oracle, el: f"{oracle.group_id}{{{','.join(f'{i}:{s}' for i, s in el.lamps)};p={el.pos}}}"),
-    ("H2", "houghton", "h2_oracle", _parse_h2,
+    (H2_ID, "houghton", "h2_oracle", _parse_h2,
      lambda oracle, el: f"H2{{{','.join(f'{p}:{q}' for p, q in el.moves)};shift={el.shift}}}"),
-    ("Heis", "heisenberg", "heis_oracle", _parse_heis, lambda oracle, el: f"Heis({el.a},{el.b},{el.c})"),
+    (HEIS_ID, "heisenberg", "heis_oracle", _parse_heis, lambda oracle, el: f"Heis({el.a},{el.b},{el.c})"),
 )
 
 

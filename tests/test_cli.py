@@ -24,6 +24,7 @@ from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_make_dm
 from curvlab.literals import (
     MAX_BUILDER_SIZE,
     MAX_WORD_LETTERS,
+    _FAMILIES,
     ParseError,
     element_formatter,
     format_element,
@@ -179,6 +180,13 @@ def test_unknown_group():
     for group_id in ("Q8", "Z0", "F0", "W0", "W1"):
         with pytest.raises(ParseError):
             get_group(group_id)
+
+
+def test_every_family_builds_oracles_of_its_own_ids():
+    # one id per _FAMILIES row, so a misspelt module or builder name, or an id the oracle does not carry, fails here
+    for (pattern, *_), group_id in zip(_FAMILIES, ["Z2", "F2", "S3", "L2", "W3", "H2", "Heis"], strict=True):
+        assert re.fullmatch(pattern, group_id), (pattern, group_id)
+        assert get_group(group_id).group_id == group_id
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +474,16 @@ def test_cli_unusable_cache_path_one_line_error():
 
 
 def test_import_loads_neither_scipy_nor_numpy():
+    # every submodule, since `import curvlab` alone loads none of them
+    code = (
+        "import importlib, pkgutil, sys, curvlab\n"
+        "for m in pkgutil.iter_modules(curvlab.__path__):\n"
+        "    importlib.import_module(f'curvlab.{m.name}')\n"
+        "assert 'curvlab.verify' in sys.modules\n"
+        "print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, curvlab; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
     )
