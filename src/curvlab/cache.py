@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import floordiv, lt, mod
 from typing import Optional
 
@@ -88,7 +88,8 @@ def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_
     """Decode a cache file; any malformed or truncated input raises CacheFormatError.
 
     Raises :class:`ResourceLimitError`, before building any element, when the
-    file holds more than ``budget`` elements.
+    file holds more than ``budget`` elements; like :func:`curvlab.core.bfs_tree`,
+    it names the least radius whose ball holds more.
     """
     if data[:4] != MAGIC:
         raise CacheFormatError("bad magic; not a curvlab cache file")
@@ -115,10 +116,8 @@ def table_from_bytes(oracle: GroupOracle, data: bytes, *, budget: int = DEFAULT_
     if size < len(data):
         raise CacheFormatError("trailing bytes in cache file")
     if elements > budget:
-        raise ResourceLimitError(
-            f"cached ball of radius {horizon} for {oracle.group_id} exceeds the element budget "
-            f"({budget}); lower the horizon or raise the budget"
-        )
+        radius = next(r for r, total in enumerate(accumulate(counts)) if total > budget)
+        raise ResourceLimitError.over_budget(oracle.group_id, radius, budget)
     steps = oracle.steps
     layers = [(oracle.identity,)]
     dist = {oracle.identity: 0}

@@ -34,6 +34,14 @@ class OutOfHorizonError(CurvlabError):
 class ResourceLimitError(CurvlabError):
     """BFS enumeration exceeded the configured element budget; lower the horizon or raise the budget."""
 
+    @classmethod
+    def over_budget(cls, group_id: str, radius: int, budget: int) -> "ResourceLimitError":
+        """The error for a ball whose layers 0..``radius`` hold more than ``budget`` elements."""
+        return cls(
+            f"ball of radius {radius} for {group_id} exceeds the element budget "
+            f"({budget}); lower the horizon or raise the budget"
+        )
+
 
 class DomainError(CurvlabError, ValueError):
     """An argument lies outside the domain of the requested quantity.
@@ -165,10 +173,12 @@ def bfs_tree(
     that least i, with no extra product.
 
     Raises :class:`ResourceLimitError` once more than ``budget`` elements
-    would be retained.
+    would be retained, the identity included.
     """
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
+    if budget < 1:
+        raise ResourceLimitError.over_budget(oracle.group_id, 0, budget)
     n = len(oracle.steps)
     dist: dict[Element, int] = {oracle.identity: 0}
     layers: list[tuple[Element, ...]] = [(oracle.identity,)]
@@ -181,10 +191,7 @@ def bfs_tree(
                 if el not in dist and el not in codes:
                     codes[el] = code
         if len(dist) + len(codes) > budget:
-            raise ResourceLimitError(
-                f"ball of radius {r} for {oracle.group_id} exceeds the element budget "
-                f"({budget}); lower the horizon or raise the budget"
-            )
+            raise ResourceLimitError.over_budget(oracle.group_id, r, budget)
         layer = tuple(sorted(codes))
         dist.update(zip(layer, repeat(r)))
         layers.append(layer)

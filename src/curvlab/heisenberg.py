@@ -11,10 +11,13 @@ experiment enumerates a margin-guarded sector where every radius-r conjugate
 stays in the validated low branch, classifies the remainder s = C mod A into
 the ceiling cases, and compares the predicted curvature sign against the
 exact kappa computed from closed-form conjugate lengths.  In that sector
-kappa's numerator depends on C only through C mod A, so the one sweep
-computes it once per residue class of each (A, B) and streams every element
-with its class; the report tallies the stream and the CSV rows are made from
-it as they are written.  Word lengths up to MAX_DENSITY_K are admitted.
+kappa's numerator depends on C only through C mod A, so a class table holds
+one record per residue class of each (A, B) band, and each band is checked
+against the sector at its two ends and just beyond them.  The report adds
+each class to its tallies weighted by its member count and lists the
+elements of a class only when its prediction contradicts the exact sign; the
+CSV rows are expanded from the same table, one element at a time, as they
+are written.  Word lengths up to MAX_DENSITY_K are admitted.
 """
 
 from __future__ import annotations
@@ -22,14 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import starmap
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
 from .core import DomainError, GroupOracle, bfs_metric, plain_encode, rational_str, sphere
 from .literals import HEIS_ID
 
-MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted sweep, k = 120, r = 1 in CSV, takes 6-8 s
+MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 3.5-3.7 s on 2 cores
 
 
 class MalcevTriple(NamedTuple):
@@ -349,26 +351,43 @@ class _Class(NamedTuple):
     predicted: str
 
 
-def _sweep(k: int, r: int, bands: list[tuple[int, int, int, int]]) -> Iterator[tuple[MalcevTriple, _Class]]:
-    """(g, its residue class) for every sector element of ``bands``, in (A, B, C) order.
+def _class_table(
+    k: int, r: int, bands: list[tuple[int, int, int, int]]
+) -> Iterator[tuple[int, int, int, int, list[_Class]]]:
+    """(A, B, c_lo, c_hi, classes) for each of ``bands`` in order; classes[i] is the class of C = c_lo + i.
 
-    Each element is checked against ``SectorSpec(r, k)``.  Exact kappa is
-    computed once per residue class C mod A of each (A, B), by this lemma.
-    With n = |S_r|, the numerator n*|g| - sum |g^w| over w in S_r of
-    kappa_r(g) = numerator / (n*|g|) is the same for C and C + A when both
-    lie in the sector.  Proof: a conjugate has height C' = C + A*beta -
+    Exact kappa is computed once per residue class C mod A of each (A, B), by
+    this lemma.  With n = |S_r|, the numerator n*|g| - sum |g^w| over w in
+    S_r of kappa_r(g) = numerator / (n*|g|) is the same for C and C + A when
+    both lie in the sector.  Proof: a conjugate has height C' = C + A*beta -
     alpha*B with |A*beta - alpha*B| <= A*r, so the margins A*r <= C <=
     A^2 - A*B - A*r put C' in the low branch, of length 2*ceil(C'/A) + A + B;
     C -> C + A raises |g| and each of the n conjugate lengths by 2, which
     cancels.  The labels and the prediction depend on s = C mod A alone, so
     only the denominator changes within a class, and the sign not at all.
+    A class whose first member is C has (c_hi - C) // A + 1 members: c_lo
+    and c_hi are multiples of A, so with M = (c_hi - c_lo) / A residue 0 has
+    M + 1 and every other residue M.
+
+    Each band is checked against ``SectorSpec(r, k)`` at four heights: c_lo
+    and c_hi are admitted, c_lo - 1 and c_hi + 1 are not.  That covers every
+    element of the row, by this lemma: for fixed (A, B) the admitted C form
+    an interval.  Proof: each condition of ``SectorSpec.admits`` either does
+    not depend on C (A > B > 0, A - B >= 2r and the band on A and B) or bounds
+    C from one side: C > 0 and C >= A*r from below, C <= A^2 - A*B - A*r and
+    |g| <= k from above, the last because ``heis_length`` is nondecreasing in
+    C on C >= 0 (both branches are, and they agree at the boundary).  An
+    interval holding c_lo and c_hi but not c_lo - 1 or c_hi + 1 is exactly
+    [c_lo, c_hi], so the band holds every admitted element of its row and
+    nothing else.
     """
     deltas = heis_conjugate_deltas(r)
     n = len(deltas)
     weights = Counter(deltas)  # sphere elements with equal (alpha, beta) give the same conjugate
     spec = SectorSpec(r, k)
     for A, B, c_lo, c_hi in bands:
-        classes = []  # one per residue, from C = c_lo on
+        assert [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] == [False, True, True, False]
+        classes = []
         for C in range(c_lo, min(c_lo + A, c_hi + 1)):
             numerator = n * heis_length(MalcevTriple(A, B, C)) - sum(
                 m * heis_length((A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
@@ -376,29 +395,34 @@ def _sweep(k: int, r: int, bands: list[tuple[int, int, int, int]]) -> Iterator[t
             sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
             s = C % A
             classes.append(_Class(numerator, n, sign, s, *_classify(A, B, s, r)))
-        for C in range(c_lo, c_hi + 1):
-            g = MalcevTriple(A, B, C)
-            assert spec.admits(g)
-            yield g, classes[(C - c_lo) % A]
+        yield A, B, c_lo, c_hi, classes
 
 
 def heis_density_experiment(k: int, r: int) -> DensityReport:
-    """Exhaustive sweep of the radius-r sector within word length k.
+    """Exhaustive census of the radius-r sector within word length k.
 
     Counts exact curvature signs, checks every non-mixed prediction against
     the exact sign, and tallies per-(A, B) remainder-class fractions, each of
-    which must reach 1/(5r) in the band.
+    which must reach 1/(5r) in the band.  Each residue class is tallied once,
+    weighted by its member count; only a class whose prediction contradicts
+    its sign is expanded, element by element, into ``mismatches``.
     """
     bands = _sector_bands(k, r)
     report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
     report.sign_counts = {"+": 0, "0": 0, "-": 0}
     report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
     report.band_rows = [_band_counts(A, B, r) for A, B, _, _ in bands]
-    for g, cls in _sweep(k, r, bands):
-        report.sign_counts[cls.sign] += 1
-        report.predicted_counts[cls.predicted] += 1
-        if cls.predicted in "+0-" and cls.predicted != cls.sign:
-            report.mismatches.append((g, cls.predicted, cls.sign))
+    for A, B, c_lo, c_hi, classes in _class_table(k, r, bands):
+        wrong = []
+        for first, cls in enumerate(classes, c_lo):
+            members = (c_hi - first) // A + 1
+            report.sign_counts[cls.sign] += members
+            report.predicted_counts[cls.predicted] += members
+            if cls.predicted in "+0-" and cls.predicted != cls.sign:
+                wrong.extend(range(first, c_hi + 1, A))
+        for C in sorted(wrong):
+            cls = classes[(C - c_lo) % A]
+            report.mismatches.append((MalcevTriple(A, B, C), cls.predicted, cls.sign))
     return report
 
 
@@ -410,9 +434,13 @@ def _csv_row(g: MalcevTriple, cls: _Class) -> list:
 
 
 def density_csv_rows(k: int, r: int) -> Iterator[list]:
-    """The census as CSV rows (columns CSV_HEADER), one per sector element, made lazily as the sweep goes.
+    """The census as CSV rows (columns CSV_HEADER), one per sector element, made lazily from the class table.
 
     The arguments are checked at the call, before any row is made.
     """
     bands = _sector_bands(k, r)
-    return starmap(_csv_row, _sweep(k, r, bands))
+    return (
+        _csv_row(MalcevTriple(A, B, C), classes[(C - c_lo) % A])
+        for A, B, c_lo, c_hi, classes in _class_table(k, r, bands)
+        for C in range(c_lo, c_hi + 1)
+    )

@@ -1,4 +1,4 @@
-"""The Heisenberg density sweep computed element by element, for checking the library's sweep against.
+"""The Heisenberg density census computed element by element, for checking the library's class tally against.
 
 Every sector element gets its own ``heis_kappa_exact`` and ``heis_sign_predict``
 call; nothing is shared between elements of one residue class C mod A.  The

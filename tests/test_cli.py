@@ -473,6 +473,26 @@ def test_cli_unusable_cache_path_one_line_error():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args, budget, radius",
+    [
+        (("length", "--group", "Z2", "--element", "(1,1)"), 0, 0),  # the identity alone is over budget
+        (("length", "--group", "L2", "--element", "d(1)", "--horizon", "3"), 5, 2),  # layers 1, 3, 6, 12
+    ],
+)
+def test_cli_budget_error_does_not_depend_on_the_cache(tmp_path, args, budget, radius):
+    want = (1, "", f"curvlab: ball of radius {radius} for {args[2]} exceeds the element budget ({budget}); "
+                   "lower the horizon or raise the budget\n")
+    over = (*args, "--budget", str(budget))
+    for cache in ((), ("--cache", str(tmp_path))):  # no cache, then a miss, which writes nothing
+        proc = run_cli(*over, *cache)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*args, "--cache", str(tmp_path)).returncode == 0  # warms the cache within the default budget
+    proc = run_cli(*over, "--cache", str(tmp_path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     # every submodule, since `import curvlab` alone loads none of them
     code = (

@@ -124,6 +124,8 @@ def test_word_length_identity_and_closed_form():
 def test_budget_error():
     with pytest.raises(ResourceLimitError):
         bfs_metric(make_free(2), 5, budget=20)
+    with pytest.raises(ResourceLimitError, match=r"^ball of radius 0 for F2 exceeds the element budget \(0\)"):
+        bfs_metric(make_free(2), 0, budget=0)  # the identity counts
 
 
 @pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from density_reference import band_counts, census_by_length, csv_rows, density_per_element, sector_bands
 
+from curvlab import heisenberg
 from curvlab.core import DomainError, bfs_metric
 from curvlab.curvature import kappa
 from curvlab.heisenberg import (
@@ -13,6 +14,7 @@ from curvlab.heisenberg import (
     MalcevTriple,
     SectorSpec,
     _band_counts,
+    _sector_bands,
     density_csv_rows,
     heis_case_label,
     heis_ceil_jump,
@@ -235,6 +237,33 @@ def test_density_sweep_matches_the_per_element_reference(r):
             assert list(density_csv_rows(k, r)) == csv_rows(want_records), k
         compared += 1
     assert compared == REFERENCE_K[r] - 7 * r  # the shortest sector element, (5r, 1, 5r^2), has length 7r + 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_every_band_is_exactly_its_admitted_row(r):
+    # the interval lemma behind the per-band sector check, element by element at the largest census
+    spec = SectorSpec(r, MAX_DENSITY_K)
+    for A, B, c_lo, c_hi in _sector_bands(MAX_DENSITY_K, r):
+        assert all(spec.admits(MalcevTriple(A, B, C)) for C in range(c_lo, c_hi + 1)), (A, B)
+        assert not spec.admits(MalcevTriple(A, B, c_lo - 1)) and not spec.admits(MalcevTriple(A, B, c_hi + 1)), (A, B)
+
+
+@pytest.mark.parametrize("k, r", [(30, 1), (36, 2)])
+def test_mispredicted_classes_expand_into_every_member(monkeypatch, k, r):
+    # swap the X and Z labels, so every pure X or Z class predicts the sign opposite to its exact one
+    case_label = heisenberg.heis_case_label
+
+    def swapped(A, B, s, t):
+        label = case_label(A, B, s, t)
+        return {"X": "Z", "Z": "X"}.get(label, label)
+
+    monkeypatch.setattr(heisenberg, "heis_case_label", swapped)
+    got = heis_density_experiment(k, r)
+    want = density_per_element(k, r)[0]  # reaches the swapped labels through heis_sign_predict
+    assert len(got.mismatches) > 100
+    assert got.mismatches == want.mismatches
+    assert got.mismatches == sorted(got.mismatches)
+    assert got.to_json_dict() == want.to_json_dict()
 
 
 def test_band_fraction_worst_case():
