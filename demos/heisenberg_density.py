@@ -23,11 +23,7 @@ def main():
     oracle = heis_oracle()
     print("== Word lengths in Mal'cev coordinates ==")
     table = bfs_metric(oracle, 10)
-    agree = sum(
-        1
-        for el, d in table.dist.items()
-        if el.a > el.b > 0 and el.c >= 0 and heis_length(el) == d
-    )
+    agree = sum(1 for el, d in table.dist.items() if oracle.closed_length(el) == d)
     print(f"closed formula matches BFS on all {agree} sector elements of B_10")
     for g in (MalcevTriple(2, 1, 1), MalcevTriple(5, 2, 10), MalcevTriple(3, 1, 6)):
         print(f"|{tuple(g)}| = {heis_length(g)}")

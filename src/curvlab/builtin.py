@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 
-from .core import DomainError, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,6 @@ def make_zn(n: int) -> GroupOracle:
         identity=tuple(0 for _ in range(n)),
         compose=lambda x, y: tuple(a + b for a, b in zip(x, y)),
         invert=lambda x: tuple(-a for a in x),
-        encode=plain_encode,
         closed_length=lambda x: sum(abs(a) for a in x),
         right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i in range(n) for d in (1, -1)),
     )
@@ -79,7 +78,6 @@ def make_free(n: int) -> GroupOracle:
         identity=(),
         compose=_free_mul,
         invert=lambda x: tuple(-a for a in reversed(x)),
-        encode=plain_encode,
         closed_length=len,
         # a letter cancels against the last one or is appended
         right_steps=tuple((lambda x, k=k: x[:-1] if x and x[-1] == -k else x + (k,)) for (k,) in gens),
@@ -134,6 +132,5 @@ def make_s3() -> GroupOracle:
         identity=0,
         compose=lambda x, y: S3_TABLE[x][y],
         invert=lambda x: _S3_INVERSE[x],
-        encode=plain_encode,
         closed_length=None,
     )

@@ -1,8 +1,8 @@
 """Group oracles, breadth-first word metrics, and sphere/ball enumeration.
 
 Every group handled by this library is supplied as an explicit
-:class:`GroupOracle`: generators, composition, inversion, identity, and a
-canonical byte encoding of elements, which are totally ordered by ``<``.
+:class:`GroupOracle`: generators, composition, inversion and identity, on
+elements that are totally ordered by ``<``.
 :func:`bfs_metric` turns an oracle into a :class:`MetricTable` of exact word
 lengths out to a chosen horizon; it is :func:`bfs_tree`, the library's one
 BFS, without the spanning tree that the cache stores.  The table is both the metric source for groups without a
@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 Element = Any  # canonical hashable value; each oracle fixes its own shape
 
 DEFAULT_BUDGET = 50_000_000
+MAX_HORIZON = 10_000  # bfs_tree makes one pass per radius, also past the last layer of a finite group
 
 
 class CurvlabError(Exception):
@@ -52,7 +53,7 @@ class DomainError(CurvlabError, ValueError):
 
 
 def plain_encode(value: Any) -> bytes:
-    """Serialize a plain nested-tuple/int value to canonical bytes."""
+    """The ``repr`` of a value as ASCII bytes: injective on the elements of every built-in group."""
     return repr(value).encode("ascii")
 
 
@@ -72,8 +73,8 @@ class GroupOracle:
     order; construction checks that the generators sort.  Cache files store
     no elements, but their contents depend on the order of each layer and on
     the order of ``generators``, so changing either changes the file format.
-    ``encode`` must be injective (equal keys exactly for equal group
-    elements); nothing in the library orders or decodes by it.
+    The library never reads ``encode``, which defaults to :func:`plain_encode`;
+    ROADMAP item 2 deletes it once item 1 stops the benchmark wrapping it.
     ``closed_length`` may return ``None`` for elements outside the domain of
     the closed formula, in which case callers fall back to a BFS table.
     ``labels[i]`` names ``generators[i]``; the labels are distinct and the
@@ -92,7 +93,7 @@ class GroupOracle:
     identity: Element
     compose: Callable[[Element, Element], Element]
     invert: Callable[[Element], Element]
-    encode: Callable[[Element], bytes]
+    encode: Callable[[Element], bytes] = plain_encode
     closed_length: Optional[Callable[[Element], Optional[int]]] = None
     right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
     steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
@@ -172,11 +173,14 @@ def bfs_tree(
     p -> p * g_i is injective, so the first product hitting an element gives
     that least i, with no extra product.
 
-    Raises :class:`ResourceLimitError` once more than ``budget`` elements
-    would be retained, the identity included.
+    Raises :class:`DomainError` for a horizon outside 0..``MAX_HORIZON``, and
+    :class:`ResourceLimitError` once more than ``budget`` elements would be
+    retained, the identity included.
     """
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
+    if horizon > MAX_HORIZON:
+        raise DomainError(f"horizon {horizon} exceeds the largest supported horizon ({MAX_HORIZON})")
     if budget < 1:
         raise ResourceLimitError.over_budget(oracle.group_id, 0, budget)
     n = len(oracle.steps)
@@ -242,22 +246,20 @@ def sphere_or_ball(table: MetricTable, r: int, mode: str) -> tuple[Element, ...]
     return out
 
 
-def word_length(oracle: GroupOracle, element: Element, table: Optional[MetricTable] = None) -> int:
+def word_length(oracle: GroupOracle, element: Element, table: MetricTable) -> int:
     """Exact distance from the identity, from the table or the closed form.
 
     The two sources agree wherever both apply (checked exhaustively in the
     test suite); the table is consulted first because it is authoritative.
     """
-    if table is not None:
-        d = table.distance(element)
-        if d is not None:
-            return d
+    d = table.distance(element)
+    if d is not None:
+        return d
     if oracle.closed_length is not None:
         v = oracle.closed_length(element)
         if v is not None:
             return v
     raise OutOfHorizonError(
-        f"a word length in {oracle.group_id} is not covered by the table"
-        + (f" (horizon {table.horizon})" if table is not None else " (no table)")
-        + " and no closed form applies; raise the horizon"
+        f"a word length in {oracle.group_id} is not covered by the table (horizon {table.horizon})"
+        " and no closed form applies; raise the horizon"
     )

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator, NamedTuple, Optional
 
-from .core import DomainError, GroupOracle, bfs_metric, plain_encode, rational_str, sphere
+from .core import DomainError, GroupOracle, bfs_metric, rational_str, sphere
 from .literals import HEIS_ID
 
 MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 3.5-3.7 s on 2 cores
@@ -95,7 +95,6 @@ def heis_oracle() -> GroupOracle:
         identity=MalcevTriple(0, 0, 0),
         compose=heis_compose,
         invert=heis_invert,
-        encode=lambda el: plain_encode(tuple(el)),
         closed_length=_heis_closed,
         right_steps=(  # x a, x a^-1, x b, x b^-1: the product law with y a generator
             lambda x: _new(MalcevTriple, (x[0] + 1, x[1], x[2] - x[1])),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import DomainError, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle
 from .literals import H2_ID
 
 
@@ -85,7 +85,6 @@ def h2_oracle() -> GroupOracle:
         identity=H2_IDENTITY,
         compose=h2_compose,
         invert=h2_invert,
-        encode=lambda el: plain_encode(tuple(el)),
         closed_length=None,  # no closed form exists; BFS is the metric source
         right_steps=(_h2_sigma, _h2_move(1), _h2_move(-1)),
     )

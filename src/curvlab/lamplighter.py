@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Mapping, NamedTuple
 
-from .core import DomainError, GroupOracle, plain_encode
+from .core import DomainError, GroupOracle
 from .literals import L2_ID
 
 
@@ -98,7 +98,6 @@ def l2_oracle() -> GroupOracle:
         identity=LampConfig((), 0),
         compose=_l2_compose,
         invert=_l2_invert,
-        encode=lambda el: plain_encode(tuple(el)),
         closed_length=ll_length,
         right_steps=(_l2_toggle, _move(LampConfig, 1), _move(LampConfig, -1)),
     )
@@ -144,7 +143,6 @@ def zn_wreath_oracle(n: int) -> GroupOracle:
         identity=WreathConfig((), 0),
         compose=compose,
         invert=invert,
-        encode=lambda el: plain_encode(tuple(el)),
         closed_length=wr_length,
         right_steps=tuple(map(act, states)) + (_move(WreathConfig, 1), _move(WreathConfig, -1)),
     )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from typing import Literal, Optional
 
 from .core import (
@@ -337,23 +338,13 @@ def question_probe(
 ) -> ProbeReport:
     """Probe the optimal plans from the identity to each sampled g, over the ball B_r."""
     rows = []
-    layer_sizes = [len(sphere(table, i)) for i in range(r + 1)]
-    bounds = []
-    start = 0
-    for size in layer_sizes:
-        bounds.append((start, start + size))
-        start += size
+    # (start, end) of each sphere S_0 .. S_r among the ball's rows and columns
+    bounds = list(pairwise(accumulate((len(sphere(table, i)) for i in range(r + 1)), initial=0)))
     for g in elements:
         res = transport_distance(oracle, table, MeasureSpec(oracle.identity, g, "ball", r), cap=cap)
         # Stitch per-sphere optima: cost of the best sphere-preserving plan.
         # A sphere-preserving ball optimum exists exactly when this reaches the ball optimum.
-        block_cost = 0
-        for i, (lo, hi) in enumerate(bounds):
-            if i == 0:
-                block_cost += res.cost[0][0]
-                continue
-            sub = [[res.cost[u][v] for v in range(lo, hi)] for u in range(lo, hi)]
-            block_cost += solve_assignment(sub)
+        block_cost = sum(solve_assignment([row[lo:hi] for row in res.cost[lo:hi]]) for lo, hi in bounds)
         blocks_optimal = Fraction(block_cost, len(res.translators)) == res.t1
         rows.append(
             ProbeRow(

@@ -228,8 +228,8 @@ def criterion_6(tier: str) -> Findings:
     table = bfs_metric(oracle, horizon)
     bad = 0
     for el, d in table.dist.items():
-        A, B, C = el
-        if A > B > 0 and C >= 0 and heis_length(el) != d:
+        closed = oracle.closed_length(el)
+        if closed is not None and closed != d:
             bad += 1
     if bad:
         failures.append(f"{bad} sector elements disagree with BFS in B_{horizon}")

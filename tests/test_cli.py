@@ -493,6 +493,22 @@ def test_cli_budget_error_does_not_depend_on_the_cache(tmp_path, args, budget, r
     assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
+@pytest.mark.parametrize(
+    "args, horizon",
+    [
+        (("length", "--group", "S3", "--element", "s", "--horizon", "1000000000"), 1_000_000_000),
+        (("curvature", "--group", "S3", "--element", "s", "--radius", "1000000000"), 1_000_000_000),
+        (("transport", "--group", "S3", "--x", "s", "--y", "w:", "--radius", "1000000000"), 1_000_000_002),
+        (("backtracks", "--group", "S3", "--element", "s", "--bound", "1000000000"), 1_000_000_000),
+    ],
+)
+def test_cli_horizon_above_the_bound_is_refused_at_once(args, horizon):
+    # S3 is exhausted at radius 3, but the BFS would still make one empty pass per further radius
+    proc = subprocess.run([sys.executable, "-m", "curvlab.cli", *args], capture_output=True, text=True, timeout=10)
+    want = f"curvlab: horizon {horizon} exceeds the largest supported horizon (10000)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
+
+
 def test_import_loads_neither_scipy_nor_numpy():
     # every submodule, since `import curvlab` alone loads none of them
     code = (

@@ -6,6 +6,7 @@ from bfs_reference import naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
+    MAX_HORIZON,
     DomainError,
     GroupOracle,
     OutOfHorizonError,
@@ -50,7 +51,6 @@ def test_group_oracle_rejects_generators_that_do_not_sort():
             identity=1,
             compose=lambda x, y: x * y,
             invert=lambda x: x.conjugate(),
-            encode=lambda x: repr(x).encode("ascii"),
         )
 
 
@@ -128,6 +128,14 @@ def test_budget_error():
         bfs_metric(make_free(2), 0, budget=0)  # the identity counts
 
 
+def test_horizon_bound():
+    # S3 is exhausted at radius 3; every radius out to the bound still gets its (empty) layer
+    table = bfs_metric(make_s3(), MAX_HORIZON)
+    assert table.layer_sizes() == (1, 2, 2, 1) + (0,) * (MAX_HORIZON - 3)
+    with pytest.raises(DomainError, match=rf"^horizon {MAX_HORIZON + 1} exceeds the largest supported horizon"):
+        bfs_metric(make_s3(), MAX_HORIZON + 1)
+
+
 @pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)
 def test_bfs_tree_is_the_naive_ball_with_least_generator_steps(oracle):
     table, steps = bfs_tree(oracle, 4)
@@ -179,6 +187,11 @@ def test_encode_injective_and_decodes(oracle):
     elements = ball(bfs_metric(oracle, 3), 3)
     keys = {oracle.encode(el) for el in elements}
     assert len(keys) == len(set(elements)) == len(elements)
+    # the benchmark's counting oracle replaces encode this way; the copy must step as the original does
+    wrapped = dataclasses.replace(oracle, encode=lambda el: b"#" + oracle.encode(el))
+    assert wrapped.encode(oracle.identity) == b"#" + oracle.encode(oracle.identity)
+    assert len(wrapped.steps) == len(oracle.steps)
+    assert all(new(el) == old(el) for new, old in zip(wrapped.steps, oracle.steps) for el in elements)
 
 
 @pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)
