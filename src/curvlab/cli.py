@@ -16,7 +16,7 @@ import os
 import sys
 from typing import Iterable
 
-from .core import DEFAULT_BUDGET, CurvlabError, DomainError, ball, word_length
+from .core import DEFAULT_BUDGET, MAX_HORIZON, CurvlabError, DomainError, ball, word_length
 from .literals import ParseError, element_formatter, get_group, parse_element
 
 # Each subcommand imports the modules it runs, so that a call loads only those.
@@ -54,6 +54,12 @@ def _table(args, oracle, default_horizon: int):
     from .cache import cached_bfs_metric
 
     horizon = args.horizon if args.horizon is not None else default_horizon
+    if horizon > MAX_HORIZON:  # name the option that set the horizon, which core cannot know
+        option = "horizon" if args.horizon is not None else "bound" if "bound" in args else "radius"
+        needs = "" if option == "horizon" else f" needs horizon {horizon}, which"
+        raise DomainError(
+            f"--{option} {getattr(args, option)}{needs} exceeds the largest supported horizon ({MAX_HORIZON})"
+        )
     return cached_bfs_metric(oracle, horizon, args.cache, budget=args.budget)
 
 

@@ -13,14 +13,19 @@ path form (Kuhn 1955), in O(n^3) integer arithmetic.  Besides the optimum
 and one optimal matching it returns integer dual potentials u, v with
 c_ij - u_i - v_j >= 0 everywhere.  By complementary slackness the optimal
 permutations are exactly the perfect matchings of the tight graph, the pairs
-with c_ij - u_i - v_j = 0.  They are listed in lexicographic order by fixing
-rows in order and trying tight columns in ascending order, while keeping one
-perfect matching of the rows not yet fixed; a branch that moves a row off
-its partner repairs that matching with one augmenting path, and is dropped
-when no path exists (in the manner of Uno 1997).  Every branch taken
-therefore leads to an optimum, and between two optima each tight pair is
-tried at most once, so the delay is polynomial: O(n^4) in the worst case,
-against the exponential search of a cost bound alone.
+with c_ij - u_i - v_j = 0.  They are listed in lexicographic order by one
+loop over a stack that holds, for each fixed row, an iterator over its tight
+columns in ascending order.  The loop keeps one perfect matching of the tight
+graph that agrees with the fixed rows: the top row takes the next column of
+its iterator, and a column other than its partner only when one augmenting
+path through the unfixed rows repairs the matching (in the manner of Uno
+1997).  A taken column pushes the next row's iterator, or records a plan at
+the last row; an exhausted iterator is popped and frees its parent row's
+column.  Every branch taken therefore leads to an optimum, and between two
+optima each tight pair is tried at most once, so the delay is polynomial:
+O(n^4) in the worst case, against the exponential search of a cost bound
+alone.  The walk is not recursive, so a matrix of any size stays within
+Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -172,51 +177,39 @@ def _reroute(tight, col, row, fixed, i: int, j: int) -> bool:
     return True
 
 
-def _tight_matchings(tight, match: list[int], limit: int) -> list[tuple[int, ...]]:
-    """The first ``limit`` perfect matchings of ``tight``, lexicographically.
-
-    ``tight[i]`` lists row i's columns in ascending order and ``match`` is one
-    perfect matching.  Rows are fixed in order, each to its tight columns in
-    ascending order; every branch taken keeps a perfect matching of the
-    whole graph that agrees with the fixed rows, so it ends in an output.
-    """
-    n = len(tight)
-    col = list(match)
-    row = [0] * n
-    for i, j in enumerate(col):
-        row[j] = i
-    fixed = [False] * n  # columns held by rows 0..i-1
-    nxt = [0] * (n + 1)  # per depth: the index into tight[i] to try next
-    out: list[tuple[int, ...]] = []
-    i = 0
-    while i >= 0 and len(out) < limit:
-        if i == n:
-            out.append(tuple(col))
-            i -= 1
-            continue
-        if nxt[i]:
-            fixed[col[i]] = False  # back from the branch that fixed row i
-        options = tight[i]
-        while nxt[i] < len(options):
-            j = options[nxt[i]]
-            nxt[i] += 1
-            if not fixed[j] and (j == col[i] or _reroute(tight, col, row, fixed, i, j)):
-                fixed[j] = True
-                i += 1
-                nxt[i] = 0
-                break
-        else:
-            nxt[i] = 0
-            i -= 1
-    return out
-
-
 def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], bool]:
+    """The first ``cap`` optimal permutations, lexicographically, and whether more exist.
+
+    ``match`` is one optimal assignment and u, v its integer duals.  The walk
+    keeps one iterator over the tight columns of each fixed row on a stack;
+    every branch taken keeps a perfect matching of the tight graph that
+    agrees with the fixed rows, so it ends in a plan.
+    """
     if cap < 0:
         raise DomainError(f"the cap on listed optima must be at least 0, got {cap}")
     n = len(cost)
     tight = [[j for j in range(n) if cost[i][j] - u[i] == v[j]] for i in range(n)]
-    plans = _tight_matchings(tight, match, cap + 1)
+    col = list(match)
+    row = [0] * n
+    for i, j in enumerate(col):
+        row[j] = i
+    fixed = [False] * n  # columns held by the rows below the top of the stack
+    stack = [iter(tight[0])] if n else []
+    plans = [] if n else [()]  # the empty matrix has one plan, the empty permutation
+    while stack and len(plans) <= cap:
+        i = len(stack) - 1
+        for j in stack[i]:
+            if not fixed[j] and (j == col[i] or _reroute(tight, col, row, fixed, i, j)):
+                if i + 1 == n:
+                    plans.append(tuple(col))
+                else:
+                    fixed[j] = True
+                    stack.append(iter(tight[i + 1]))
+                break
+        else:
+            stack.pop()
+            if i:
+                fixed[col[i - 1]] = False  # back from the branch that fixed row i - 1
     return plans[:cap], len(plans) > cap
 
 
@@ -311,9 +304,7 @@ class ProbeReport:
             "group": self.group_id,
             "radius": self.radius,
             "identity_always_optimal": self.identity_always_optimal,
-            "identity_counterexamples": [
-                format_element(e) for e in self.identity_counterexamples[:10]
-            ],
+            "identity_counterexamples": [format_element(e) for e in self.identity_counterexamples],
             "rows": [
                 {
                     "element": format_element(row.element),

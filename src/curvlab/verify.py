@@ -3,7 +3,7 @@
 Each criterion is a check returning its failures and notes; :data:`CRITERIA`
 lists its id, title and check once, and :func:`run_criterion` times it and
 writes its pass/fail line, for the CLI and the test suite alike.  The ``fast``
-tier trims the expensive sweeps (0.5 s against 5.3 s for ``full`` on 2 cores);
+tier trims the expensive sweeps (0.4 s against 4.0 s for ``full`` on 2 cores);
 the ``full`` tier runs everything at its stated scale.
 
 Criterion 2 pins the depth of the lamplighter dead ends d_m: the escape depth

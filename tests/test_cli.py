@@ -257,6 +257,14 @@ def test_cli_probe_samples_the_whole_requested_ball():
     assert {"(-10)", "(10)"} <= {row["element"] for row in json.loads(proc.stdout)["rows"]}
 
 
+def test_cli_probe_lists_every_identity_counterexample():
+    payload = json.loads(run_cli("probe", "--group", "Heis", "--ball", "3", "--radius", "1", "--horizon", "8").stdout)
+    rows = payload["rows"]
+    assert len(rows) == 52
+    assert payload["identity_counterexamples"] == [row["element"] for row in rows if not row["identity_optimal"]]
+    assert len(payload["identity_counterexamples"]) == 24
+
+
 def test_cli_csv_format():
     proc = run_cli(
         "curvature", "--group", "Z2", "--element", "(1,1)", "--radius", "1", "--format", "csv"
@@ -500,12 +508,16 @@ def test_cli_budget_error_does_not_depend_on_the_cache(tmp_path, args, budget, r
         (("curvature", "--group", "S3", "--element", "s", "--radius", "1000000000"), 1_000_000_000),
         (("transport", "--group", "S3", "--x", "s", "--y", "w:", "--radius", "1000000000"), 1_000_000_002),
         (("backtracks", "--group", "S3", "--element", "s", "--bound", "1000000000"), 1_000_000_000),
+        (("probe", "--group", "Z2", "--radius", "20000"), 20_002),
     ],
 )
 def test_cli_horizon_above_the_bound_is_refused_at_once(args, horizon):
-    # S3 is exhausted at radius 3, but the BFS would still make one empty pass per further radius
+    # S3 is exhausted at radius 3, but the BFS would still make one empty pass per further radius;
+    # the error names the option that set the horizon, and the horizon when derived from it
     proc = subprocess.run([sys.executable, "-m", "curvlab.cli", *args], capture_output=True, text=True, timeout=10)
-    want = f"curvlab: horizon {horizon} exceeds the largest supported horizon (10000)\n"
+    option, value = args[-2:]
+    derived = "" if option == "--horizon" else f" needs horizon {horizon}, which"
+    want = f"curvlab: {option} {value}{derived} exceeds the largest supported horizon (10000)\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
 
 

@@ -67,6 +67,8 @@ def test_enumeration_cap():
     with pytest.raises(DomainError, match="not the minimum assignment cost"):
         enumerate_optimal(zero3, 1)
     assert enumerate_optimal(zero3, 0, cap=0) == ([], True)  # at cap 0, truncated says that optima exist
+    assert enumerate_optimal([], 0, cap=3) == ([()], False)  # the empty matrix has one plan
+    assert enumerate_optimal([], 0, cap=0) == ([], True)
     s3 = make_s3()
     t3 = bfs_metric(s3, 3)
     spec = MeasureSpec(s3.generator("s"), s3.identity)
@@ -79,6 +81,13 @@ def test_enumeration_cap():
     ):
         with pytest.raises(DomainError, match="must be at least 0, got -1"):
             call()
+
+
+def test_enumeration_walk_is_not_recursive():
+    # one level per row: 1 200 rows is past Python's default recursion limit of 1 000
+    n = 1200
+    cost = [[int(i != j) for j in range(n)] for i in range(n)]
+    assert enumerate_optimal(cost, 0, cap=2) == ([tuple(range(n))], False)
 
 
 @pytest.mark.parametrize(
