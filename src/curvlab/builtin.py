@@ -38,6 +38,7 @@ def make_zn(n: int) -> GroupOracle:
         invert=lambda x: tuple(-a for a in x),
         closed_length=lambda x: sum(abs(a) for a in x),
         right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i in range(n) for d in (1, -1)),
+        conjugator=lambda g, w: g,  # the group is abelian
     )
 
 

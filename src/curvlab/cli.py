@@ -304,7 +304,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left early shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader closed the output early (`| head`): drop what is left, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as exc:
         print(f"curvlab: parse error: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,11 @@ class GroupOracle:
     through them.  An oracle may pass faster ``right_steps``; otherwise the
     steps derive from ``compose``, and anew under ``dataclasses.replace(oracle,
     compose=f)``.  Construction checks ``steps[i](identity) == generators[i]``.
+    :meth:`conjugate` forms w^-1 g w through ``conjugator(g, w)`` when the
+    oracle passes one (a closed form for the conjugation action) and through
+    two ``compose`` calls and an ``invert`` otherwise.  Like ``right_steps``,
+    a conjugator is kept by ``dataclasses.replace``; construction calls
+    neither it nor ``compose``.
     """
 
     group_id: str
@@ -96,6 +101,7 @@ class GroupOracle:
     encode: Callable[[Element], bytes] = plain_encode
     closed_length: Optional[Callable[[Element], Optional[int]]] = None
     right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
+    conjugator: Optional[Callable[[Element, Element], Element]] = field(default=None, repr=False)
     steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -136,6 +142,8 @@ class GroupOracle:
 
     def conjugate(self, g: Element, w: Element) -> Element:
         """w^-1 g w."""
+        if self.conjugator is not None:
+            return self.conjugator(g, w)
         return self.compose(self.compose(self.invert(w), g), w)
 
 

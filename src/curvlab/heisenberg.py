@@ -11,8 +11,9 @@ experiment enumerates a margin-guarded sector where every radius-r conjugate
 stays in the validated low branch, classifies the remainder s = C mod A into
 the ceiling cases, and compares the predicted curvature sign against the
 exact kappa computed from closed-form conjugate lengths.  In that sector
-kappa's numerator depends on C only through C mod A, so a class table holds
-one record per residue class of each (A, B) band, and each band is checked
+kappa's numerator depends on C only through C mod A, and it is a sum of
+low-branch ceilings, so a class table holds one record per residue class of
+each (A, B) band, with no conjugate built, and each band is checked
 against the sector at its two ends and just beyond them.  The report adds
 each class to its tallies weighted by its member count and lists the
 elements of a class only when its prediction contradicts the exact sign; the
@@ -31,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 from .core import DomainError, GroupOracle, bfs_metric, rational_str, sphere
 from .literals import HEIS_ID
 
-MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 3.5-3.7 s on 2 cores
+MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 3.8-4.0 s on 2 cores
 
 
 class MalcevTriple(NamedTuple):
@@ -49,6 +50,11 @@ def heis_compose(x: MalcevTriple, y: MalcevTriple) -> MalcevTriple:
 
 def heis_invert(x: MalcevTriple) -> MalcevTriple:
     return MalcevTriple(-x.a, -x.b, -x.c - x.a * x.b)
+
+
+def _heis_conjugate(g: MalcevTriple, w: MalcevTriple) -> MalcevTriple:
+    """w^-1 g w = (A, B, C + A*beta - alpha*B) for g = (A, B, C) and w = (alpha, beta, gamma)."""
+    return _new(MalcevTriple, (g[0], g[1], g[2] + g[0] * w[1] - w[0] * g[1]))
 
 
 def _ceildiv(p: int, q: int) -> int:
@@ -102,6 +108,7 @@ def heis_oracle() -> GroupOracle:
             lambda x: _new(MalcevTriple, (x[0], x[1] + 1, x[2])),
             lambda x: _new(MalcevTriple, (x[0], x[1] - 1, x[2])),
         ),
+        conjugator=_heis_conjugate,
     )
 
 
@@ -290,12 +297,13 @@ class DensityReport:
                 {
                     "A": row.A,
                     "B": row.B,
-                    "x_fraction": str(row.fractions()[0]),
-                    "y_fraction": str(row.fractions()[1]),
-                    "z_fraction": str(row.fractions()[2]),
+                    "x_fraction": str(x),
+                    "y_fraction": str(y),
+                    "z_fraction": str(z),
                     "boundary_count": row.boundary_count,
                 }
                 for row in self.band_rows
+                for x, y, z in [row.fractions()]
             ],
             "element_count": sum(self.sign_counts.values()),
         }
@@ -357,13 +365,16 @@ def _class_table(
 
     Exact kappa is computed once per residue class C mod A of each (A, B), by
     this lemma.  With n = |S_r|, the numerator n*|g| - sum |g^w| over w in
-    S_r of kappa_r(g) = numerator / (n*|g|) is the same for C and C + A when
-    both lie in the sector.  Proof: a conjugate has height C' = C + A*beta -
-    alpha*B with |A*beta - alpha*B| <= A*r, so the margins A*r <= C <=
-    A^2 - A*B - A*r put C' in the low branch, of length 2*ceil(C'/A) + A + B;
-    C -> C + A raises |g| and each of the n conjugate lengths by 2, which
-    cancels.  The labels and the prediction depend on s = C mod A alone, so
-    only the denominator changes within a class, and the sign not at all.
+    S_r of kappa_r(g) = numerator / (n*|g|) is
+    2 * sum m * (ceil(C/A) - ceil((C + D)/A)) over the distinct shifts D =
+    A*beta - alpha*B of S_r, m being the number of w in S_r with shift D,
+    and it is the same for C and C + A when both lie in the sector.  Proof:
+    a conjugate has height C' = C + D with |D| <= A*r, so the margins A*r <=
+    C <= A^2 - A*B - A*r put C and C' in the low branch, of length
+    2*ceil(C'/A) + A + B; the A + B terms cancel, and C -> C + A raises
+    each ceiling by 1, which cancels too.  The labels and the prediction
+    depend on s = C mod A alone, so only the denominator changes within a
+    class, and the sign not at all.
     A class whose first member is C has (c_hi - C) // A + 1 members: c_lo
     and c_hi are multiples of A, so with M = (c_hi - c_lo) / A residue 0 has
     M + 1 and every other residue M.
@@ -382,15 +393,14 @@ def _class_table(
     """
     deltas = heis_conjugate_deltas(r)
     n = len(deltas)
-    weights = Counter(deltas)  # sphere elements with equal (alpha, beta) give the same conjugate
     spec = SectorSpec(r, k)
     for A, B, c_lo, c_hi in bands:
         assert [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] == [False, True, True, False]
+        shifts = Counter([A * beta - alpha * B for alpha, beta in deltas]).items()
         classes = []
         for C in range(c_lo, min(c_lo + A, c_hi + 1)):
-            numerator = n * heis_length(MalcevTriple(A, B, C)) - sum(
-                m * heis_length((A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
-            )
+            up = _ceildiv(C, A)
+            numerator = 2 * sum([m * (up + (-C - D) // A) for D, m in shifts])  # (-x) // A == -ceil(x/A)
             sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
             s = C % A
             classes.append(_Class(numerator, n, sign, s, *_classify(A, B, s, r)))

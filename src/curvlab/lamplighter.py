@@ -85,6 +85,16 @@ def _l2_toggle(x: LampConfig) -> LampConfig:
     return _new(LampConfig, (lamps[:k] + rest, pos))
 
 
+def _l2_conjugate(g: LampConfig, w: LampConfig) -> LampConfig:
+    """w^-1 g w = ((H ^ F ^ (H + k)) - q, k) for g = (F, k) and w = (H, q), with ^ the symmetric difference."""
+    lamps, k = g
+    h, q = w
+    lit = set(lamps)
+    lit.symmetric_difference_update(h)
+    lit.symmetric_difference_update([i + k for i in h])
+    return _new(LampConfig, (tuple(sorted([i - q for i in lit])), k))
+
+
 def _move(cls: type, d: int):
     """Right multiplication by t^d: the lamplighter walks, the lamps stay."""
     return lambda x: _new(cls, (x[0], x[1] + d))
@@ -100,6 +110,7 @@ def l2_oracle() -> GroupOracle:
         invert=_l2_invert,
         closed_length=ll_length,
         right_steps=(_l2_toggle, _move(LampConfig, 1), _move(LampConfig, -1)),
+        conjugator=_l2_conjugate,
     )
 
 

@@ -346,6 +346,17 @@ def test_cli_deadend_tells_an_exhausted_group_from_a_reached_bound():
     }
 
 
+def test_cli_output_closed_after_the_first_line_ends_without_a_traceback():
+    # 0.9 MB of CSV: far more than a pipe holds, so the writes after the close must fail
+    args = ["density", "--k", "60", "--radius", "1", "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, "-m", "curvlab.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"A,B,C,length,s,labels,predicted,kappa\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")
+
+
 def test_cli_out_of_horizon_error_is_one_line_without_repr():
     proc = run_cli("curvature", "--group", "Heis", "--element", "Heis(5,2,1)", "--radius", "1")
     assert proc.returncode == 1

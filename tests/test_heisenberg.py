@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from curvlab.heisenberg import (
     MalcevTriple,
     SectorSpec,
     _band_counts,
+    _class_table,
     _sector_bands,
     density_csv_rows,
     heis_case_label,
@@ -246,6 +248,23 @@ def test_every_band_is_exactly_its_admitted_row(r):
     for A, B, c_lo, c_hi in _sector_bands(MAX_DENSITY_K, r):
         assert all(spec.admits(MalcevTriple(A, B, C)) for C in range(c_lo, c_hi + 1)), (A, B)
         assert not spec.admits(MalcevTriple(A, B, c_lo - 1)) and not spec.admits(MalcevTriple(A, B, c_hi + 1)), (A, B)
+
+
+@pytest.mark.parametrize("r, classes", [(1, 49_372), (2, 33_688), (3, 24_239)])
+def test_class_numerators_match_the_conjugate_lengths(r, classes):
+    # the low-branch ceiling sum of every residue class of every band at the largest census
+    # against n*|g| - sum |g^w| from heis_length, the conjugates of equal (alpha, beta) counted once each
+    weights = Counter(heis_conjugate_deltas(r))
+    n = sum(weights.values())
+    checked = 0
+    for A, B, c_lo, _, table in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
+        for C, cls in enumerate(table, c_lo):
+            want = n * heis_length(MalcevTriple(A, B, C)) - sum(
+                m * heis_length(MalcevTriple(A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
+            )
+            assert (cls.numerator, cls.n) == (want, n), (A, B, C)
+            checked += 1
+    assert checked == classes
 
 
 @pytest.mark.parametrize("k, r", [(30, 1), (36, 2)])

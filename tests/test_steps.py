@@ -1,9 +1,12 @@
-"""Generator steps: ``steps[i](x) == compose(x, generators[i])`` for every built-in oracle.
+"""Generator steps and conjugators, each checked against ``compose`` for every built-in oracle.
 
-Each built-in oracle but S3 passes its own fast steps.  They are checked
+Each built-in oracle but S3 passes its own fast steps: ``steps[i](x) ==
+compose(x, generators[i])``.  L2, Heis and Z^n also pass a conjugator:
+``conjugator(g, w) == compose(compose(invert(w), g), w)``.  Steps are checked
 against ``compose`` exhaustively on a ball of at least 10^3 elements (S3: the
-whole group), and with hypothesis on elements far outside those balls, next
-to the group axioms that ``compose`` itself must satisfy.
+whole group), conjugators on every pair of such a ball, and both with
+hypothesis on elements far outside those balls, next to the group axioms that
+``compose`` itself must satisfy.
 """
 
 import dataclasses
@@ -14,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab.builtin import make_s3, make_zn
-from curvlab.core import DomainError, ball, bfs_metric
+from curvlab.core import DomainError, ball, bfs_metric, sphere
+from curvlab.curvature import kappa
 from curvlab.heisenberg import MalcevTriple
-from curvlab.lamplighter import LampConfig, WreathConfig
+from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk
 from curvlab.literals import get_group
 
 # group id -> radius of a ball of at least 10^3 elements (S3: the whole group)
@@ -25,6 +29,8 @@ BALLS = {
     "L2": 10, "W2": 10, "W3": 8, "H2": 9, "Heis": 8,
 }
 ORACLES = {gid: get_group(gid) for gid in BALLS}
+# group id -> radius of the least ball of at least 10^3 elements, for the oracles that pass a conjugator
+CONJUGATOR_BALLS = {"Z1": 500, "Z2": 22, "Z3": 9, "L2": 10, "Heis": 7}
 FAR = st.integers(-(10**12), 10**12)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -132,3 +138,85 @@ def test_replacing_compose_rederives_the_steps():
     # explicit steps are kept: replacing compose does not slow them down
     heis = ORACLES["Heis"]
     assert dataclasses.replace(heis, compose=compose).steps == heis.steps
+
+
+def _by_compose(oracle, g, w):
+    return oracle.compose(oracle.compose(oracle.invert(w), g), w)
+
+
+@pytest.mark.parametrize("group_id", list(CONJUGATOR_BALLS))
+def test_conjugator_equals_compose_on_every_pair_of_a_ball(group_id):
+    oracle = ORACLES[group_id]
+    table = bfs_metric(oracle, CONJUGATOR_BALLS[group_id])
+    elements = ball(table, table.horizon)
+    assert len(elements) >= 1000 and len(elements) - len(table.layers[-1]) < 1000
+    compose, conjugator = oracle.compose, oracle.conjugator
+    for w in elements:
+        w_inv = oracle.invert(w)
+        assert [conjugator(g, w) for g in elements] == [compose(compose(w_inv, g), w) for g in elements], w
+
+
+@pytest.mark.parametrize("group_id", list(CONJUGATOR_BALLS))
+@SETTINGS
+@given(data=st.data())
+def test_conjugator_equals_compose_far_from_the_identity(group_id, data):
+    oracle = ORACLES[group_id]
+    g, w = (data.draw(_elements(group_id)) for _ in range(2))
+    conjugate = oracle.conjugate(g, w)
+    assert conjugate == _by_compose(oracle, g, w)
+    assert type(conjugate) is type(oracle.identity)
+
+
+@pytest.mark.parametrize("group_id", ["F2", "S3", "H2", "W3"])
+def test_oracles_without_a_conjugator_conjugate_through_compose(group_id):
+    oracle = ORACLES[group_id]
+    assert oracle.conjugator is None
+    calls = []
+
+    def compose(x, y):
+        calls.append((x, y))
+        return oracle.compose(x, y)
+
+    counted = dataclasses.replace(oracle, compose=compose)
+    pairs = [(g, w) for g in sphere(bfs_metric(oracle, 2), 2) for w in oracle.generators]
+    calls.clear()  # construction checks derived steps at the identity
+    assert [counted.conjugate(g, w) for g, w in pairs] == [_by_compose(oracle, g, w) for g, w in pairs]
+    assert len(calls) == 2 * len(pairs)
+
+
+def test_replacing_compose_keeps_a_passed_conjugator():
+    for group_id in CONJUGATOR_BALLS:
+        oracle = ORACLES[group_id]
+        assert dataclasses.replace(oracle, compose=make_s3().compose).conjugator is oracle.conjugator
+    # construction calls neither the conjugator nor compose
+    heis = ORACLES["Heis"]
+
+    def refuse(*args):
+        raise AssertionError("called at construction")
+
+    assert dataclasses.replace(heis, compose=refuse, conjugator=refuse).conjugator is refuse
+
+
+@pytest.mark.parametrize(
+    "group_id, g, horizon",
+    [("L2", ll_dm_tk(5, 2), 0), ("L2", LampConfig((-3, 1, 4), -2), 0), ("Heis", MalcevTriple(12, 3, 50), 3),
+     ("Z3", (2, -1, 3), 0)],
+    ids=["L2-d5t2", "L2-lamps", "Heis", "Z3"],
+)
+def test_kappa_with_a_conjugator_makes_no_compose_call(group_id, g, horizon):
+    oracle = ORACLES[group_id]
+    armed = []
+
+    def refuse(x, y):
+        if armed:
+            raise AssertionError("compose called")
+        return oracle.compose(x, y)
+
+    refusing = dataclasses.replace(oracle, compose=refuse)
+    reference = dataclasses.replace(oracle, conjugator=None)
+    conjugators = bfs_metric(oracle, 3)
+    lengths = bfs_metric(oracle, horizon)
+    armed.append(True)  # after construction
+    for r in (1, 2, 3):
+        for mode in ("sphere", "ball"):
+            assert kappa(refusing, conjugators, g, r, mode, lengths) == kappa(reference, conjugators, g, r, mode, lengths)
