@@ -26,13 +26,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Optional
 
 from .core import DomainError, GroupOracle, bfs_metric, rational_str, sphere
 from .literals import HEIS_ID
 
-MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 3.8-4.0 s on 2 cores
+MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 1.35-1.45 s on 2 cores
 
 
 class MalcevTriple(NamedTuple):
@@ -223,6 +223,25 @@ def _classify(A: int, B: int, s: int, r: int) -> tuple[tuple[str, ...], str]:
     return labels, "mixed"
 
 
+def _residue_classes(A: int, B: int, r: int) -> list[tuple[tuple[str, ...], str]]:
+    """``_classify(A, B, s, r)`` for s = 0 .. A - 1, classifying each run of remainders once.
+
+    The labels of s change only at the endpoints Bt and A - Bt (t = 1..r):
+    every s strictly between two neighbouring endpoints compares the same
+    way with each of them.  So each endpoint is classified on its own, and
+    each run between them by its first remainder.
+    """
+    out = [_classify(A, B, 0, r)]
+    s = 1
+    for e in sorted({B * t for t in range(1, r + 1)} | {A - B * t for t in range(1, r + 1)} | {A}):
+        if s < e:
+            out += [_classify(A, B, s, r)] * (e - s)  # the run s .. e - 1
+        if e < A:
+            out.append(_classify(A, B, e, r))
+        s = e + 1
+    return out
+
+
 def heis_sign_predict(g: MalcevTriple, r: int) -> str:
     """'+', '0', '-' when one case holds for every t <= r; 'mixed' otherwise.
 
@@ -397,13 +416,14 @@ def _class_table(
     for A, B, c_lo, c_hi in bands:
         assert [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] == [False, True, True, False]
         shifts = Counter([A * beta - alpha * B for alpha, beta in deltas]).items()
+        labelled = _residue_classes(A, B, r)
         classes = []
         for C in range(c_lo, min(c_lo + A, c_hi + 1)):
             up = _ceildiv(C, A)
             numerator = 2 * sum([m * (up + (-C - D) // A) for D, m in shifts])  # (-x) // A == -ceil(x/A)
             sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
             s = C % A
-            classes.append(_Class(numerator, n, sign, s, *_classify(A, B, s, r)))
+            classes.append(_Class(numerator, n, sign, s, *labelled[s]))
         yield A, B, c_lo, c_hi, classes
 
 
@@ -435,11 +455,12 @@ def heis_density_experiment(k: int, r: int) -> DensityReport:
     return report
 
 
-def _csv_row(g: MalcevTriple, cls: _Class) -> list:
-    length = heis_length(g)
-    kappa = Fraction(cls.numerator, cls.n * length)
-    labels = ";".join(cls.labels)
-    return [g.a, g.b, g.c, length, cls.s, labels, cls.predicted, rational_str(kappa)]
+def _csv_row(A: int, B: int, C: int, cls: _Class) -> list:
+    """The CSV row of (A, B, C) in ``cls``: every census element lies on the low branch (see ``_class_table``)."""
+    length = 2 * _ceildiv(C, A) + A + B
+    denominator = cls.n * length
+    g = gcd(cls.numerator, denominator)
+    return [A, B, C, length, cls.s, ";".join(cls.labels), cls.predicted, f"{cls.numerator // g}/{denominator // g}"]
 
 
 def density_csv_rows(k: int, r: int) -> Iterator[list]:
@@ -449,7 +470,7 @@ def density_csv_rows(k: int, r: int) -> Iterator[list]:
     """
     bands = _sector_bands(k, r)
     return (
-        _csv_row(MalcevTriple(A, B, C), classes[(C - c_lo) % A])
+        _csv_row(A, B, C, classes[(C - c_lo) % A])
         for A, B, c_lo, c_hi, classes in _class_table(k, r, bands)
         for C in range(c_lo, c_hi + 1)
     )

@@ -9,30 +9,36 @@ curvature); it always dominates the comparison curvature, whose plan is the
 identity permutation.
 
 The assignment is solved by the Hungarian method in its shortest augmenting
-path form (Kuhn 1955), in O(n^3) integer arithmetic.  Besides the optimum
-and one optimal matching it returns integer dual potentials u, v with
-c_ij - u_i - v_j >= 0 everywhere.  By complementary slackness the optimal
-permutations are exactly the perfect matchings of the tight graph, the pairs
-with c_ij - u_i - v_j = 0.  They are listed in lexicographic order by one
-loop over a stack that holds, for each fixed row, an iterator over its tight
+path form (Kuhn 1955), in O(n^3) integer arithmetic; each search scans only
+the columns outside its tree.  Besides the optimum and one optimal matching
+it returns integer dual potentials u, v with c_ij - u_i - v_j >= 0
+everywhere.  By complementary slackness the optimal permutations are exactly
+the perfect matchings of the tight graph, the pairs with
+c_ij - u_i - v_j = 0.  They are listed in lexicographic order by one loop
+over a stack that holds, for each fixed row, an iterator over its tight
 columns in ascending order.  The loop keeps one perfect matching of the tight
 graph that agrees with the fixed rows: the top row takes the next column of
 its iterator, and a column other than its partner only when one augmenting
 path through the unfixed rows repairs the matching (in the manner of Uno
-1997).  A taken column pushes the next row's iterator, or records a plan at
-the last row; an exhausted iterator is popped and frees its parent row's
-column.  Every branch taken therefore leads to an optimum, and between two
-optima each tight pair is tried at most once, so the delay is polynomial:
-O(n^4) in the worst case, against the exponential search of a cost bound
-alone.  The walk is not recursive, so a matrix of any size stays within
-Python's recursion limit.
+1997).  That path is most often a direct swap, the partner of the new column
+taking the top row's old one, which is tried before any search.  A taken
+column pushes the next row's iterator, except at row n - 3: the last two rows
+then share the two columns left, so the plan of the current matching is
+recorded, and before or after it, by the smaller column at row n - 2, the
+plan with those two columns exchanged when both exchanged pairs are tight.
+An exhausted iterator is popped and frees its parent row's column.  Every
+branch taken therefore leads to an optimum, and between two optima each
+tight pair is tried at most once, so the delay is polynomial: O(n^4) in the
+worst case, against the exponential search of a cost bound alone.  The walk
+is not recursive, so a matrix of any size stays within Python's recursion
+limit.  A transport support has at most MAX_TRANSPORT_ROWS rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate, compress, pairwise
 from typing import Literal, Optional
 
 from .core import (
@@ -49,6 +55,11 @@ from .core import (
 Support = Literal["sphere", "ball"]
 
 INF = float("inf")  # slack of a column no tree row reaches yet; every real slack is an int
+
+# Bound on the rows of a transport support.  The slowest admitted F_n sphere,
+# F4 at radius 3 with 392 rows from the generator a, takes about 9 s on 2
+# cores (F2 at radius 5, 324 rows, 6.5 s); F2 at radius 6 has 972 rows.
+MAX_TRANSPORT_ROWS = 400
 
 
 @dataclass(frozen=True)
@@ -99,45 +110,52 @@ def hungarian(cost) -> tuple[int, list[int], list[int], list[int]]:
     optimal assignment, and the integer potentials satisfy
     c_ij - u_i - v_j >= 0 for all i, j, with equality on the matching, so
     that sum(u) + sum(v) = optimum.
+
+    Each row is inserted by one shortest augmenting path search.  Only the
+    columns outside the search tree are scanned, in ascending order, so ties
+    break towards the lowest column.  Each open column's slack is stored with
+    the search's running shift ``reach`` added, so that after a scan
+    ``reach`` is the least stored slack; the duals of the tree rows and
+    columns are shifted once, when the search ends, each by the part of
+    ``reach`` gained after it joined.
     """
     n = len(cost)
-    # 1-based rows and columns; column 0 is a virtual start holding the row being inserted.
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    owner = [0] * (n + 1)  # owner[j]: the row matched to column j, 0 when free
-    for i in range(1, n + 1):
-        owner[0] = i
-        j0 = 0
-        slack = [INF] * (n + 1)  # least reduced cost reaching each column from the tree
-        way = [0] * (n + 1)  # the tree column preceding each column on its best path
-        done = [False] * (n + 1)
-        while owner[j0]:
-            done[j0] = True
-            i0 = owner[j0]
-            row, ui = cost[i0 - 1], u[i0]
-            delta, j1 = INF, 0
-            for j in range(1, n + 1):
-                if not done[j]:
-                    cur = row[j - 1] - ui - v[j]
-                    if cur < slack[j]:
-                        slack[j], way[j] = cur, j0
-                    if slack[j] < delta:
-                        delta, j1 = slack[j], j
-            for j in range(n + 1):
-                if done[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    slack[j] -= delta
-            j0 = j1
-        while j0:  # augment along the path back to the virtual column
+    u = [0] * n
+    v = [0] * n
+    owner = [-1] * n  # owner[j]: the row matched to column j, -1 when free
+    for i in range(n):
+        slack = [INF] * n  # least reduced cost from the tree to each open column, plus reach when it was set
+        way = [-1] * n  # the tree column preceding each column on its best path; -1 for row i itself
+        open_cols = list(range(n))
+        tree = []  # (row, column it holds or -1, reach when it joined)
+        i0, j0, reach = i, -1, 0
+        while i0 >= 0:
+            tree.append((i0, j0, reach))
+            row, base = cost[i0], reach - u[i0]
+            best, j1 = INF, -1
+            for j in open_cols:
+                s = slack[j]
+                cur = row[j] - v[j] + base
+                if cur < s:
+                    slack[j] = s = cur
+                    way[j] = j0
+                if s < best:
+                    best, j1 = s, j
+            reach = best
+            open_cols.remove(j1)
+            i0, j0 = owner[j1], j1
+        for r, c, joined in tree:
+            u[r] += reach - joined
+            if c >= 0:
+                v[c] -= reach - joined
+        while j0 >= 0:  # augment along the path back to row i
             j1 = way[j0]
-            owner[j0] = owner[j1]
+            owner[j0] = owner[j1] if j1 >= 0 else i
             j0 = j1
     match = [0] * n
-    for j in range(1, n + 1):
-        match[owner[j] - 1] = j - 1
-    return sum(cost[i][match[i]] for i in range(n)), match, u[1:], v[1:]
+    for j in range(n):
+        match[owner[j]] = j
+    return sum(cost[i][match[i]] for i in range(n)), match, u, v
 
 
 def solve_assignment(cost: list[list[int]]) -> int:
@@ -145,14 +163,19 @@ def solve_assignment(cost: list[list[int]]) -> int:
     return hungarian(cost)[0]
 
 
-def _reroute(tight, col, row, fixed, i: int, j: int) -> bool:
+def _reroute(tight, mask, col, row, fixed, i: int, j: int) -> bool:
     """Give row i column j, keeping the matching perfect by moving only unfixed rows.
 
-    Searches one augmenting path from j's owner to i's old column through
-    tight, unfixed columns other than j; returns False, leaving the matching
-    as it was, when there is none.
+    When j's owner has i's old column tight, the two rows swap columns.
+    Otherwise searches one augmenting path from j's owner to i's old column
+    through tight, unfixed columns other than j; returns False, leaving the
+    matching as it was, when there is none.
     """
     target, start = col[i], row[j]
+    if mask[start][target]:
+        col[start], row[target] = target, start
+        col[i], row[j] = j, i
+        return True
     via = {}  # column -> the row whose tight edge reached it
     stack = [start]
     while stack and target not in via:
@@ -183,25 +206,45 @@ def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], 
     ``match`` is one optimal assignment and u, v its integer duals.  The walk
     keeps one iterator over the tight columns of each fixed row on a stack;
     every branch taken keeps a perfect matching of the tight graph that
-    agrees with the fixed rows, so it ends in a plan.
+    agrees with the fixed rows, so it ends in a plan.  The last two rows are
+    never fixed: they share the two columns left, in the current matching
+    or exchanged.
     """
     if cap < 0:
         raise DomainError(f"the cap on listed optima must be at least 0, got {cap}")
     n = len(cost)
-    tight = [[j for j in range(n) if cost[i][j] - u[i] == v[j]] for i in range(n)]
+    mask = [bytearray([c - ui == vj for c, vj in zip(cost[i], v)]) for i, ui in enumerate(u)]
     col = list(match)
+    plans = []
+
+    def add_tail():  # the plans that complete the rows fixed so far
+        plan = tuple(col)
+        a, b = plan[-2:]
+        if mask[-2][b] and mask[-1][a]:
+            swapped = plan[:-2] + (b, a)
+            plans.extend((plan, swapped) if a < b else (swapped, plan))
+        else:
+            plans.append(plan)
+
+    if n <= 2:
+        if n == 2:
+            add_tail()
+        else:
+            plans.append(tuple(col))  # the empty matrix has one plan, the empty permutation
+        return plans[:cap], len(plans) > cap
+    tight = [list(compress(range(n), m)) for m in mask]
     row = [0] * n
     for i, j in enumerate(col):
         row[j] = i
     fixed = [False] * n  # columns held by the rows below the top of the stack
-    stack = [iter(tight[0])] if n else []
-    plans = [] if n else [()]  # the empty matrix has one plan, the empty permutation
+    last = n - 3  # the last row the walk gives a column; the two rows after it are the tail
+    stack = [iter(tight[0])]
     while stack and len(plans) <= cap:
         i = len(stack) - 1
         for j in stack[i]:
-            if not fixed[j] and (j == col[i] or _reroute(tight, col, row, fixed, i, j)):
-                if i + 1 == n:
-                    plans.append(tuple(col))
+            if not fixed[j] and (j == col[i] or _reroute(tight, mask, col, row, fixed, i, j)):
+                if i == last:
+                    add_tail()
                 else:
                     fixed[j] = True
                     stack.append(iter(tight[i + 1]))
@@ -238,6 +281,11 @@ def transport_distance(
     among the optima is reported on the result.
     """
     ws = sphere_or_ball(table, spec.radius, spec.support)
+    if len(ws) > MAX_TRANSPORT_ROWS:
+        raise DomainError(
+            f"the {spec.support} of radius {spec.radius} has {len(ws)} rows, more than the "
+            f"{MAX_TRANSPORT_ROWS} a transport problem may have; lower --radius"
+        )
     xi = oracle.invert(spec.x)
     shift = oracle.compose(xi, spec.y)  # x^-1 y; costs are |u^-1 (x^-1 y) v|
     cost = []

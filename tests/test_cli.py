@@ -440,6 +440,8 @@ def test_cli_parse_error_exit_code():
         # a W literal whose head is not the group id
         ("length", "--group", "W3", "--element", "W7{0:1;p=0}"),
         ("length", "--group", "W3", "--element", "W{0:1;p=0}"),
+        # a support above MAX_TRANSPORT_ROWS, refused before its cost matrix: F2's S_6 has 972 rows
+        ("transport", "--group", "F2", "--x", "a", "--y", "w:", "--radius", "6"),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):

@@ -16,6 +16,7 @@ from curvlab.heisenberg import (
     SectorSpec,
     _band_counts,
     _class_table,
+    _classify,
     _sector_bands,
     density_csv_rows,
     heis_case_label,
@@ -265,6 +266,14 @@ def test_class_numerators_match_the_conjugate_lengths(r, classes):
             assert (cls.numerator, cls.n) == (want, n), (A, B, C)
             checked += 1
     assert checked == classes
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_class_labels_match_the_classification_of_each_remainder(r):
+    # the class table classifies each run of remainders between the endpoints Bt and A - Bt once
+    for A, B, c_lo, _, table in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
+        for C, cls in enumerate(table, c_lo):
+            assert (cls.labels, cls.predicted) == _classify(A, B, C % A, r), (A, B, C)
 
 
 @pytest.mark.parametrize("k, r", [(30, 1), (36, 2)])

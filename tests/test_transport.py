@@ -4,14 +4,17 @@ import time
 from fractions import Fraction
 
 import pytest
+import transport_reference
 
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import DomainError, ball, bfs_metric
+from curvlab.core import DomainError, ball, bfs_metric, sphere_or_ball
 from curvlab.curvature import kappa
 from curvlab.lamplighter import l2_oracle, ll_dm_tk
 from curvlab.literals import get_group, parse_element
 from curvlab.transport import (
+    MAX_TRANSPORT_ROWS,
     MeasureSpec,
+    _optimal_plans,
     enumerate_optimal,
     hungarian,
     question_probe,
@@ -50,10 +53,73 @@ def test_enumeration_complete_and_lexicographic():
             for p in itertools.permutations(range(n))
             if sum(cost[i][p[i]] for i in range(n)) == opt
         ]  # itertools.permutations is lexicographic
-        for cap in (1, 3, 50, 1000):
+        for cap in (0, 1, 2, 3, 50, 1000):
             perms, truncated = enumerate_optimal(cost, opt, cap=cap)
             assert perms == expected[:cap]
             assert truncated == (len(expected) > cap)
+
+
+def assert_same_as_reference(cost):
+    """``hungarian`` and the plan walk give exactly what the reference versions give, at caps 0 to 3 and past the count."""
+    solved = hungarian(cost)
+    assert solved == transport_reference.hungarian(cost)
+    _, match, u, v = solved
+    listed, _ = transport_reference._optimal_plans(cost, match, u, v, 1000)
+    for cap in (0, 1, 2, 3, len(listed) + 1):  # one above the count, or past the 1 000 listed
+        assert _optimal_plans(cost, match, u, v, cap) == transport_reference._optimal_plans(cost, match, u, v, cap)
+
+
+def test_solver_and_walk_match_the_reference_on_every_small_matrix():
+    # every matrix over {0, 1, 2} with at most 3 rows: 1 + 3 + 81 + 19 683 matrices
+    for n in range(4):
+        for entries in itertools.product(range(3), repeat=n * n):
+            assert_same_as_reference([list(entries[i * n : (i + 1) * n]) for i in range(n)])
+
+
+def test_solver_and_walk_match_the_reference_on_random_matrices():
+    rng = random.Random(211)
+    for trial in range(600):
+        n = 4 + trial % 6
+        high = (1, 2, 3, 6, 20)[trial % 5]
+        assert_same_as_reference([[rng.randint(0, high) for _ in range(n)] for _ in range(n)])
+
+
+# The fixed problems of the benchmark's transport workload (perfbench/wl_transport.py):
+# (group, x, mode, radius) from x to the identity, and the table horizon each group needs.
+BENCHMARK_HEAVY = (
+    ("Heis", "(4,1,2)", "ball", 2),
+    ("W3", "w: s1 t", "sphere", 2),
+    ("L2", "d(4)*t^1", "sphere", 3),
+    ("Z2", "(1,1)", "sphere", 8),
+    ("Z2", "(1,2)", "sphere", 6),
+    ("L2", "d(2)", "sphere", 3),
+    ("F2", "a b^-1", "sphere", 2),
+    ("Z2", "(2,3)", "ball", 6),
+    ("Z2", "(2,3)", "ball", 5),
+    ("Z2", "(1,3)", "sphere", 5),
+    ("H2", "g(1)", "ball", 2),
+)
+BENCHMARK_PLATEAU = tuple(("L2", f"d({m})", "sphere", 3) for m in range(3, 19))
+BENCHMARK_HORIZONS = {"Z2": 12, "F2": 7, "L2": 9, "W3": 6, "H2": 8, "Heis": 14}
+
+
+def test_solver_and_walk_match_the_reference_on_the_benchmark_problems():
+    tables = {}
+    for gid, x, mode, r in BENCHMARK_HEAVY + BENCHMARK_PLATEAU:
+        oracle = get_group(gid)
+        if gid not in tables:
+            tables[gid] = bfs_metric(oracle, BENCHMARK_HORIZONS[gid])
+        spec = MeasureSpec(parse_element(gid, x), oracle.identity, mode, r)
+        cost = [list(row) for row in transport_distance(oracle, tables[gid], spec, cap=0).cost]
+        assert_same_as_reference(cost)
+
+
+def test_support_above_the_row_cap_is_refused():
+    f2 = make_free(2)
+    table = bfs_metric(f2, 6)
+    assert len(sphere_or_ball(table, 5, "ball")) == 485 > MAX_TRANSPORT_ROWS
+    with pytest.raises(DomainError, match=f"the ball of radius 5 has 485 rows, more than the {MAX_TRANSPORT_ROWS}"):
+        transport_distance(f2, table, MeasureSpec(f2.identity, f2.generator("a"), "ball", 5))
 
 
 def test_enumeration_cap():
