@@ -12,7 +12,8 @@ closed-form length and the independent cross-check for groups that have one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import compress, count, repeat
+from operator import ne
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -167,6 +168,12 @@ class MetricTable:
         return tuple(len(layer) for layer in self.layers)
 
 
+def inverse_indices(oracle: GroupOracle) -> tuple[int, ...]:
+    """Entry i is an index j with ``generators[j]`` the inverse of ``generators[i]``."""
+    index = {gen: j for j, gen in enumerate(oracle.generators)}
+    return tuple(index[oracle.invert(gen)] for gen in oracle.generators)
+
+
 def bfs_tree(
     oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[MetricTable, list[tuple[int, ...]]]:
@@ -177,13 +184,18 @@ def bfs_tree(
     seeds.  ``tree[r - 1][j]`` is ``p * len(generators) + i`` for element j
     of layer r: that element is ``oracle.steps[i](layers[r - 1][p])``, where
     i is the least generator index that reaches it from the previous layer.
-    Generators are tried in index order over the whole previous layer and
+    Generators are tried in index order, each over the previous layer, and
     p -> p * g_i is injective, so the first product hitting an element gives
-    that least i, with no extra product.
+    that least i, with no extra product.  Each element of the previous layer
+    skips the step by the inverse of the generator in its own code: that
+    product is its parent, which lies in the ball already, so it could never
+    give a code, and the least code of every element stays the one that all
+    products give.
 
     Raises :class:`DomainError` for a horizon outside 0..``MAX_HORIZON``, and
     :class:`ResourceLimitError` once more than ``budget`` elements would be
-    retained, the identity included.
+    retained, the identity included.  The budget is checked after each
+    generator's pass, so the walk holds at most ``budget`` + |S_(r-1)| elements.
     """
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
@@ -192,22 +204,26 @@ def bfs_tree(
     if budget < 1:
         raise ResourceLimitError.over_budget(oracle.group_id, 0, budget)
     n = len(oracle.steps)
+    back = inverse_indices(oracle)
     dist: dict[Element, int] = {oracle.identity: 0}
     layers: list[tuple[Element, ...]] = [(oracle.identity,)]
     tree: list[tuple[int, ...]] = []
+    backs = [-1]  # the generator that leads back to the parent; the identity has none
     for r in range(1, horizon + 1):
         prev = layers[-1]
         codes: dict[Element, int] = {}
         for i, step in enumerate(oracle.steps):
-            for code, el in zip(count(i, n), map(step, prev)):
+            for code, el in compress(zip(count(i, n), prev), map(ne, backs, repeat(i))):
+                el = step(el)
                 if el not in dist and el not in codes:
                     codes[el] = code
-        if len(dist) + len(codes) > budget:
-            raise ResourceLimitError.over_budget(oracle.group_id, r, budget)
+            if len(dist) + len(codes) > budget:
+                raise ResourceLimitError.over_budget(oracle.group_id, r, budget)
         layer = tuple(sorted(codes))
         dist.update(zip(layer, repeat(r)))
         layers.append(layer)
         tree.append(tuple(map(codes.__getitem__, layer)))
+        backs = list(map(back.__getitem__, map(n.__rmod__, tree[-1])))
     return MetricTable(oracle.group_id, horizon, tuple(layers), dist), tree
 
 

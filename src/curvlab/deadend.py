@@ -9,9 +9,12 @@ and a length it cannot decide raises OutOfHorizonError.  Depth bounds
 
 :func:`report` reads all of them off one search from g.  Its ``is_dead_end``
 is True iff no generator product of g is strictly longer than g; any depth
-bound settles it.  Its ``depth`` is the escape distance: the least k such
-that some product of k generators takes g to an element strictly longer than
-g, so non-dead-ends have depth 1; the ``witness`` path realizes it.
+bound settles it.  :func:`scan` settles it first with one pass over the
+generator steps of each candidate, in generator order and with the search's
+own length rule, and runs the search only on the candidates that pass.  Its
+``depth`` is the escape distance: the least k such that some product of k
+generators takes g to an element strictly longer than g, so non-dead-ends
+have depth 1; the ``witness`` path realizes it.
 
 Its ``strict_depth`` is the uniform-descent radius: the largest k such that for
 every r <= k and every w in the sphere S_r, |gw| <= |g| - r.  (The naive
@@ -26,6 +29,7 @@ depth within |g| + 1 layers, whatever the depth bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Optional
 
 from .core import (
@@ -34,6 +38,7 @@ from .core import (
     GroupOracle,
     MetricTable,
     OutOfHorizonError,
+    inverse_indices,
     sphere,
     word_length,
 )
@@ -92,18 +97,25 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     steps stays within |g|.  The layers stop before the escape.  Past
     ``max_depth`` they run only while every layer so far descends, the last
     one to within |g| - 1, so no escape lies there.  They end with an empty
-    layer exactly when the search exhausts a finite group.
+    layer exactly when the search exhausts a finite group.  Each element skips
+    the step by the inverse of the generator that discovered it: that product
+    is its parent.
     """
     _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
+    back = inverse_indices(oracle)
+    steps = tuple(zip(count(), oracle.labels, oracle.steps))
     parents: dict[Element, Optional[tuple[Element, str]]] = {g: None}
     layers: list[list[Element]] = [[g]]
+    backs = [-1]  # the generator that leads back to the parent; g has none
     strict: Optional[int] = None
     while strict is None or len(layers) <= max_depth:
         j = len(layers)
-        layer, longest = [], 0
-        for el in layers[-1]:
-            for label, step in zip(oracle.labels, oracle.steps):
+        layer, layer_backs, longest = [], [], 0
+        for el, skip in zip(layers[-1], backs):
+            for i, label, step in steps:
+                if i == skip:  # the product is the parent of el
+                    continue
                 h = step(el)
                 if h in parents:
                     continue
@@ -116,10 +128,13 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
                         word.append(label)
                     return base, layers, j - 1 if strict is None else strict, tuple(reversed(word))
                 layer.append(h)
-                longest = max(longest, n)
+                layer_backs.append(back[i])
+                if n > longest:
+                    longest = n
         if strict is None and (not layer or longest > base - j):
             strict = j - 1
         layers.append(layer)
+        backs = layer_backs
         if not layer:  # finite group exhausted; no deeper layers exist
             break
     return base, layers, strict, None
@@ -170,13 +185,27 @@ def backtrack_elements(
     return set().union(*layers[1:])
 
 
+def _escapes_in_one_step(oracle: GroupOracle, table: MetricTable, g: Element) -> bool:
+    """Whether some generator product of g is longer than g: the escape search's first layer, and no more."""
+    base = word_length(oracle, g, table)
+    return any(_length_within(oracle, table, step(g), base) is None for step in oracle.steps)
+
+
 def scan(
     oracle: GroupOracle,
     table: MetricTable,
     radius: int,
     max_depth: int,
 ) -> Iterator[DeadEndReport]:
-    """The report of every dead end in B_radius, in layer order, as a lazy iterator."""
+    """The report of every dead end in B_radius, in layer order, as a lazy iterator.
+
+    Each candidate is first tested with one pass over its generator steps; only
+    those with no escaping step get the full escape search and a report.
+    """
     _check_depth_bound(max_depth)
-    reports = (report(oracle, table, g, max_depth) for r in range(1, radius + 1) for g in sphere(table, r))
-    return (rep for rep in reports if rep.is_dead_end)
+    return (
+        report(oracle, table, g, max_depth)
+        for r in range(1, radius + 1)
+        for g in sphere(table, r)
+        if not _escapes_in_one_step(oracle, table, g)
+    )

@@ -15,6 +15,7 @@ m <= l <= k, and g(k) = h(k, 1) is the dead-end family.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import NamedTuple
 
 from .core import DomainError, GroupOracle
@@ -58,19 +59,43 @@ def h2_compose(x: HoughtonElement, y: HoughtonElement) -> HoughtonElement:
 _new = tuple.__new__  # builds a NamedTuple without the call to its generated __new__
 
 
-def _h2_move(n: int):
-    """x s^n: every moved point keeps its place, and its image slides n beads."""
-    return lambda x: _new(HoughtonElement, (x[0] + n, tuple([(p, bead_shift(q, n)) for p, q in x[1]])))
+def _h2_right(x: HoughtonElement) -> HoughtonElement:
+    """x s: every moved point keeps its place, and its image slides one bead right (-1 to 1)."""
+    return _new(HoughtonElement, (x[0] + 1, tuple([(p, q + 1 + (q == -1)) for p, q in x[1]])))
+
+
+def _h2_left(x: HoughtonElement) -> HoughtonElement:
+    """x s^-1: as :func:`_h2_right`, one bead left (1 to -1)."""
+    return _new(HoughtonElement, (x[0] - 1, tuple([(p, q - 1 - (q == 1)) for p, q in x[1]])))
 
 
 def _h2_sigma(x: HoughtonElement) -> HoughtonElement:
-    """x sigma: the images -1 and 1 swap, including those of the two points the pure shift sends there."""
+    """x sigma: the images -1 and 1 swap, including those of the two points the pure shift sends there.
+
+    A moved point whose image is -1 or 1 gets the other one, and leaves the
+    table if that is its pure-shift image.  An image with no moved point is
+    the pure-shift image of an unmoved point, which gets the other one and
+    joins the table.
+    """
     shift, moves = x
-    images = dict(moves)
+    images = [q for _, q in moves]
+    out = list(moves)
+    drop, added = [], []
     for q in (-1, 1):
-        images.setdefault(bead_shift(q, -shift), q)
-    swapped = ((p, -q if q in (-1, 1) else q) for p, q in sorted(images.items()))
-    return _new(HoughtonElement, (shift, tuple([(p, q) for p, q in swapped if q != bead_shift(p, shift)])))
+        if q in images:
+            k = images.index(q)
+            p = moves[k][0]
+            if bead_shift(p, shift) == -q:
+                drop.append(k)
+            else:
+                out[k] = (p, -q)
+        else:
+            added.append((bead_shift(q, -shift), -q))
+    for k in sorted(drop, reverse=True):
+        del out[k]
+    for pair in added:
+        insort(out, pair)
+    return _new(HoughtonElement, (shift, tuple(out)))
 
 
 def h2_invert(x: HoughtonElement) -> HoughtonElement:
@@ -86,7 +111,7 @@ def h2_oracle() -> GroupOracle:
         compose=h2_compose,
         invert=h2_invert,
         closed_length=None,  # no closed form exists; BFS is the metric source
-        right_steps=(_h2_sigma, _h2_move(1), _h2_move(-1)),
+        right_steps=(_h2_sigma, _h2_right, _h2_left),
     )
 
 

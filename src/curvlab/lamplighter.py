@@ -43,11 +43,13 @@ class WreathConfig(NamedTuple):
 
 
 def lamp_walk_length(indices, pos: int) -> int:
+    """The length above for the lit lamp ``indices``, in increasing order, and the position ``pos``."""
     if not indices:
         return abs(pos)
-    r = max(0, max(indices))
-    l = max(0, -min(indices))
-    return len(indices) + min(2 * l + r + abs(pos - r), 2 * r + l + abs(pos + l))
+    r = indices[-1] if indices[-1] > 0 else 0
+    l = -indices[0] if indices[0] < 0 else 0
+    left_first, right_first = l + abs(pos - r), r + abs(pos + l)
+    return len(indices) + l + r + (left_first if left_first < right_first else right_first)
 
 
 def ll_length(cfg: LampConfig) -> int:

@@ -1,4 +1,9 @@
-"""A plain breadth-first search, independent of curvlab's BFS, for checking tables against."""
+"""A plain breadth-first search, independent of curvlab's BFS, for checking tables against.
+
+Also a wrapper that counts the generator steps an oracle makes.
+"""
+
+import dataclasses
 
 
 def naive_ball(oracle, horizon):
@@ -10,3 +15,19 @@ def naive_ball(oracle, horizon):
         seen |= frontier
         layers.append(tuple(sorted(frontier)))
     return tuple(layers), {el: r for r, layer in enumerate(layers) for el in layer}
+
+
+def counting_steps(oracle):
+    """A copy of ``oracle`` and a list that gains one entry per generator step the copy makes after construction."""
+    calls = []
+
+    def counted(step):
+        def call(x):
+            calls.append(x)
+            return step(x)
+
+        return call
+
+    copy = dataclasses.replace(oracle, right_steps=tuple(map(counted, oracle.steps)))
+    calls.clear()  # construction checks each step at the identity
+    return copy, calls

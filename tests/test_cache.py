@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.cache import CacheFormatError, cache_path, cached_bfs_metric, table_from_bytes
-from curvlab.core import CurvlabError, ResourceLimitError, bfs_metric
+from curvlab.core import CurvlabError, ResourceLimitError, bfs_metric, bfs_tree
 from curvlab.heisenberg import heis_oracle
 from curvlab.houghton import h2_oracle
 from curvlab.lamplighter import l2_oracle, zn_wreath_oracle
@@ -268,6 +268,18 @@ def test_cache_hit_checks_the_budget_first(tmp_path):
     armed = True
     with pytest.raises(ResourceLimitError):
         cached_bfs_metric(guarded, 4, d, budget=n - 1)
+
+
+def test_more_than_255_generators(tmp_path):
+    # F130 has 260 generators, so generator indices (and the generators back to each parent) pass a byte;
+    # its B_2 holds 67 601 short words, where Z200's holds 80 000 tuples of 200 ints
+    oracle = make_free(130)
+    table, tree = bfs_tree(oracle, 2)
+    assert (table.layers, table.dist) == naive_ball(oracle, 2)
+    assert max(code % len(oracle.generators) for code in tree[1]) == 259
+    d = str(tmp_path)
+    assert cached_bfs_metric(oracle, 2, d) == table  # a miss writes the file
+    assert cached_bfs_metric(oracle, 2, d) == table  # a hit loads it
 
 
 # group id -> the largest horizon drawn: balls of at most 300 elements

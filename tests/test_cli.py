@@ -346,6 +346,20 @@ def test_cli_deadend_tells_an_exhausted_group_from_a_reached_bound():
     }
 
 
+CLI_GOLDEN = {
+    "deadend_l2_scan_h9": ("deadend", "--group", "L2", "--scan", "--horizon", "9"),
+    "deadend_l2_d4": ("deadend", "--group", "L2", "--element", "d(4)"),
+    "backtracks_l2_d3": ("backtracks", "--group", "L2", "--element", "d(3)"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_GOLDEN)
+def test_cli_dead_end_calls_print_their_golden_output(name):
+    proc = run_cli(*CLI_GOLDEN[name])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (Path(__file__).resolve().parent / "golden" / "cli" / f"{name}.txt").read_text()
+
+
 def test_cli_output_closed_after_the_first_line_ends_without_a_traceback():
     # 0.9 MB of CSV: far more than a pipe holds, so the writes after the close must fail
     args = ["density", "--k", "60", "--radius", "1", "--format", "csv"]

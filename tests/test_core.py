@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from bfs_reference import naive_ball
+from bfs_reference import counting_steps, naive_ball
 
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
@@ -126,6 +126,25 @@ def test_budget_error():
         bfs_metric(make_free(2), 5, budget=20)
     with pytest.raises(ResourceLimitError, match=r"^ball of radius 0 for F2 exceeds the element budget \(0\)"):
         bfs_metric(make_free(2), 0, budget=0)  # the identity counts
+
+
+def test_budget_is_checked_after_each_generator_pass():
+    f3, calls = counting_steps(make_free(3))
+    with pytest.raises(ResourceLimitError, match=r"^ball of radius 7 for F3 exceeds the element budget \(30000\)"):
+        bfs_tree(f3, 7, budget=30_000)
+    b5, s6 = 1 + 6 * (5**5 - 1) // 4, 6 * 5**5  # |B_5| = 4 687, |S_6| = 18 750
+    b6_steps = 6 * b5 - (b5 - 1)  # the steps that build B_6 (23 437 elements, within the budget)
+    # layer 7 stops after its first generator pass, not after all six (6 * |S_6| products)
+    assert b6_steps < len(calls) <= b6_steps + s6
+
+
+@pytest.mark.parametrize("oracle", ALL_ORACLES, ids=lambda o: o.group_id)
+def test_bfs_skips_the_step_back_to_each_parent(oracle):
+    counted, calls = counting_steps(oracle)
+    assert bfs_tree(counted, 4) == bfs_tree(oracle, 4)
+    inner = sum(bfs_metric(oracle, 3).layer_sizes())  # |B_3|: the elements the BFS multiplies
+    # every generator on each element, but one fewer on each element past the identity
+    assert len(calls) == len(oracle.generators) * inner - (inner - 1)
 
 
 def test_horizon_bound():

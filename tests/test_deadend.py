@@ -1,11 +1,13 @@
 import deadend_reference as ref
 import pytest
+from bfs_reference import counting_steps
 
 from curvlab import deadend
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import DomainError, OutOfHorizonError, ball, bfs_metric, word_length
+from curvlab.core import DomainError, OutOfHorizonError, ball, bfs_metric, sphere, word_length
 from curvlab.houghton import h2_g, h2_h, h2_oracle
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
+from curvlab.literals import get_group
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,37 @@ def test_scan_streams_reports(l2):
     assert rep.strict_depth == 1
     payload = rep.to_json_dict()
     assert payload["is_dead_end"] is True
+
+
+# group id -> (radius of the ball scanned, dead ends in it); the S3 ball is the whole group, and
+# W3 B_6 and H2 B_8 hold no dead end, so their balls reach the first ones
+SCAN_BALLS = {"L2": (9, 3), "W3": (7, 8), "H2": (12, 6), "Heis": (6, 4), "F2": (5, 0), "Z2": (6, 0), "S3": (3, 1)}
+
+
+@pytest.mark.parametrize("group_id", SCAN_BALLS)
+def test_scan_is_the_dead_end_filter_of_report(group_id):
+    radius, dead_ends = SCAN_BALLS[group_id]
+    oracle = get_group(group_id)
+    table = bfs_metric(oracle, radius)
+    reports = [deadend.report(oracle, table, g, 4) for r in range(1, radius + 1) for g in sphere(table, r)]
+    dead = [rep for rep in reports if rep.is_dead_end]
+    assert list(deadend.scan(oracle, table, radius, 4)) == dead
+    assert len(dead) == dead_ends
+
+
+@pytest.mark.parametrize(
+    "make, g, max_depth",
+    [(make_s3, 5, 12), (l2_oracle, ll_make_dm(3), 4), (h2_oracle, h2_g(2), 2)],  # S3 element 5 is s t s
+    ids=["S3", "L2", "H2"],
+)
+def test_escape_search_skips_the_step_back_to_each_parent(make, g, max_depth):
+    oracle = make()
+    table = bfs_metric(oracle, 12)
+    counted, calls = counting_steps(oracle)
+    _, layers, _, witness = deadend._search(counted, table, g, max_depth)
+    assert witness is None  # the search ran out of group or of depth, so it multiplied all but its last layer
+    expanded = sum(map(len, layers[:-1]))
+    assert len(calls) == len(oracle.generators) * expanded - (expanded - 1)
 
 
 # ---------------------------------------------------------------------------
