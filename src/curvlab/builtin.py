@@ -7,10 +7,12 @@ covers it entirely.
 
 from __future__ import annotations
 
-import string
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import DomainError, GroupOracle
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +48,7 @@ def make_zn(n: int) -> GroupOracle:
 # Free groups; elements are freely reduced tuples of nonzero signed indices
 # (+k / -k for the k-th generator and its inverse, 1-based).
 
-_FREE_NAMES = string.ascii_lowercase
+_FREE_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 def free_letter_label(letter: int, n: int) -> str:
@@ -89,6 +91,8 @@ def free_gencon(n: int, g: tuple) -> Fraction:
     """Average conjugate length of a nonempty reduced word: |g| + 2 - 2/n."""
     if len(g) == 0:
         raise DomainError("the generator-conjugation average is undefined at the empty word")
+    from fractions import Fraction
+
     return Fraction(len(g)) + 2 - Fraction(2, n)
 
 

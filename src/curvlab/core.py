@@ -74,18 +74,20 @@ class GroupOracle:
     order; construction checks that the generators sort.  Cache files store
     no elements, but their contents depend on the order of each layer and on
     the order of ``generators``, so changing either changes the file format.
-    The library never reads ``encode``, which defaults to :func:`plain_encode`;
-    ROADMAP item 2 deletes it once item 1 stops the benchmark wrapping it.
+    The library never reads ``encode``, which defaults to :func:`plain_encode`.
     ``closed_length`` may return ``None`` for elements outside the domain of
     the closed formula, in which case callers fall back to a BFS table.
     ``labels[i]`` names ``generators[i]``; the labels are distinct and the
     generating set is symmetric: ``invert`` maps it onto itself.
+    ``inverses[i]`` is the index of the inverse of ``generators[i]``, found by
+    that check; the BFS and the escape search read it.
     ``steps[i]`` is right multiplication by ``generators[i]``:
     ``steps[i](x) == compose(x, generators[i])``.  The BFS, cache loads, the
-    escape search and :meth:`evaluate` make every product with one generator
-    through them.  An oracle may pass faster ``right_steps``; otherwise the
-    steps derive from ``compose``, and anew under ``dataclasses.replace(oracle,
-    compose=f)``.  Construction checks ``steps[i](identity) == generators[i]``.
+    escape search and :meth:`evaluate`, which reads every word literal, make
+    every product with one generator through them.  An oracle may pass faster
+    ``right_steps``; otherwise the steps derive from ``compose``, and anew
+    under ``dataclasses.replace(oracle, compose=f)``.  Construction checks
+    ``steps[i](identity) == generators[i]``.
     :meth:`conjugate` forms w^-1 g w through ``conjugator(g, w)`` when the
     oracle passes one (a closed form for the conjugation action) and through
     two ``compose`` calls and an ``invert`` otherwise.  Like ``right_steps``,
@@ -104,6 +106,7 @@ class GroupOracle:
     right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
     conjugator: Optional[Callable[[Element, Element], Element]] = field(default=None, repr=False)
     steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
+    inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -112,7 +115,9 @@ class GroupOracle:
             raise DomainError("generator labels must be distinct")
         if len(self.labels) != len(self.generators):
             raise DomainError("there must be one label per generator")
-        if {self.invert(gen) for gen in self.generators} != set(self.generators):
+        index = {gen: j for j, gen in enumerate(self.generators)}
+        inverses = tuple(index.get(self.invert(gen), -1) for gen in self.generators)
+        if set(inverses) != set(index.values()):
             raise DomainError("generating set must be closed under inversion")
         steps = self.right_steps
         if steps is None:
@@ -124,6 +129,7 @@ class GroupOracle:
         except TypeError:
             raise DomainError("generators must be totally ordered by <") from None
         object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "inverses", inverses)
 
     def _index(self, label: str) -> int:
         try:
@@ -168,12 +174,6 @@ class MetricTable:
         return tuple(len(layer) for layer in self.layers)
 
 
-def inverse_indices(oracle: GroupOracle) -> tuple[int, ...]:
-    """Entry i is an index j with ``generators[j]`` the inverse of ``generators[i]``."""
-    index = {gen: j for j, gen in enumerate(oracle.generators)}
-    return tuple(index[oracle.invert(gen)] for gen in oracle.generators)
-
-
 def bfs_tree(
     oracle: GroupOracle, horizon: int, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[MetricTable, list[tuple[int, ...]]]:
@@ -204,7 +204,6 @@ def bfs_tree(
     if budget < 1:
         raise ResourceLimitError.over_budget(oracle.group_id, 0, budget)
     n = len(oracle.steps)
-    back = inverse_indices(oracle)
     dist: dict[Element, int] = {oracle.identity: 0}
     layers: list[tuple[Element, ...]] = [(oracle.identity,)]
     tree: list[tuple[int, ...]] = []
@@ -223,7 +222,7 @@ def bfs_tree(
         dist.update(zip(layer, repeat(r)))
         layers.append(layer)
         tree.append(tuple(map(codes.__getitem__, layer)))
-        backs = list(map(back.__getitem__, map(n.__rmod__, tree[-1])))
+        backs = list(map(oracle.inverses.__getitem__, map(n.__rmod__, tree[-1])))
     return MetricTable(oracle.group_id, horizon, tuple(layers), dist), tree
 
 

@@ -38,7 +38,6 @@ from .core import (
     GroupOracle,
     MetricTable,
     OutOfHorizonError,
-    inverse_indices,
     sphere,
     word_length,
 )
@@ -103,7 +102,7 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     """
     _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
-    back = inverse_indices(oracle)
+    back = oracle.inverses
     steps = tuple(zip(count(), oracle.labels, oracle.steps))
     parents: dict[Element, Optional[tuple[Element, str]]] = {g: None}
     layers: list[list[Element]] = [[g]]

@@ -316,9 +316,9 @@ class DensityReport:
                 {
                     "A": row.A,
                     "B": row.B,
-                    "x_fraction": str(x),
-                    "y_fraction": str(y),
-                    "z_fraction": str(z),
+                    "x_fraction": rational_str(x),
+                    "y_fraction": rational_str(y),
+                    "z_fraction": rational_str(z),
                     "boundary_count": row.boundary_count,
                 }
                 for row in self.band_rows
@@ -414,7 +414,8 @@ def _class_table(
     n = len(deltas)
     spec = SectorSpec(r, k)
     for A, B, c_lo, c_hi in bands:
-        assert [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] == [False, True, True, False]
+        if [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] != [False, True, True, False]:
+            raise ArithmeticError(f"band {(A, B, c_lo, c_hi)} is not the admitted interval of its row")
         shifts = Counter([A * beta - alpha * B for alpha, beta in deltas]).items()
         labelled = _residue_classes(A, B, r)
         classes = []

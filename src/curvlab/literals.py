@@ -64,27 +64,23 @@ _GROUP_RULE = (
 
 
 def _parse_word(oracle: GroupOracle, text: str) -> Element:
-    out = oracle.identity
-    letters = 0
+    """The element of a word literal: each token is checked, spelled out in labels, and the word evaluated."""
+    word: list[str] = []
     rule = f"a word of at most {MAX_WORD_LETTERS} letters, a^k counting |k|"
     for token in text.split():
         m = re.fullmatch(r"([^\^\s]+)(?:\^(-?)0*(\d+))?", token)
         if not m:
             raise ParseError(token, "a generator name with an optional ^<power>")
         name, minus, digits = m.group(1), m.group(2), m.group(3) or "1"
-        try:
-            gen = oracle.generator(name)
-        except KeyError:
-            raise ParseError(token, f"a generator of {oracle.group_id}") from None
+        if name not in oracle.labels:
+            raise ParseError(token, f"a generator of {oracle.group_id}")
         power = _int_field(digits, text.strip(), MAX_WORD_LETTERS, rule)
-        letters += power
-        if letters > MAX_WORD_LETTERS:
+        if len(word) + power > MAX_WORD_LETTERS:
             raise ParseError(text.strip(), rule)
         if minus:
-            gen = oracle.invert(gen)
-        for _ in range(power):
-            out = oracle.compose(out, gen)
-    return out
+            name = oracle.labels[oracle.inverses[oracle.labels.index(name)]]
+        word += [name] * power
+    return oracle.evaluate(word)
 
 
 _DIGITS_RULE = f"an integer of at most {MAX_INT_DIGITS} digits"

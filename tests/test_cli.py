@@ -52,6 +52,8 @@ def test_parse_zn():
     assert parse_element("Z3", "( 1 , 0 , -7 )") == (1, 0, -7)
     with pytest.raises(ParseError):
         parse_element("Z2", "(1,2,3)")
+    with pytest.raises(ParseError, match=re.escape('expected "(c1,...,cn)" coordinates')):
+        parse_element("Z2", "1,2")
 
 
 def test_parse_words():
@@ -62,6 +64,9 @@ def test_parse_words():
     assert parse_element("S3", "s t s") == parse_element("S3", "t s t")
     with pytest.raises(ParseError):
         parse_element("F2", "q")
+    for text in ("w: a^x", "a^^2"):
+        with pytest.raises(ParseError, match=re.escape("expected a generator name with an optional ^<power>")):
+            parse_element("F2", text)
     # a^k counts |k| letters towards the bound
     assert parse_element("F2", f"w: a^{MAX_WORD_LETTERS - 1} b^-1") == (1,) * (MAX_WORD_LETTERS - 1) + (-2,)
     assert parse_element("F2", "w: a^003 a^-0") == (1, 1, 1)
@@ -77,6 +82,8 @@ def test_parse_lamplighter():
     assert parse_element("L2", "L2{ ; p=0 }") == LampConfig((), 0)
     with pytest.raises(ParseError):
         parse_element("L2", "L2{ 1,1 ; p=0 }")
+    with pytest.raises(ParseError, match="expected a comma-separated list of integers"):
+        parse_element("L2", "L2{ x ; p=0 }")
     with pytest.raises(ParseError):
         parse_element("L2", "d(0)")
     assert parse_element("L2", f"d({MAX_BUILDER_SIZE})*t^-1") == ll_dm_tk(MAX_BUILDER_SIZE, -1)
@@ -91,6 +98,8 @@ def test_parse_wreath():
         parse_element("W3", "W3{ 0:3 ; p=0 }")  # state out of range
     with pytest.raises(ParseError):
         parse_element("W3", "W3{ 0:0 ; p=0 }")  # identity state
+    with pytest.raises(ParseError, match="'0:2': expected distinct lamp indices"):
+        parse_element("W3", "W3{0:1, 0:2 ; p=0}")
     # the head of the literal is the group id
     for text in ("W7{0:1;p=0}", "W{0:1;p=0}", "W03{0:1;p=0}"):
         with pytest.raises(ParseError, match="W<n>"):
@@ -111,6 +120,10 @@ def test_parse_houghton():
         parse_element("H2", "H2{ 1:2, 2:3 ; shift=1 }")  # entries match the shift
     with pytest.raises(ParseError, match="'0:1': expected nonzero bead indices"):
         parse_element("H2", "H2{0:1;shift=0}")
+    with pytest.raises(ParseError, match="'1:3': expected distinct source points"):
+        parse_element("H2", "H2{1:2, 1:3 ; shift=0}")
+    with pytest.raises(ParseError, match="expected an injective exception table"):
+        parse_element("H2", "H2{1:2, 2:2 ; shift=0}")
     for builder in ("g(0)", "h(1,2)", "h(2,0)", "u(0,pos)"):
         with pytest.raises(ParseError):
             parse_element("H2", builder)
@@ -372,13 +385,16 @@ def test_cli_output_closed_after_the_first_line_ends_without_a_traceback():
 
 
 def test_cli_out_of_horizon_error_is_one_line_without_repr():
-    proc = run_cli("curvature", "--group", "Heis", "--element", "Heis(5,2,1)", "--radius", "1")
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == (
-        "curvlab: a word length in Heis is not covered by the table (horizon 3) and no closed form applies; "
-        "raise the horizon\n"
-    )
+    # the second call's escape search reaches an element with no closed length, with a bound above the horizon
+    for args in (("curvature", "--group", "Heis", "--element", "Heis(5,2,1)", "--radius", "1"),
+                 ("deadend", "--group", "Heis", "--element", "(20,1,0)", "--horizon", "3")):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "curvlab: a word length in Heis is not covered by the table (horizon 3) and no closed form applies; "
+            "raise the horizon\n"
+        )
 
 
 def test_cli_transport_and_probe():
@@ -594,13 +610,16 @@ def test_each_subcommand_loads_only_its_own_modules(tmp_path, argv, loaded):
         "import json, sys\n"
         "from curvlab import cli\n"
         "code = cli.main(json.loads(sys.argv[1]))\n"
-        "print(code, json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'curvlab')))"
+        "print(code, json.dumps(sorted(sys.modules)))"
     )
     argv = [*argv, "--cache", str(tmp_path)] if argv[0] not in ("density", "verify") else argv
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True)
     status, _, modules = proc.stdout.splitlines()[-1].partition(" ")
     assert status == "0", proc.stderr
-    assert set(json.loads(modules)) == _FRONT | {f"curvlab.{m}" for m in loaded}
+    modules = set(json.loads(modules))
+    assert {m for m in modules if m.partition(".")[0] == "curvlab"} == _FRONT | {f"curvlab.{m}" for m in loaded}
+    if argv[0] == "length" and "builtin" in loaded:  # a Z<n>, F<n> or S3 length needs neither module
+        assert not modules & {"fractions", "string"}
 
 
 def test_package_exports_resolve_lazily():

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from bfs_reference import counting_steps, naive_ball
 
+import curvlab
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import (
     MAX_HORIZON,
@@ -39,6 +42,15 @@ def test_group_oracle_rejects_bad_generating_sets():
         dataclasses.replace(z1, labels=("a1", "a1^-1", "b1"))
     with pytest.raises(DomainError, match="closed under inversion"):
         dataclasses.replace(z1, labels=("a1",), generators=((1,),))
+    with pytest.raises(DomainError, match="closed under inversion"):  # into the set, but not onto it
+        dataclasses.replace(z1, invert=lambda x: (1,))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so no check of the library may be one
+    for path in sorted(Path(curvlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], path.name
 
 
 def test_group_oracle_rejects_generators_that_do_not_sort():
@@ -63,6 +75,7 @@ def test_builtin_generating_sets_are_labelled_and_symmetric(group_id):
     images = [gens.index(oracle.invert(gen)) for gen in gens]
     assert sorted(images) == list(range(len(gens)))
     assert all(images[images[i]] == i for i in range(len(gens)))
+    assert oracle.inverses == tuple(images)  # found once, by the construction check
 
 
 def test_free_group_sphere_sizes():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -127,6 +128,7 @@ def test_case_labels_partition():
 def test_sector_spec():
     spec = SectorSpec(1)
     assert spec.admits(MalcevTriple(10, 2, 30))
+    assert not spec.admits(MalcevTriple(2, 5, 1))  # B > A
     assert not spec.admits(MalcevTriple(10, 2, 5))  # C < A*r margin
     assert not spec.admits(MalcevTriple(10, 9, 30))  # band and gap violated
     assert not spec.admits(MalcevTriple(10, 2, 75))  # above the low-height margin
@@ -249,6 +251,14 @@ def test_every_band_is_exactly_its_admitted_row(r):
     for A, B, c_lo, c_hi in _sector_bands(MAX_DENSITY_K, r):
         assert all(spec.admits(MalcevTriple(A, B, C)) for C in range(c_lo, c_hi + 1)), (A, B)
         assert not spec.admits(MalcevTriple(A, B, c_lo - 1)) and not spec.admits(MalcevTriple(A, B, c_hi + 1)), (A, B)
+
+
+def test_a_band_that_is_not_its_admitted_row_is_refused():
+    # the check raises instead of asserting, so python -O keeps it
+    A, B, c_lo, c_hi = _sector_bands(40, 1)[0]
+    for band in ((A, B, c_lo + 1, c_hi), (A, B, c_lo, c_hi + 1)):
+        with pytest.raises(ArithmeticError, match=re.escape(f"band {band} is not the admitted interval of its row")):
+            next(_class_table(40, 1, [band]))
 
 
 @pytest.mark.parametrize("r, classes", [(1, 49_372), (2, 33_688), (3, 24_239)])

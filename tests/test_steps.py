@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab import literals
 from curvlab.builtin import make_s3, make_zn
 from curvlab.core import DomainError, ball, bfs_metric, sphere
 from curvlab.curvature import kappa
@@ -196,6 +197,41 @@ def test_replacing_compose_keeps_a_passed_conjugator():
         raise AssertionError("called at construction")
 
     assert dataclasses.replace(heis, compose=refuse, conjugator=refuse).conjugator is refuse
+
+
+WORD_LITERALS = {
+    "Z2": "w: a1^3 a2^-1 a1^-1 a2^-2",
+    "F2": "w: a b^-1 a^-1 b^2 a^-1",
+    "L2": "w: a t a t^-1 a t^-3 a t",
+    "W3": "w: s1 t s2 t^-2 s1^-1 s2^-1 t^3 s1",
+    "H2": "w: s sigma s^-1 sigma s^2 sigma^-1 s^-1",
+}
+
+
+def test_word_literals_make_no_compose_or_invert_call(monkeypatch):
+    # each letter is a generator step, and the label of an inverse letter is read through ``inverses``
+    armed = []
+
+    def refusing(oracle):
+        def refuse(*args):
+            if armed:
+                raise AssertionError("compose or invert called")
+            return oracle.compose(*args) if len(args) == 2 else oracle.invert(*args)
+
+        return dataclasses.replace(oracle, compose=refuse, invert=refuse)
+
+    family = literals._family
+    families = {group_id: (refusing(ORACLES[group_id]), *family(group_id)[1:]) for group_id in WORD_LITERALS}
+    monkeypatch.setattr(literals, "_family", families.__getitem__)
+    armed.append(True)  # after construction
+    for group_id, text in WORD_LITERALS.items():
+        oracle = ORACLES[group_id]
+        letters = []
+        for token in text[2:].split():
+            name, _, power = token.partition("^")
+            gen = oracle.generator(name)
+            letters += [oracle.invert(gen) if power.startswith("-") else gen] * abs(int(power or 1))
+        assert literals.parse_element(group_id, text) == reduce(oracle.compose, letters, oracle.identity)
 
 
 @pytest.mark.parametrize(
