@@ -79,6 +79,7 @@ class GroupOracle:
     the closed formula, in which case callers fall back to a BFS table.
     ``labels[i]`` names ``generators[i]``; the labels are distinct and the
     generating set is symmetric: ``invert`` maps it onto itself.
+    ``label_index[labels[i]]`` is i, so a word is read at one lookup a letter.
     ``inverses[i]`` is the index of the inverse of ``generators[i]``, found by
     that check; the BFS and the escape search read it.
     ``steps[i]`` is right multiplication by ``generators[i]``:
@@ -107,6 +108,7 @@ class GroupOracle:
     conjugator: Optional[Callable[[Element, Element], Element]] = field(default=None, repr=False)
     steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
     inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    label_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
@@ -130,11 +132,12 @@ class GroupOracle:
             raise DomainError("generators must be totally ordered by <") from None
         object.__setattr__(self, "steps", tuple(steps))
         object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "label_index", {label: j for j, label in enumerate(self.labels)})
 
     def _index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self.label_index[label]
+        except KeyError:
             raise KeyError(f"{self.group_id} has no generator {label!r}") from None
 
     def generator(self, label: str) -> Element:

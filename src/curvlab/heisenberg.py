@@ -12,13 +12,14 @@ stays in the validated low branch, classifies the remainder s = C mod A into
 the ceiling cases, and compares the predicted curvature sign against the
 exact kappa computed from closed-form conjugate lengths.  In that sector
 kappa's numerator depends on C only through C mod A, and it is a sum of
-low-branch ceilings, so a class table holds one record per residue class of
-each (A, B) band, with no conjugate built, and each band is checked
-against the sector at its two ends and just beyond them.  The report adds
-each class to its tallies weighted by its member count and lists the
-elements of a class only when its prediction contradicts the exact sign; the
-CSV rows are expanded from the same table, one element at a time, as they
-are written.  Word lengths up to MAX_DENSITY_K are admitted.
+low-branch ceilings that, like the case labels, changes at only a few
+remainders; so a class table holds one record per run of remainders of each
+(A, B) band, with no conjugate built, and each band is checked against the
+sector at its two ends and just beyond them.  The report adds each run to
+its tallies weighted by its member count and lists the elements of a run
+only when its prediction contradicts the exact sign; the CSV rows are
+expanded from the same runs, one element at a time, as they are written.
+Word lengths up to MAX_DENSITY_K are admitted.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, NamedTuple, Optional
 from .core import DomainError, GroupOracle, bfs_metric, rational_str, sphere
 from .literals import HEIS_ID
 
-MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 1.35-1.45 s on 2 cores
+MAX_DENSITY_K = 120  # bound on the census word length; the slowest admitted census, k = 120, r = 1 in CSV, takes 0.92-0.93 s on 2 cores
 
 
 class MalcevTriple(NamedTuple):
@@ -223,25 +224,6 @@ def _classify(A: int, B: int, s: int, r: int) -> tuple[tuple[str, ...], str]:
     return labels, "mixed"
 
 
-def _residue_classes(A: int, B: int, r: int) -> list[tuple[tuple[str, ...], str]]:
-    """``_classify(A, B, s, r)`` for s = 0 .. A - 1, classifying each run of remainders once.
-
-    The labels of s change only at the endpoints Bt and A - Bt (t = 1..r):
-    every s strictly between two neighbouring endpoints compares the same
-    way with each of them.  So each endpoint is classified on its own, and
-    each run between them by its first remainder.
-    """
-    out = [_classify(A, B, 0, r)]
-    s = 1
-    for e in sorted({B * t for t in range(1, r + 1)} | {A - B * t for t in range(1, r + 1)} | {A}):
-        if s < e:
-            out += [_classify(A, B, s, r)] * (e - s)  # the run s .. e - 1
-        if e < A:
-            out.append(_classify(A, B, e, r))
-        s = e + 1
-    return out
-
-
 def heis_sign_predict(g: MalcevTriple, r: int) -> str:
     """'+', '0', '-' when one case holds for every t <= r; 'mixed' otherwise.
 
@@ -367,36 +349,44 @@ def _sector_bands(k: int, r: int) -> list[tuple[int, int, int, int]]:
 
 
 class _Class(NamedTuple):
-    """What the elements of one residue class C mod A of a band share."""
+    """What the elements of one run of remainders of a band share."""
 
     numerator: int  # kappa_r(g) = numerator / (n * |g|)
     n: int  # |S_r|
     sign: str  # of the exact kappa_r
-    s: int  # C mod A
     labels: tuple[str, ...]
     predicted: str
 
 
 def _class_table(
     k: int, r: int, bands: list[tuple[int, int, int, int]]
-) -> Iterator[tuple[int, int, int, int, list[_Class]]]:
-    """(A, B, c_lo, c_hi, classes) for each of ``bands`` in order; classes[i] is the class of C = c_lo + i.
+) -> Iterator[tuple[int, int, int, int, list[tuple[int, int, _Class]]]]:
+    """(A, B, c_lo, c_hi, runs) for each of ``bands`` in order; (s0, s1, cls) in runs puts C = c_lo + s + j*A in cls for s0 <= s < s1.
 
-    Exact kappa is computed once per residue class C mod A of each (A, B), by
-    this lemma.  With n = |S_r|, the numerator n*|g| - sum |g^w| over w in
-    S_r of kappa_r(g) = numerator / (n*|g|) is
-    2 * sum m * (ceil(C/A) - ceil((C + D)/A)) over the distinct shifts D =
-    A*beta - alpha*B of S_r, m being the number of w in S_r with shift D,
-    and it is the same for C and C + A when both lie in the sector.  Proof:
-    a conjugate has height C' = C + D with |D| <= A*r, so the margins A*r <=
-    C <= A^2 - A*B - A*r put C and C' in the low branch, of length
-    2*ceil(C'/A) + A + B; the A + B terms cancel, and C -> C + A raises
-    each ceiling by 1, which cancels too.  The labels and the prediction
-    depend on s = C mod A alone, so only the denominator changes within a
-    class, and the sign not at all.
-    A class whose first member is C has (c_hi - C) // A + 1 members: c_lo
-    and c_hi are multiples of A, so with M = (c_hi - c_lo) / A residue 0 has
-    M + 1 and every other residue M.
+    With n = |S_r|, the numerator n*|g| - sum |g^w| over w in S_r of
+    kappa_r(g) = numerator / (n*|g|) is 2 * sum m * (ceil(C/A) - ceil((C +
+    D)/A)) over the distinct shifts D = A*beta - alpha*B of S_r, m being the
+    number of w in S_r with shift D, and it is the same for C and C + A when
+    both lie in the sector.  Proof: a conjugate has height C' = C + D with
+    |D| <= A*r, so the margins A*r <= C <= A^2 - A*B - A*r put C and C' in
+    the low branch, of length 2*ceil(C'/A) + A + B; the A + B terms cancel,
+    and C -> C + A raises each ceiling by 1, which cancels too.  The labels
+    and the prediction depend on s = C mod A alone.
+    Runs lemma.  Write C = c_lo + s with 0 <= s < top = min(A, c_hi - c_lo +
+    1); c_lo = A*r is a multiple of A, so s = C mod A.  ceil(C/A) is r at
+    s = 0 and r + 1 above.  ceil((C + D)/A) = r + ceil((s + D)/A) steps up by
+    one exactly where s + D leaves a multiple of A, between s = (-D mod A)
+    and the next s.  ``heis_case_label`` compares s with Bt and A - Bt only,
+    so it is constant between the cuts Bt, Bt + 1, A - Bt and A - Bt + 1
+    (t = 1..r).  Hence the cuts {0, 1, top}, (-D mod A) + 1 and those label
+    cuts, clipped to [0, top], split 0 .. top - 1 into runs on each of which
+    the numerator, sign, labels and prediction are those of its first
+    remainder s0, where they are computed.  The shift cuts are label cuts or
+    1: D = A*beta - alpha*B with |alpha| <= r, the a-exponent sum of a word of
+    length r, and rB < A, so (-D mod A) + 1 is 1, B*alpha + 1 or
+    A - B*|alpha| + 1.  So at most 2 + 4r runs remain.  c_lo and c_hi are
+    multiples of A, so with M = (c_hi - c_lo) / A remainder 0 has M + 1
+    members and every other remainder M.
 
     Each band is checked against ``SectorSpec(r, k)`` at four heights: c_lo
     and c_hi are admitted, c_lo - 1 and c_hi + 1 are not.  That covers every
@@ -417,15 +407,19 @@ def _class_table(
         if [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] != [False, True, True, False]:
             raise ArithmeticError(f"band {(A, B, c_lo, c_hi)} is not the admitted interval of its row")
         shifts = Counter([A * beta - alpha * B for alpha, beta in deltas]).items()
-        labelled = _residue_classes(A, B, r)
-        classes = []
-        for C in range(c_lo, min(c_lo + A, c_hi + 1)):
+        top = min(A, c_hi - c_lo + 1)
+        cuts = {0, 1, top}
+        for t in range(1, r + 1):
+            cuts.update((B * t, B * t + 1, A - B * t, A - B * t + 1))
+        cuts = sorted(cut for cut in cuts if cut <= top)
+        runs = []
+        for s0, s1 in zip(cuts, cuts[1:]):
+            C = c_lo + s0
             up = _ceildiv(C, A)
             numerator = 2 * sum([m * (up + (-C - D) // A) for D, m in shifts])  # (-x) // A == -ceil(x/A)
             sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
-            s = C % A
-            classes.append(_Class(numerator, n, sign, s, *labelled[s]))
-        yield A, B, c_lo, c_hi, classes
+            runs.append((s0, s1, _Class(numerator, n, sign, *_classify(A, B, s0, r))))
+        yield A, B, c_lo, c_hi, runs
 
 
 def heis_density_experiment(k: int, r: int) -> DensityReport:
@@ -433,25 +427,25 @@ def heis_density_experiment(k: int, r: int) -> DensityReport:
 
     Counts exact curvature signs, checks every non-mixed prediction against
     the exact sign, and tallies per-(A, B) remainder-class fractions, each of
-    which must reach 1/(5r) in the band.  Each residue class is tallied once,
-    weighted by its member count; only a class whose prediction contradicts
-    its sign is expanded, element by element, into ``mismatches``.
+    which must reach 1/(5r) in the band.  Each run of remainders is tallied
+    once, weighted by its member count; only a run whose prediction
+    contradicts its sign is expanded, element by element, into ``mismatches``.
     """
     bands = _sector_bands(k, r)
     report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
     report.sign_counts = {"+": 0, "0": 0, "-": 0}
     report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
     report.band_rows = [_band_counts(A, B, r) for A, B, _, _ in bands]
-    for A, B, c_lo, c_hi, classes in _class_table(k, r, bands):
+    for A, B, c_lo, c_hi, runs in _class_table(k, r, bands):
+        per_remainder = (c_hi - c_lo) // A
         wrong = []
-        for first, cls in enumerate(classes, c_lo):
-            members = (c_hi - first) // A + 1
+        for s0, s1, cls in runs:
+            members = (s1 - s0) * per_remainder + (s0 == 0)
             report.sign_counts[cls.sign] += members
             report.predicted_counts[cls.predicted] += members
             if cls.predicted in "+0-" and cls.predicted != cls.sign:
-                wrong.extend(range(first, c_hi + 1, A))
-        for C in sorted(wrong):
-            cls = classes[(C - c_lo) % A]
+                wrong.extend((C, cls) for s in range(s0, s1) for C in range(c_lo + s, c_hi + 1, A))
+        for C, cls in sorted(wrong):
             report.mismatches.append((MalcevTriple(A, B, C), cls.predicted, cls.sign))
     return report
 
@@ -461,17 +455,18 @@ def _csv_row(A: int, B: int, C: int, cls: _Class) -> list:
     length = 2 * _ceildiv(C, A) + A + B
     denominator = cls.n * length
     g = gcd(cls.numerator, denominator)
-    return [A, B, C, length, cls.s, ";".join(cls.labels), cls.predicted, f"{cls.numerator // g}/{denominator // g}"]
+    return [A, B, C, length, C % A, ";".join(cls.labels), cls.predicted, f"{cls.numerator // g}/{denominator // g}"]
 
 
 def density_csv_rows(k: int, r: int) -> Iterator[list]:
-    """The census as CSV rows (columns CSV_HEADER), one per sector element, made lazily from the class table.
+    """The census as CSV rows (columns CSV_HEADER), one per sector element, made lazily from the runs of the class table.
 
     The arguments are checked at the call, before any row is made.
     """
     bands = _sector_bands(k, r)
     return (
-        _csv_row(A, B, C, classes[(C - c_lo) % A])
-        for A, B, c_lo, c_hi, classes in _class_table(k, r, bands)
+        _csv_row(A, B, C, by_remainder[(C - c_lo) % A])
+        for A, B, c_lo, c_hi, runs in _class_table(k, r, bands)
+        for by_remainder in [[cls for s0, s1, cls in runs for _ in range(s0, s1)]]
         for C in range(c_lo, c_hi + 1)
     )

@@ -148,6 +148,17 @@ def zn_wreath_oracle(n: int) -> GroupOracle:
     def invert(x: WreathConfig) -> WreathConfig:
         return WreathConfig(tuple(sorted((i - x.pos, -state % n) for i, state in x.lamps)), -x.pos)
 
+    def conjugate(g: WreathConfig, w: WreathConfig) -> WreathConfig:
+        """w^-1 g w = ((F - H + (H + k)) - q, k) for g = (F, k) and w = (H, q), lamp states added mod n."""
+        lamps, k = g
+        h, q = w
+        states = dict(lamps)
+        for i, state in h:
+            states[i] = states.get(i, 0) - state
+        for i, state in h:
+            states[i + k] = states.get(i + k, 0) + state
+        return _new(WreathConfig, (tuple(sorted([(i - q, state % n) for i, state in states.items() if state % n])), k))
+
     states = range(1, n)
     return GroupOracle(
         group_id=f"W{n}",
@@ -158,6 +169,7 @@ def zn_wreath_oracle(n: int) -> GroupOracle:
         invert=invert,
         closed_length=wr_length,
         right_steps=tuple(map(act, states)) + (_move(WreathConfig, 1), _move(WreathConfig, -1)),
+        conjugator=conjugate,
     )
 
 

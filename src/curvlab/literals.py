@@ -72,13 +72,13 @@ def _parse_word(oracle: GroupOracle, text: str) -> Element:
         if not m:
             raise ParseError(token, "a generator name with an optional ^<power>")
         name, minus, digits = m.group(1), m.group(2), m.group(3) or "1"
-        if name not in oracle.labels:
+        if name not in oracle.label_index:
             raise ParseError(token, f"a generator of {oracle.group_id}")
         power = _int_field(digits, text.strip(), MAX_WORD_LETTERS, rule)
         if len(word) + power > MAX_WORD_LETTERS:
             raise ParseError(text.strip(), rule)
         if minus:
-            name = oracle.labels[oracle.inverses[oracle.labels.index(name)]]
+            name = oracle.labels[oracle.inverses[oracle.label_index[name]]]
         word += [name] * power
     return oracle.evaluate(word)
 

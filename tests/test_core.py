@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,18 @@ def test_builtin_generating_sets_are_labelled_and_symmetric(group_id):
     assert sorted(images) == list(range(len(gens)))
     assert all(images[images[i]] == i for i in range(len(gens)))
     assert oracle.inverses == tuple(images)  # found once, by the construction check
+    assert oracle.label_index == {label: i for i, label in enumerate(oracle.labels)}
+
+
+def test_unknown_labels_raise_key_error():
+    z2 = make_zn(2)
+    for label in ("b1", "a3", "", "a1 "):
+        with pytest.raises(KeyError, match=re.escape(f"Z2 has no generator {label!r}")):
+            z2.evaluate(["a1", label])
+        with pytest.raises(KeyError, match=re.escape(f"Z2 has no generator {label!r}")):
+            z2.generator(label)
+    # a replaced label set is looked up anew
+    assert dataclasses.replace(z2, labels=("x", "X", "y", "Y")).evaluate(["x", "y", "y"]) == (1, 2)
 
 
 def test_free_group_sphere_sizes():

@@ -223,7 +223,7 @@ REFERENCE_K = {1: 60, 2: 60, 3: 70}
 
 @pytest.mark.parametrize("r", sorted(REFERENCE_K))
 def test_density_sweep_matches_the_per_element_reference(r):
-    # one kappa per residue class C mod A must reproduce a heis_kappa_exact call per element
+    # one kappa per run of remainders C mod A must reproduce a heis_kappa_exact call per element
     full = density_per_element(REFERENCE_K[r], r)
     direct = density_per_element(30, r)
     compared = 0
@@ -261,6 +261,14 @@ def test_a_band_that_is_not_its_admitted_row_is_refused():
             next(_class_table(40, 1, [band]))
 
 
+def _class_pairs(r):
+    """(A, B, C, cls) for every remainder C = c_lo .. c_lo + top - 1 of every band at the largest census, from its run."""
+    for A, B, c_lo, _, runs in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
+        for s0, s1, cls in runs:
+            for C in range(c_lo + s0, c_lo + s1):
+                yield A, B, C, cls
+
+
 @pytest.mark.parametrize("r, classes", [(1, 49_372), (2, 33_688), (3, 24_239)])
 def test_class_numerators_match_the_conjugate_lengths(r, classes):
     # the low-branch ceiling sum of every residue class of every band at the largest census
@@ -268,22 +276,45 @@ def test_class_numerators_match_the_conjugate_lengths(r, classes):
     weights = Counter(heis_conjugate_deltas(r))
     n = sum(weights.values())
     checked = 0
-    for A, B, c_lo, _, table in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
-        for C, cls in enumerate(table, c_lo):
-            want = n * heis_length(MalcevTriple(A, B, C)) - sum(
-                m * heis_length(MalcevTriple(A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
-            )
-            assert (cls.numerator, cls.n) == (want, n), (A, B, C)
-            checked += 1
+    for A, B, C, cls in _class_pairs(r):
+        want = n * heis_length(MalcevTriple(A, B, C)) - sum(
+            m * heis_length(MalcevTriple(A, B, C + A * beta - alpha * B)) for (alpha, beta), m in weights.items()
+        )
+        assert (cls.numerator, cls.n) == (want, n), (A, B, C)
+        checked += 1
     assert checked == classes
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_class_labels_match_the_classification_of_each_remainder(r):
-    # the class table classifies each run of remainders between the endpoints Bt and A - Bt once
-    for A, B, c_lo, _, table in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
-        for C, cls in enumerate(table, c_lo):
-            assert (cls.labels, cls.predicted) == _classify(A, B, C % A, r), (A, B, C)
+    # each run of remainders is classified once, at its first remainder
+    for A, B, C, cls in _class_pairs(r):
+        assert (cls.labels, cls.predicted) == _classify(A, B, C % A, r), (A, B, C)
+        assert cls.sign == {1: "+", 0: "0", -1: "-"}[(cls.numerator > 0) - (cls.numerator < 0)], (A, B, C)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_runs_tile_each_band_and_stay_within_the_cut_bound(r):
+    # the runs lemma: every shift cut (-D mod A) + 1 is a cut, and at most 2 + 4r runs cover 0 .. top - 1 in order
+    deltas = heis_conjugate_deltas(r)
+    for A, B, c_lo, c_hi, runs in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
+        top = min(A, c_hi - c_lo + 1)
+        cuts = {s0 for s0, _, _ in runs} | {top}
+        assert {cut for alpha, beta in deltas if (cut := -(A * beta - alpha * B) % A + 1) <= top} <= cuts, (A, B)
+        assert len(runs) <= 2 + 4 * r, (A, B)
+        assert [s0 for s0, _, _ in runs] == [0] + [s1 for _, s1, _ in runs[:-1]], (A, B)
+        assert all(s0 < s1 for s0, s1, _ in runs) and runs[-1][1] == top, (A, B)
+
+
+@pytest.mark.parametrize("r, signs, predicted", [
+    (1, {"+": 189_116, "0": 273_029, "-": 189_967}, {"+": 176_868, "0": 260_781, "-": 176_868, "mixed": 37_595}),
+    (2, {"+": 135_674, "0": 187_321, "-": 136_197}, {"+": 59_823, "0": 179_307, "-": 59_823, "mixed": 160_239}),
+    (3, {"+": 96_054, "0": 131_858, "-": 96_415}, {"+": 26_519, "0": 126_359, "-": 26_519, "mixed": 144_930}),
+])
+def test_largest_census_tallies_are_pinned(r, signs, predicted):
+    # the tallies at the largest admitted k, as the census by residue class gave them
+    rep = heis_density_experiment(MAX_DENSITY_K, r)
+    assert (rep.sign_counts, rep.predicted_counts, rep.mismatches) == (signs, predicted, [])
 
 
 @pytest.mark.parametrize("k, r", [(30, 1), (36, 2)])

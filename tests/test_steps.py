@@ -1,7 +1,7 @@
 """Generator steps and conjugators, each checked against ``compose`` for every built-in oracle.
 
 Each built-in oracle but S3 passes its own fast steps: ``steps[i](x) ==
-compose(x, generators[i])``.  L2, Heis and Z^n also pass a conjugator:
+compose(x, generators[i])``.  L2, W_n, Heis and Z^n also pass a conjugator:
 ``conjugator(g, w) == compose(compose(invert(w), g), w)``.  Steps are checked
 against ``compose`` exhaustively on a ball of at least 10^3 elements (S3: the
 whole group), conjugators on every pair of such a ball, and both with
@@ -31,7 +31,7 @@ BALLS = {
 }
 ORACLES = {gid: get_group(gid) for gid in BALLS}
 # group id -> radius of the least ball of at least 10^3 elements, for the oracles that pass a conjugator
-CONJUGATOR_BALLS = {"Z1": 500, "Z2": 22, "Z3": 9, "L2": 10, "Heis": 7}
+CONJUGATOR_BALLS = {"Z1": 500, "Z2": 22, "Z3": 9, "L2": 10, "W3": 7, "Heis": 7}
 FAR = st.integers(-(10**12), 10**12)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -169,7 +169,7 @@ def test_conjugator_equals_compose_far_from_the_identity(group_id, data):
     assert type(conjugate) is type(oracle.identity)
 
 
-@pytest.mark.parametrize("group_id", ["F2", "S3", "H2", "W3"])
+@pytest.mark.parametrize("group_id", ["F2", "S3", "H2"])
 def test_oracles_without_a_conjugator_conjugate_through_compose(group_id):
     oracle = ORACLES[group_id]
     assert oracle.conjugator is None
@@ -237,8 +237,8 @@ def test_word_literals_make_no_compose_or_invert_call(monkeypatch):
 @pytest.mark.parametrize(
     "group_id, g, horizon",
     [("L2", ll_dm_tk(5, 2), 0), ("L2", LampConfig((-3, 1, 4), -2), 0), ("Heis", MalcevTriple(12, 3, 50), 3),
-     ("Z3", (2, -1, 3), 0)],
-    ids=["L2-d5t2", "L2-lamps", "Heis", "Z3"],
+     ("W3", WreathConfig(((-2, 1), (0, 2), (3, 1)), 1), 0), ("Z3", (2, -1, 3), 0)],
+    ids=["L2-d5t2", "L2-lamps", "Heis", "W3", "Z3"],
 )
 def test_kappa_with_a_conjugator_makes_no_compose_call(group_id, g, horizon):
     oracle = ORACLES[group_id]
