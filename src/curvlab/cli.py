@@ -102,8 +102,6 @@ def cmd_deadend(args) -> int:
         for rep in deadend.scan(oracle, table, table.horizon, args.max_depth):
             _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
         return 0
-    if args.element is None:
-        raise ParseError("(missing)", "--element, or --scan to stream all dead ends in the ball")
     g = parse_element(args.group, args.element)
     table = _table(args, oracle, 8)
     rep = deadend.report(oracle, table, g, args.max_depth)
@@ -243,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deadend", help="dead-end report for an element, or --scan a ball")
     _add_common(p, element=False, formats=("json",))
-    p.add_argument("--element", default=None)
-    p.add_argument("--scan", action="store_true", help="stream one JSON object per dead end in B_horizon")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--element", help="element literal (see module docs)")
+    target.add_argument("--scan", action="store_true", help="stream one JSON object per dead end in B_horizon")
     p.add_argument("--max-depth", type=int, default=12)
     p.set_defaults(fn=cmd_deadend)
 

@@ -29,7 +29,6 @@ depth within |g| + 1 layers, whatever the depth bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator, Optional
 
 from .core import (
@@ -96,44 +95,45 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     steps stays within |g|.  The layers stop before the escape.  Past
     ``max_depth`` they run only while every layer so far descends, the last
     one to within |g| - 1, so no escape lies there.  They end with an empty
-    layer exactly when the search exhausts a finite group.  Each element skips
-    the step by the inverse of the generator that discovered it: that product
-    is its parent.
+    layer exactly when the search exhausts a finite group.  The one record is
+    ``reached``: each element found maps to the index of the generator that
+    reached it (g to ``len(oracle.steps)``).  An element skips the step by
+    that generator's inverse, whose product is its parent, and the witness is
+    read back from the escaping element through the same inverse steps.
     """
     _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
-    back = oracle.inverses
-    steps = tuple(zip(count(), oracle.labels, oracle.steps))
-    parents: dict[Element, Optional[tuple[Element, str]]] = {g: None}
+    steps = oracle.steps
+    back = (*oracle.inverses, -1)  # the generator that leads back to the parent; g has none
+    reached: dict[Element, int] = {g: len(steps)}
     layers: list[list[Element]] = [[g]]
-    backs = [-1]  # the generator that leads back to the parent; g has none
     strict: Optional[int] = None
     while strict is None or len(layers) <= max_depth:
         j = len(layers)
-        layer, layer_backs, longest = [], [], 0
-        for el, skip in zip(layers[-1], backs):
-            for i, label, step in steps:
+        layer, longest = [], 0
+        for el in layers[-1]:
+            skip = back[reached[el]]
+            for i, step in enumerate(steps):
                 if i == skip:  # the product is the parent of el
                     continue
                 h = step(el)
-                if h in parents:
+                if h in reached:
                     continue
-                parents[h] = (el, label)
+                reached[h] = i
                 n = _length_within(oracle, table, h, base)
                 if n is None:  # h escapes, so layer j fails the descent
                     word = []
                     while h != g:
-                        h, label = parents[h]
-                        word.append(label)
+                        i = reached[h]
+                        word.append(oracle.labels[i])
+                        h = steps[back[i]](h)
                     return base, layers, j - 1 if strict is None else strict, tuple(reversed(word))
                 layer.append(h)
-                layer_backs.append(back[i])
                 if n > longest:
                     longest = n
         if strict is None and (not layer or longest > base - j):
             strict = j - 1
         layers.append(layer)
-        backs = layer_backs
         if not layer:  # finite group exhausted; no deeper layers exist
             break
     return base, layers, strict, None

@@ -16,6 +16,7 @@ from curvlab.heisenberg import (
 )
 from curvlab.houghton import h2_h, h2_transposition, h2_u_word
 from curvlab.lamplighter import LampConfig, l2_oracle, ll_embed_in_dead_end, ll_make_dm, wr_make_dm, zn_wreath_oracle
+from curvlab.transport import MeasureSpec, transport_distance
 
 
 def test_zn_length_is_l1():
@@ -143,11 +144,17 @@ def _backtracks(oracle, element):
         (lambda: heis_case_label(10, 2, 0, 1), "remainder 0 outside"),
         (lambda: heis_sign_predict(MalcevTriple(3, 1, 1), 1), "outside the radius-1 sector"),
         (lambda: heis_density_experiment(2, 1), "sector is empty"),
+        (lambda: kappa(make_zn(2), bfs_metric(make_zn(2), 1), (1, 0), 1, "disk"), "mode must be 'sphere' or 'ball'"),
+        (
+            lambda: transport_distance(make_zn(2), bfs_metric(make_zn(2), 1), MeasureSpec((1, 0), (0, 0), "disk")),
+            "mode must be 'sphere' or 'ball'",
+        ),
     ],
     ids=[
         "kappa-identity", "free_gencon-empty-word", "backtracks-not-dead-end",
         "backtracks-exhausted", "ll_embed_in_dead_end", "heis_length-sector", "heis_ceil_jump-sector",
         "heis_ceil_jump-remainder", "heis_case_label-remainder", "heis_sign_predict-sector", "density-empty-sector",
+        "kappa-mode", "transport-mode",
     ],
 )
 def test_undefined_quantities_raise_domain_error(call, phrase):

@@ -363,6 +363,7 @@ CLI_GOLDEN = {
     "deadend_l2_scan_h9": ("deadend", "--group", "L2", "--scan", "--horizon", "9"),
     "deadend_l2_d4": ("deadend", "--group", "L2", "--element", "d(4)"),
     "backtracks_l2_d3": ("backtracks", "--group", "L2", "--element", "d(3)"),
+    "backtracks_l2_d3_csv": ("backtracks", "--group", "L2", "--element", "d(3)", "--format", "csv"),
 }
 
 
@@ -461,6 +462,10 @@ def test_cli_parse_error_exit_code():
         ("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "0"),
         ("deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "-3"),
         ("backtracks", "--group", "L2", "--element", "d(2)", "--bound", "0"),
+        # a dead-end call takes exactly one of --element and --scan
+        ("deadend", "--group", "L2"),
+        ("deadend", "--group", "L2", "--element", "d(2)", "--scan"),
+        ("length", "--group", "Z2", "--element", "(1,1)", "--horizon", "-1"),  # a negative horizon
         # an empty probe pool, and caps below 0
         ("probe", "--group", "Z2", "--sample", "-1"),
         ("probe", "--group", "Z2", "--sample", "0"),
