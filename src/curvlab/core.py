@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import ne
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -94,6 +94,12 @@ class GroupOracle:
     two ``compose`` calls and an ``invert`` otherwise.  Like ``right_steps``,
     a conjugator is kept by ``dataclasses.replace``; construction calls
     neither it nor ``compose``.
+    ``conjugate_lengths(g, ws)``, when passed, returns the word length of
+    ``conjugate(g, w)`` for each w of ``ws``, in order, and ``[]`` for no w;
+    :func:`curvature.kappa` reads every conjugate length through it.  An
+    oracle passes it only where its closed form is total and exact, so that
+    it agrees with the length of ``conjugate(g, w)`` for every g and w.  It
+    too is kept by ``dataclasses.replace``.
     """
 
     group_id: str
@@ -106,6 +112,7 @@ class GroupOracle:
     closed_length: Optional[Callable[[Element], Optional[int]]] = None
     right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
     conjugator: Optional[Callable[[Element, Element], Element]] = field(default=None, repr=False)
+    conjugate_lengths: Optional[Callable[[Element, Sequence[Element]], list[int]]] = field(default=None, repr=False)
     steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
     inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
     label_index: dict[str, int] = field(init=False, repr=False, compare=False)
@@ -214,11 +221,12 @@ def bfs_tree(
     for r in range(1, horizon + 1):
         prev = layers[-1]
         codes: dict[Element, int] = {}
+        put = codes.setdefault  # the first code to reach an element stays
         for i, step in enumerate(oracle.steps):
             for code, el in compress(zip(count(i, n), prev), map(ne, backs, repeat(i))):
                 el = step(el)
-                if el not in dist and el not in codes:
-                    codes[el] = code
+                if el not in dist:
+                    put(el, code)
             if len(dist) + len(codes) > budget:
                 raise ResourceLimitError.over_budget(oracle.group_id, r, budget)
         layer = tuple(sorted(codes))

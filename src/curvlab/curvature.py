@@ -90,9 +90,11 @@ def kappa(
 ) -> CurvatureReport:
     """The comparison curvature kappa_r of g, with its full conjugator breakdown.
 
-    ``table`` enumerates the conjugators and only needs horizon >= r; conjugate
-    lengths fall back to the oracle's closed form, or to ``length_table`` when
-    given (defaults to ``table``).
+    ``table`` enumerates the conjugators and only needs horizon >= r.  When
+    the oracle passes ``conjugate_lengths``, every conjugate length comes from
+    it in one call.  Otherwise each is looked up in ``length_table`` (which
+    defaults to ``table``) first, and taken from the oracle's closed form where
+    the table does not reach.  |g| is always read in that second way.
     """
     if g == oracle.identity:
         raise DomainError("comparison distances are undefined at the identity")
@@ -100,9 +102,11 @@ def kappa(
         raise DomainError(f"radius must be at least 1, got {r}")
     if length_table is None:
         length_table = table
-    breakdown = tuple(
-        [(w, word_length(oracle, oracle.conjugate(g, w), length_table)) for w in sphere_or_ball(table, r, mode)]
-    )
+    ws = sphere_or_ball(table, r, mode)
+    if oracle.conjugate_lengths is not None:
+        breakdown = tuple(zip(ws, oracle.conjugate_lengths(g, ws), strict=True))
+    else:
+        breakdown = tuple([(w, word_length(oracle, oracle.conjugate(g, w), length_table)) for w in ws])
     base = word_length(oracle, g, length_table)
     comparison = Fraction(sum(length for _, length in breakdown), len(breakdown))
     return CurvatureReport(

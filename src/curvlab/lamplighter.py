@@ -15,7 +15,10 @@ at the origin.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Mapping, NamedTuple
+from functools import reduce
+from itertools import chain
+from operator import xor
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import DomainError, GroupOracle
 from .literals import L2_ID
@@ -42,14 +45,19 @@ class WreathConfig(NamedTuple):
 # the other, then walk to p.  Empty configurations cost |p|.
 
 
+def _sweep_length(n: int, lo: int, hi: int, pos: int) -> int:
+    """The length above for n >= 1 lamps lit, the leftmost at ``lo`` and the rightmost at ``hi``."""
+    r = hi if hi > 0 else 0
+    l = -lo if lo < 0 else 0
+    left_first, right_first = l + abs(pos - r), r + abs(pos + l)
+    return n + l + r + (left_first if left_first < right_first else right_first)
+
+
 def lamp_walk_length(indices, pos: int) -> int:
     """The length above for the lit lamp ``indices``, in increasing order, and the position ``pos``."""
     if not indices:
         return abs(pos)
-    r = indices[-1] if indices[-1] > 0 else 0
-    l = -indices[0] if indices[0] < 0 else 0
-    left_first, right_first = l + abs(pos - r), r + abs(pos + l)
-    return len(indices) + l + r + (left_first if left_first < right_first else right_first)
+    return _sweep_length(len(indices), indices[0], indices[-1], pos)
 
 
 def ll_length(cfg: LampConfig) -> int:
@@ -97,6 +105,34 @@ def _l2_conjugate(g: LampConfig, w: LampConfig) -> LampConfig:
     return _new(LampConfig, (tuple(sorted([i - q for i in lit])), k))
 
 
+def _l2_conjugate_lengths(g: LampConfig, ws: Sequence[LampConfig]) -> list[int]:
+    """|w^-1 g w| for each w of ``ws``, in order, without forming the conjugates.
+
+    The lit set of w^-1 g w is (F ^ H ^ (H + k)) - q for g = (F, k) and
+    w = (H, q), and its length needs only the size and the two ends of that
+    set.  Each site of F, of some H or of some H + k gets one bit, in
+    increasing order of the sites, so a lit set is an int whose bit count is
+    its size and whose lowest and highest bits are its ends.  The bits grow
+    with the number of distinct sites, not with their span.  The mask is
+    formed anew only when the lamps of w differ from those of the previous w.
+    """
+    lamps, k = g
+    held = set(chain.from_iterable([w[0] for w in ws]))
+    sites = sorted(held.union(lamps, [i + k for i in held]))
+    bit = {site: 1 << j for j, site in enumerate(sites)}
+    flip = {i: bit[i] ^ bit[i + k] for i in held}  # toggled by the lamp at i of H and its image in H + k
+    base = reduce(xor, map(bit.__getitem__, lamps), 0)
+    out = []
+    prev = None
+    for h, q in ws:
+        if h != prev:
+            prev, mask = h, reduce(xor, map(flip.__getitem__, h), base)
+            if mask:
+                n, lo, hi = mask.bit_count(), sites[(mask & -mask).bit_length() - 1], sites[mask.bit_length() - 1]
+        out.append(_sweep_length(n, lo - q, hi - q, k) if mask else abs(k))
+    return out
+
+
 def _move(cls: type, d: int):
     """Right multiplication by t^d: the lamplighter walks, the lamps stay."""
     return lambda x: _new(cls, (x[0], x[1] + d))
@@ -113,6 +149,7 @@ def l2_oracle() -> GroupOracle:
         closed_length=ll_length,
         right_steps=(_l2_toggle, _move(LampConfig, 1), _move(LampConfig, -1)),
         conjugator=_l2_conjugate,
+        conjugate_lengths=_l2_conjugate_lengths,
     )
 
 

@@ -364,11 +364,20 @@ CLI_GOLDEN = {
     "deadend_l2_d4": ("deadend", "--group", "L2", "--element", "d(4)"),
     "backtracks_l2_d3": ("backtracks", "--group", "L2", "--element", "d(3)"),
     "backtracks_l2_d3_csv": ("backtracks", "--group", "L2", "--element", "d(3)", "--format", "csv"),
+    "curvature_l2_d4t1_r3": ("curvature", "--group", "L2", "--element", "d(4)*t^1", "--radius", "3"),
+    "curvature_l2_d5t2_r4_ball_csv": (
+        "curvature", "--group", "L2", "--element", "d(5)*t^2", "--radius", "4", "--mode", "ball", "--format", "csv",
+    ),
+    # lamp indices and position of 100 digits, the most a literal admits
+    "curvature_l2_100_digits_r3_ball": (
+        "curvature", "--group", "L2", "--element", f"L2{{-{'9' * 100},0,{'9' * 100};p={'9' * 100}}}",
+        "--radius", "3", "--mode", "ball",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", CLI_GOLDEN)
-def test_cli_dead_end_calls_print_their_golden_output(name):
+def test_cli_calls_print_their_golden_output(name):
     proc = run_cli(*CLI_GOLDEN[name])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == (Path(__file__).resolve().parent / "golden" / "cli" / f"{name}.txt").read_text()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import DomainError, ball, bfs_metric, sphere, word_length
+from curvlab.core import DomainError, ball, bfs_metric, rational_str, sphere, word_length
 from curvlab.curvature import kappa
 from curvlab.deadend import report
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
@@ -142,3 +142,11 @@ def test_json_and_csv_serialization():
     rows = rep.csv_rows()
     assert len(rows) == 3
     assert all(row[6] == "1/27" for row in rows)
+
+
+def test_positive_curvature_at_radius_10():
+    # d_6 t^2 at radius 10, past r < m - k: still positive, in both modes
+    l2 = l2_oracle()
+    tl = bfs_metric(l2, 10)
+    assert rational_str(kappa(l2, tl, ll_dm_tk(6, 2), 10, "sphere").kappa) == "622/21245"
+    assert rational_str(kappa(l2, tl, ll_dm_tk(6, 2), 10, "ball").kappa) == "2514/50995"

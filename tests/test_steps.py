@@ -6,10 +6,12 @@ compose(x, generators[i])``.  L2, W_n, Heis and Z^n also pass a conjugator:
 against ``compose`` exhaustively on a ball of at least 10^3 elements (S3: the
 whole group), conjugators on every pair of such a ball, and both with
 hypothesis on elements far outside those balls, next to the group axioms that
-``compose`` itself must satisfy.
+``compose`` itself must satisfy.  L2 also passes ``conjugate_lengths``, checked
+against the closed length of each conjugate in the same two ways.
 """
 
 import dataclasses
+import random
 from functools import reduce
 
 import pytest
@@ -21,7 +23,7 @@ from curvlab.builtin import make_s3, make_zn
 from curvlab.core import DomainError, ball, bfs_metric, sphere
 from curvlab.curvature import kappa
 from curvlab.heisenberg import MalcevTriple
-from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk
+from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_length
 from curvlab.literals import get_group
 
 # group id -> radius of a ball of at least 10^3 elements (S3: the whole group)
@@ -197,6 +199,51 @@ def test_replacing_compose_keeps_a_passed_conjugator():
         raise AssertionError("called at construction")
 
     assert dataclasses.replace(heis, compose=refuse, conjugator=refuse).conjugator is refuse
+    l2 = ORACLES["L2"]
+    assert dataclasses.replace(l2, compose=make_s3().compose).conjugate_lengths is l2.conjugate_lengths
+
+
+def _one_at_a_time(oracle, g, ws):
+    return [ll_length(oracle.conjugate(g, w)) for w in ws]
+
+
+def test_l2_conjugate_lengths_on_every_pair_of_a_ball():
+    l2 = ORACLES["L2"]
+    ws = ball(bfs_metric(l2, 5), 5)
+    shuffled = random.Random(5).sample(ws, len(ws))
+    for g in ws[1:]:
+        assert l2.conjugate_lengths(g, ws) == _one_at_a_time(l2, g, ws), g
+        assert l2.conjugate_lengths(g, shuffled) == _one_at_a_time(l2, g, shuffled), g
+        assert l2.conjugate_lengths(g, ()) == []
+
+
+@SETTINGS
+@given(data=st.data())
+def test_l2_conjugate_lengths_far_from_the_identity(data):
+    l2 = ORACLES["L2"]
+    g = data.draw(_elements("L2"))
+    ws = data.draw(st.lists(_elements("L2"), max_size=6))
+    # runs of equal lamps at several positions, as in a table, then the same conjugators out of order
+    ws = [LampConfig(w.lamps, q) for w in ws for q in data.draw(st.lists(FAR, min_size=1, max_size=3))]
+    ws += data.draw(st.permutations(ws))
+    assert l2.conjugate_lengths(g, ws) == _one_at_a_time(l2, g, ws)
+
+
+def test_kappa_reads_l2_conjugate_lengths_as_the_path_for_each_element():
+    l2 = ORACLES["L2"]
+
+    def refuse(*args):
+        raise AssertionError("conjugator called")
+
+    bulk = dataclasses.replace(l2, conjugator=refuse)  # kappa forms no conjugate
+    one_at_a_time = dataclasses.replace(l2, conjugate_lengths=None)
+    table = bfs_metric(l2, 12)
+    rng = random.Random(26)
+    for r in range(1, 13):
+        for mode in ("sphere", "ball"):
+            m = rng.randint(2, 6)
+            g = ll_dm_tk(m, rng.randint(1, m - 1))
+            assert kappa(bulk, table, g, r, mode) == kappa(one_at_a_time, table, g, r, mode), (g, r, mode)
 
 
 WORD_LITERALS = {
