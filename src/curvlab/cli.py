@@ -66,8 +66,7 @@ def _table(args, oracle, default_horizon: int):
 def cmd_length(args) -> int:
     oracle = get_group(args.group)
     g = parse_element(args.group, args.element)
-    # horizon 0 when the closed form covers g (it may not: Heis has one only on A > B > 0, C >= 0)
-    table = _table(args, oracle, 0 if oracle.closed_length and oracle.closed_length(g) is not None else 8)
+    table = _table(args, oracle, 0 if oracle.closed_length else 8)
     n = word_length(oracle, g, table)
     fmt = element_formatter(args.group)
     if args.format == "csv":

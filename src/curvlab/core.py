@@ -75,8 +75,8 @@ class GroupOracle:
     no elements, but their contents depend on the order of each layer and on
     the order of ``generators``, so changing either changes the file format.
     The library never reads ``encode``, which defaults to :func:`plain_encode`.
-    ``closed_length`` may return ``None`` for elements outside the domain of
-    the closed formula, in which case callers fall back to a BFS table.
+    ``closed_length``, when passed, is the word length in closed form, total
+    and exact: it gives |g| for every g.  Without one, a BFS table does.
     ``labels[i]`` names ``generators[i]``; the labels are distinct and the
     generating set is symmetric: ``invert`` maps it onto itself.
     ``label_index[labels[i]]`` is i, so a word is read at one lookup a letter.
@@ -96,10 +96,10 @@ class GroupOracle:
     neither it nor ``compose``.
     ``conjugate_lengths(g, ws)``, when passed, returns the word length of
     ``conjugate(g, w)`` for each w of ``ws``, in order, and ``[]`` for no w;
-    :func:`curvature.kappa` reads every conjugate length through it.  An
-    oracle passes it only where its closed form is total and exact, so that
-    it agrees with the length of ``conjugate(g, w)`` for every g and w.  It
-    too is kept by ``dataclasses.replace``.
+    :func:`curvature.kappa` reads every conjugate length through it.  Like
+    ``closed_length`` it is total and exact: it agrees with the length of
+    ``conjugate(g, w)`` for every g and w.  It too is kept by
+    ``dataclasses.replace``.
     """
 
     group_id: str
@@ -109,7 +109,7 @@ class GroupOracle:
     compose: Callable[[Element, Element], Element]
     invert: Callable[[Element], Element]
     encode: Callable[[Element], bytes] = plain_encode
-    closed_length: Optional[Callable[[Element], Optional[int]]] = None
+    closed_length: Optional[Callable[[Element], int]] = None
     right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
     conjugator: Optional[Callable[[Element, Element], Element]] = field(default=None, repr=False)
     conjugate_lengths: Optional[Callable[[Element, Sequence[Element]], list[int]]] = field(default=None, repr=False)
@@ -289,10 +289,8 @@ def word_length(oracle: GroupOracle, element: Element, table: MetricTable) -> in
     d = table.distance(element)
     if d is not None:
         return d
-    if oracle.closed_length is not None:
-        v = oracle.closed_length(element)
-        if v is not None:
-            return v
+    if oracle.closed_length:
+        return oracle.closed_length(element)
     raise OutOfHorizonError(
         f"a word length in {oracle.group_id} is not covered by the table (horizon {table.horizon})"
         " and no closed form applies; raise the horizon"

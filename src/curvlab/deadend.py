@@ -4,8 +4,9 @@ All of them, strict depth and backtracks included, come from the escape
 search: a breadth-first search from g that stops at the first element longer
 than g, whose j-th layer is g S_j (w -> gw maps S_j onto the elements j steps
 from g).  The table serves only word lengths; its horizon caps no result,
-and a length it cannot decide raises OutOfHorizonError.  Depth bounds
-(``max_depth``, the CLI's ``--max-depth`` and ``--bound``) are at least 1.
+and of those lengths only |g| may be undecidable (OutOfHorizonError).
+Depth bounds (``max_depth``, the CLI's ``--max-depth`` and ``--bound``) are
+at least 1.
 
 :func:`report` reads all of them off one search from g.  Its ``is_dead_end``
 is True iff no generator product of g is strictly longer than g; any depth
@@ -69,15 +70,13 @@ class DeadEndReport:
 def _length_within(oracle: GroupOracle, table: MetricTable, el: Element, bound: int) -> Optional[int]:
     """|el| when it is at most ``bound``, otherwise None.
 
-    Decidable even when el lies outside the table: absence from B_horizon
-    means the length exceeds the horizon, which settles any bound within it.
+    Decidable even off the table: a closed form is total, and without one
+    the bound is |g| <= horizon, so absence from B_horizon exceeds it.
     """
     try:
         n = word_length(oracle, el, table)
     except OutOfHorizonError:
-        if bound <= table.horizon:
-            return None
-        raise
+        return None
     return n if n <= bound else None
 
 

@@ -5,8 +5,8 @@ An element is a^A b^B c^C with c = a^-1 b^-1 a b central; the product law is
 and B and shifts C: by +A per b-conjugation, by -B per a-conjugation, which
 is what drives the whole sign analysis.
 
-In the sector A > B > 0, C >= 0 the word length has a closed form, split at
-the height boundary C = A^2 - A*B into a low and a high branch.  The density
+The word length has a closed form on the whole group, ``heis_length``, with
+a low and a high branch split at the height C = A^2 - A*B.  The density
 experiment enumerates a margin-guarded sector where every radius-r conjugate
 stays in the validated low branch, classifies the remainder s = C mod A into
 the ceiling cases, and compares the predicted curvature sign against the
@@ -63,16 +63,33 @@ def _ceildiv(p: int, q: int) -> int:
 
 
 def heis_length(g: MalcevTriple) -> int:
-    """Closed-form word length for A > B > 0, C >= 0.
+    """Word length of g = a^A b^B c^C, for every g.
 
-    Low branch 2*ceil(C/A) + A + B for C <= A^2 - A*B, high branch
-    2*ceil(2*sqrt(C + A*B)) - A - B above; the branches agree at the
-    boundary.  C = 0 degenerates to the staircase word a^A b^B of length
-    A + B, which the low branch returns.
+    Normalisation.  The group is free nilpotent of class 2 on a and b, so
+    the swap a <-> b and the flip a -> a^-1 extend to automorphisms; they
+    and inversion preserve S = {a, a^-1, b, b^-1}, so word length too.  With
+    w = 2C + A*B they send (A, B, C) to (B, A, -C - A*B), (-A, B, -C) and
+    (-A, -B, -C - A*B), each negating w.  The swap conjugates the flip to
+    b -> b^-1, and both flips with inversion fix (A, B) and negate w, so g
+    has the length of A' = max(|A|, |B|), B' = min(|A|, |B|) and
+    C' = (|w| - A'B')/2, an integer as w = A'B' mod 2.
+
+    On A' >= B' >= 0 the length is A' + B' for C' <= 0: no word is shorter,
+    and the orders of A' letters a and B' letters b reach every C in
+    [-A'B', 0] (each b before an a adds -1), while C' >= -A'B'/2.  Above, it
+    is 2*ceil(C'/A') + A' + B' up to C' = A'^2 - A'B' and
+    2*ceil(2*sqrt(C' + A'B')) - A' - B' beyond, the branches agreeing at the
+    boundary (S. Blachere, "Word distance on the discrete Heisenberg group",
+    Colloq. Math. 2003).  The tests check it against BFS on all of B_30.
     """
     A, B, C = g
-    if not (A > B > 0 and C >= 0):
-        raise DomainError(f"({A},{B},{C}) is outside the sector A > B > 0, C >= 0")
+    w = abs(2 * C + A * B)
+    A, B = abs(A), abs(B)
+    if A < B:
+        A, B = B, A
+    C = (w - A * B) // 2
+    if C <= 0:
+        return A + B
     if C <= A * A - A * B:
         return 2 * _ceildiv(C, A) + A + B
     n4 = 4 * (C + A * B)
@@ -80,13 +97,6 @@ def heis_length(g: MalcevTriple) -> int:
     if q * q < n4:
         q += 1
     return 2 * q - A - B
-
-
-def _heis_closed(g: MalcevTriple) -> Optional[int]:
-    A, B, C = g
-    if A > B > 0 and C >= 0:
-        return heis_length(g)
-    return None
 
 
 def heis_oracle() -> GroupOracle:
@@ -102,7 +112,7 @@ def heis_oracle() -> GroupOracle:
         identity=MalcevTriple(0, 0, 0),
         compose=heis_compose,
         invert=heis_invert,
-        closed_length=_heis_closed,
+        closed_length=heis_length,
         right_steps=(  # x a, x a^-1, x b, x b^-1: the product law with y a generator
             lambda x: _new(MalcevTriple, (x[0] + 1, x[1], x[2] - x[1])),
             lambda x: _new(MalcevTriple, (x[0] - 1, x[1], x[2] + x[1])),
@@ -197,11 +207,7 @@ def heis_conjugate_deltas(r: int) -> list[tuple[int, int]]:
 
 
 def heis_kappa_exact(g: MalcevTriple, deltas: list[tuple[int, int]]) -> Fraction:
-    """Exact kappa over the sphere whose (a, b) exponents are ``deltas``.
-
-    Valid whenever every conjugate stays in the closed-form sector, which the
-    SectorSpec margins guarantee.
-    """
+    """Exact kappa over the sphere whose (a, b) exponents are ``deltas``."""
     A, B, C = g
     base = heis_length(g)
     total = 0

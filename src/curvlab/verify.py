@@ -3,8 +3,8 @@
 Each criterion is a check returning its failures and notes; :data:`CRITERIA`
 lists its id, title and check once, and :func:`run_criterion` times it and
 writes its pass/fail line, for the CLI and the test suite alike.  The ``fast``
-tier trims the expensive sweeps (0.4 s against 4.0 s for ``full`` on 2 cores);
-the ``full`` tier runs everything at its stated scale.
+tier trims the expensive sweeps: a ``curvlab verify`` process takes 0.17 s on
+2 cores, against 1.6 s for ``full``, which runs everything at its stated scale.
 
 Criterion 2 pins the depth of the lamplighter dead ends d_m: the escape depth
 is 2m + 1, and a shortest escape path descends exactly m times.  See the
@@ -226,13 +226,9 @@ def criterion_6(tier: str) -> Findings:
     oracle = heis_oracle()
     horizon = 10 if tier == "full" else 8
     table = bfs_metric(oracle, horizon)
-    bad = 0
-    for el, d in table.dist.items():
-        closed = oracle.closed_length(el)
-        if closed is not None and closed != d:
-            bad += 1
+    bad = sum(1 for el, d in table.dist.items() if oracle.closed_length(el) != d)
     if bad:
-        failures.append(f"{bad} sector elements disagree with BFS in B_{horizon}")
+        failures.append(f"{bad} elements disagree with BFS in B_{horizon}")
     rng = random.Random(20260810)
     for _ in range(100):
         A = rng.randint(2, 60)
@@ -252,7 +248,7 @@ def criterion_6(tier: str) -> Findings:
                 for s in range(1, A):
                     heis_ceil_jump(A, B, A * 3 + s, t)  # raises on any disagreement
                     checked += 1
-    notes = [f"B_{horizon} sector agreement", f"{checked} ceiling-case instances (B*t <= A)"]
+    notes = [f"B_{horizon} agreement on all {len(table.dist)} elements", f"{checked} ceiling-case instances (B*t <= A)"]
     return failures, notes
 
 

@@ -11,7 +11,6 @@ from curvlab.heisenberg import (
     heis_case_label,
     heis_ceil_jump,
     heis_density_experiment,
-    heis_length,
     heis_sign_predict,
 )
 from curvlab.houghton import h2_h, h2_transposition, h2_u_word
@@ -138,7 +137,6 @@ def _backtracks(oracle, element):
         (lambda: _backtracks(l2_oracle(), LampConfig((), 1)), "not a dead end"),
         (lambda: _backtracks(make_s3(), make_s3().evaluate(["s", "t", "s"])), "exhausted S3"),
         (lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)), "not a geodesic prefix"),
-        (lambda: heis_length(MalcevTriple(1, 2, 3)), "outside the sector A > B > 0"),
         (lambda: heis_ceil_jump(5, 4, 21, 3), "needs B\\*t <= A"),
         (lambda: heis_ceil_jump(10, 2, 20, 1), "divides"),
         (lambda: heis_case_label(10, 2, 0, 1), "remainder 0 outside"),
@@ -152,7 +150,7 @@ def _backtracks(oracle, element):
     ],
     ids=[
         "kappa-identity", "free_gencon-empty-word", "backtracks-not-dead-end",
-        "backtracks-exhausted", "ll_embed_in_dead_end", "heis_length-sector", "heis_ceil_jump-sector",
+        "backtracks-exhausted", "ll_embed_in_dead_end", "heis_ceil_jump-sector",
         "heis_ceil_jump-remainder", "heis_case_label-remainder", "heis_sign_predict-sector", "density-empty-sector",
         "kappa-mode", "transport-mode",
     ],

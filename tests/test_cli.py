@@ -213,16 +213,13 @@ def test_cli_length_example():
     assert payload["length"] == 19
 
 
-@pytest.mark.parametrize(
-    "literal, length, horizon",
-    [("(5,2,3)", 9, 0), ("Heis(1,2,3)", 7, 8), ("(0,1,0)", 1, 8)],
-)
-def test_cli_heisenberg_length_inside_and_outside_the_closed_form_sector(tmp_path, literal, length, horizon):
-    # the closed form covers A > B > 0, C >= 0; elsewhere the length comes from a table of horizon 8
+@pytest.mark.parametrize("literal, length", [("(5,2,3)", 9), ("Heis(1,2,3)", 7), ("(0,1,0)", 1)])
+def test_cli_heisenberg_length_is_closed_form_everywhere(tmp_path, literal, length):
+    # the closed form is total, so every length is read with a table of horizon 0
     proc = run_cli("length", "--group", "Heis", "--element", literal, "--cache", str(tmp_path))
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["length"] == length
-    assert [f.name for f in tmp_path.iterdir()] == [f"Heis_h{horizon}.cvl"]
+    assert [f.name for f in tmp_path.iterdir()] == ["Heis_h0.cvl"]
 
 
 def test_cli_curvature_positive():
@@ -368,6 +365,11 @@ CLI_GOLDEN = {
     "curvature_l2_d5t2_r4_ball_csv": (
         "curvature", "--group", "L2", "--element", "d(5)*t^2", "--radius", "4", "--mode", "ball", "--format", "csv",
     ),
+    # Heis elements with a conjugate or a length outside A > B > 0, C >= 0, recorded with --horizon 16, where BFS gives every length
+    "curvature_heis_5_2_1_r1": ("curvature", "--group", "Heis", "--element", "Heis(5,2,1)", "--radius", "1"),
+    "curvature_heis_3_1_0_r2_ball": ("curvature", "--group", "Heis", "--element", "(3,1,0)", "--radius", "2", "--mode", "ball"),
+    "transport_heis_a_to_b_c5_r1": ("transport", "--group", "Heis", "--x", "(1,0,0)", "--y", "(0,1,5)", "--radius", "1"),
+    "length_heis_m7_3_m20": ("length", "--group", "Heis", "--element", "Heis(-7,3,-20)"),
     # lamp indices and position of 100 digits, the most a literal admits
     "curvature_l2_100_digits_r3_ball": (
         "curvature", "--group", "L2", "--element", f"L2{{-{'9' * 100},0,{'9' * 100};p={'9' * 100}}}",
@@ -395,14 +397,16 @@ def test_cli_output_closed_after_the_first_line_ends_without_a_traceback():
 
 
 def test_cli_out_of_horizon_error_is_one_line_without_repr():
-    # the second call's escape search reaches an element with no closed length, with a bound above the horizon
-    for args in (("curvature", "--group", "Heis", "--element", "Heis(5,2,1)", "--radius", "1"),
-                 ("deadend", "--group", "Heis", "--element", "(20,1,0)", "--horizon", "3")):
+    # H2 has no closed form: |g_2| = 12, so a conjugate lies outside B_12, and g_2 itself outside B_3
+    for args, horizon in (
+        (("curvature", "--group", "H2", "--element", "g(2)", "--radius", "2", "--horizon", "12"), 12),
+        (("deadend", "--group", "H2", "--element", "g(2)", "--horizon", "3"), 3),
+    ):
         proc = run_cli(*args)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr == (
-            "curvlab: a word length in Heis is not covered by the table (horizon 3) and no closed form applies; "
+            f"curvlab: a word length in H2 is not covered by the table (horizon {horizon}) and no closed form applies; "
             "raise the horizon\n"
         )
 

@@ -5,7 +5,6 @@ from bfs_reference import counting_steps
 from curvlab import deadend
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import DomainError, OutOfHorizonError, ball, bfs_metric, sphere, word_length
-from curvlab.heisenberg import MalcevTriple, heis_oracle
 from curvlab.houghton import h2_g, h2_h, h2_oracle
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
 from curvlab.literals import get_group
@@ -245,18 +244,6 @@ def test_strict_depth_is_not_capped_by_the_horizon():
     d3 = ll_make_dm(3)
     # every layer of the escape search gets its lengths from the closed form
     assert deadend.report(oracle, bfs_metric(oracle, 1), d3, 12).strict_depth == 2
-
-
-def test_a_length_that_neither_the_table_nor_the_closed_form_decides_raises():
-    # |(20,1,0)| = 21 has a closed form, its product by a does not, and the bound 21 lies above the horizon 3
-    oracle = heis_oracle()
-    table = bfs_metric(oracle, 3)
-    g = MalcevTriple(20, 1, 0)
-    message = r"^a word length in Heis is not covered by the table \(horizon 3\) and no closed form applies"
-    with pytest.raises(OutOfHorizonError, match=message):
-        deadend.report(oracle, table, g, 4)
-    with pytest.raises(OutOfHorizonError, match=message):
-        deadend.backtrack_elements(oracle, table, g, 4)
 
 
 def test_backtracks_are_not_capped_by_the_horizon(l2_h12):

@@ -61,10 +61,56 @@ def test_length_examples():
     assert heis_length(MalcevTriple(5, 2, 10)) == 11
     assert heis_length(MalcevTriple(3, 1, 6)) == 8  # boundary, both branches
     assert heis_length(MalcevTriple(4, 1, 0)) == 5  # staircase word a^4 b
-    with pytest.raises(DomainError, match=r"^\(1,2,3\) is outside the sector A > B > 0, C >= 0$"):
-        heis_length(MalcevTriple(1, 2, 3))
-    with pytest.raises(DomainError, match=r"^\(3,1,-1\) is outside the sector"):
-        heis_length(MalcevTriple(3, 1, -1))
+    assert heis_length(MalcevTriple(1, 2, 3)) == 7  # B > A: folds to (2, 1, 3)
+    assert heis_length(MalcevTriple(3, 1, -1)) == 4  # C < 0: the staircase a a b a
+
+
+@pytest.mark.parametrize(
+    "g, length",
+    [
+        # A = B: the low branch is empty, so every positive height is on the high one
+        ((2, 2, 0), 4), ((2, 2, -4), 4), ((2, 2, 1), 6), ((3, 3, 4), 10), ((3, 3, -5), 6),
+        # B = 0: the low branch ends at C = A^2
+        ((4, 0, 0), 4), ((4, 0, 1), 6), ((4, 0, 16), 12), ((4, 0, 17), 14), ((4, 0, -3), 6),
+        # A = 0: powers of the commutator c, and the b-axis
+        ((0, 0, 1), 4), ((0, 0, 2), 6), ((0, 0, -1), 4), ((0, 0, -2), 6), ((0, 0, 9), 12), ((0, 3, 0), 3), ((0, 3, 2), 5),
+        # each sign of A, B and 2C + AB
+        ((5, 2, 3), 9), ((-5, 2, 3), 7), ((5, -2, 3), 7), ((-5, -2, 3), 9),
+        ((5, 2, -3), 7), ((5, 2, -8), 7), ((-5, 2, -3), 9), ((2, 5, 3), 9), ((-7, 3, -20), 16),
+    ],
+)
+def test_length_at_the_boundaries_of_the_normalisation(g, length):
+    assert heis_length(MalcevTriple(*g)) == length
+
+
+def test_length_is_invariant_under_the_symmetries_it_folds_by():
+    # the swap a <-> b and the flip a -> a^-1 are automorphisms, inversion an anti-automorphism; all preserve S
+    def swap(g):
+        return MalcevTriple(g.b, g.a, -g.c - g.a * g.b)
+
+    def flip(g):
+        return MalcevTriple(-g.a, g.b, -g.c)
+
+    table = bfs_metric(heis_oracle(), 6)
+    for x in table.dist:
+        for y in table.layers[1]:
+            assert swap(heis_compose(x, y)) == heis_compose(swap(x), swap(y))
+            assert flip(heis_compose(x, y)) == heis_compose(flip(x), flip(y))
+        orbit = {x}
+        while True:
+            grown = orbit | {f(g) for g in orbit for f in (swap, flip, heis_invert)}
+            if grown == orbit:
+                break
+            orbit = grown
+        signs = {(g.a > 0, g.b > 0, 2 * g.c + g.a * g.b > 0) for g in orbit}
+        assert {heis_length(g) for g in orbit} == {table.dist[x]}
+        assert len(signs) == 8 or 0 in (x.a, x.b, 2 * x.c + x.a * x.b)
+
+
+def test_length_matches_bfs_on_every_element_of_b30():
+    table = bfs_metric(heis_oracle(), 30)
+    assert len(table.dist) == 345_149
+    assert [el for el, d in table.dist.items() if heis_length(el) != d] == []
 
 
 def test_branch_agreement_at_height_boundary():
@@ -81,13 +127,7 @@ def test_length_matches_bfs_with_frozen_layers():
     oracle = heis_oracle()
     table = bfs_metric(oracle, 8)
     assert table.layer_sizes() == HEIS_LAYER_SIZES_B8
-    checked = 0
-    for el, d in table.dist.items():
-        A, B, C = el
-        if A > B > 0 and C >= 0:
-            assert heis_length(el) == d
-            checked += 1
-    assert checked > 30  # the acceptance suite repeats this on B_10
+    assert all(oracle.closed_length(el) == d for el, d in table.dist.items())  # the acceptance suite repeats this on B_10
     assert table.distance(MalcevTriple(0, 0, 1)) == 4  # |[a, b]| = 4
 
 
