@@ -19,6 +19,10 @@ if TYPE_CHECKING:
 # Z^n with standard generators
 
 
+def _l1_norm(x: tuple) -> int:
+    return sum(abs(a) for a in x)
+
+
 def make_zn(n: int) -> GroupOracle:
     """Z^n; elements are integer coordinate tuples, length is the L1 norm."""
     if n < 1:
@@ -38,9 +42,9 @@ def make_zn(n: int) -> GroupOracle:
         identity=tuple(0 for _ in range(n)),
         compose=lambda x, y: tuple(a + b for a, b in zip(x, y)),
         invert=lambda x: tuple(-a for a in x),
-        closed_length=lambda x: sum(abs(a) for a in x),
+        closed_length=_l1_norm,
         right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i in range(n) for d in (1, -1)),
-        conjugator=lambda g, w: g,  # the group is abelian
+        conjugate_lengths=lambda g, ws: [_l1_norm(g)] * len(ws),  # the group is abelian: w^-1 g w = g
     )
 
 

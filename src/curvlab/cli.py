@@ -44,7 +44,7 @@ def _add_common(
     if element:
         p.add_argument("--element", required=True, help="element literal (see module docs)")
     p.add_argument("--horizon", type=int, default=None, help="BFS horizon override")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="BFS element budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="element budget of the BFS and of the escape search")
     p.add_argument("--cache", default=os.environ.get(CACHE_ENV), help="metric table cache directory")
     if formats:
         p.add_argument("--format", choices=formats, default="json")
@@ -98,12 +98,12 @@ def cmd_deadend(args) -> int:
     fmt = element_formatter(args.group)
     if args.scan:
         table = _table(args, oracle, 7)
-        for rep in deadend.scan(oracle, table, table.horizon, args.max_depth):
+        for rep in deadend.scan(oracle, table, table.horizon, args.max_depth, budget=args.budget):
             _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
         return 0
     g = parse_element(args.group, args.element)
     table = _table(args, oracle, 8)
-    rep = deadend.report(oracle, table, g, args.max_depth)
+    rep = deadend.report(oracle, table, g, args.max_depth, budget=args.budget)
     _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
     return 0
 
@@ -114,7 +114,7 @@ def cmd_backtracks(args) -> int:
     oracle = get_group(args.group)
     g = parse_element(args.group, args.element)
     table = _table(args, oracle, max(args.bound, 8))
-    elements = backtrack_elements(oracle, table, g, args.bound)
+    elements = backtrack_elements(oracle, table, g, args.bound, budget=args.budget)
     fmt = element_formatter(args.group)
     ordered = sorted(elements)
     if args.format == "csv":

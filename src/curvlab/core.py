@@ -89,17 +89,14 @@ class GroupOracle:
     ``right_steps``; otherwise the steps derive from ``compose``, and anew
     under ``dataclasses.replace(oracle, compose=f)``.  Construction checks
     ``steps[i](identity) == generators[i]``.
-    :meth:`conjugate` forms w^-1 g w through ``conjugator(g, w)`` when the
-    oracle passes one (a closed form for the conjugation action) and through
-    two ``compose`` calls and an ``invert`` otherwise.  Like ``right_steps``,
-    a conjugator is kept by ``dataclasses.replace``; construction calls
-    neither it nor ``compose``.
-    ``conjugate_lengths(g, ws)``, when passed, returns the word length of
-    ``conjugate(g, w)`` for each w of ``ws``, in order, and ``[]`` for no w;
-    :func:`curvature.kappa` reads every conjugate length through it.  Like
-    ``closed_length`` it is total and exact: it agrees with the length of
-    ``conjugate(g, w)`` for every g and w.  It too is kept by
-    ``dataclasses.replace``.
+    :meth:`conjugate` forms w^-1 g w with two ``compose`` calls and an
+    ``invert``.  ``conjugate_lengths(g, ws)``, when passed, returns the word
+    length of ``conjugate(g, w)`` for each w of ``ws``, in order, and ``[]``
+    for no w, without forming the conjugates; :func:`curvature.kappa` reads
+    every conjugate length through it.  Like ``closed_length`` it is total
+    and exact: it agrees with the length of ``conjugate(g, w)`` for every g
+    and w.  Like ``right_steps`` it is kept by ``dataclasses.replace``, and
+    construction calls neither it nor ``compose``.
     """
 
     group_id: str
@@ -111,7 +108,6 @@ class GroupOracle:
     encode: Callable[[Element], bytes] = plain_encode
     closed_length: Optional[Callable[[Element], int]] = None
     right_steps: Optional[tuple[Callable[[Element], Element], ...]] = field(default=None, repr=False)
-    conjugator: Optional[Callable[[Element, Element], Element]] = field(default=None, repr=False)
     conjugate_lengths: Optional[Callable[[Element, Sequence[Element]], list[int]]] = field(default=None, repr=False)
     steps: tuple[Callable[[Element], Element], ...] = field(init=False, repr=False, compare=False)
     inverses: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -159,8 +155,6 @@ class GroupOracle:
 
     def conjugate(self, g: Element, w: Element) -> Element:
         """w^-1 g w."""
-        if self.conjugator is not None:
-            return self.conjugator(g, w)
         return self.compose(self.compose(self.invert(w), g), w)
 
 

@@ -91,10 +91,13 @@ def kappa(
     """The comparison curvature kappa_r of g, with its full conjugator breakdown.
 
     ``table`` enumerates the conjugators and only needs horizon >= r.  When
-    the oracle passes ``conjugate_lengths``, every conjugate length comes from
-    it in one call.  Otherwise each is looked up in ``length_table`` (which
-    defaults to ``table``) first, and taken from the oracle's closed form where
-    the table does not reach.  |g| is always read in that second way.
+    the oracle passes ``conjugate_lengths`` (L2, W_n, Heis and Z^n do),
+    every conjugate length comes from it in one call, and no conjugate is
+    formed.  Otherwise each conjugate is formed by
+    :meth:`GroupOracle.conjugate`, two ``compose`` calls, and its length is
+    looked up in ``length_table`` (which defaults to ``table``) first, and
+    taken from the oracle's closed form where the table does not reach.  |g|
+    is always read in that second way.
     """
     if g == oracle.identity:
         raise DomainError("comparison distances are undefined at the identity")

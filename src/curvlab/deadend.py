@@ -33,11 +33,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
+    DEFAULT_BUDGET,
     DomainError,
     Element,
     GroupOracle,
     MetricTable,
     OutOfHorizonError,
+    ResourceLimitError,
     sphere,
     word_length,
 )
@@ -85,7 +87,7 @@ def _check_depth_bound(max_depth: int) -> None:
         raise DomainError(f"the escape search needs a depth bound of at least 1, got {max_depth}")
 
 
-def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int):
+def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int, *, budget: int = DEFAULT_BUDGET):
     """The escape search from g: ``(base, layers, strict, witness)``.
 
     ``base`` is |g|, ``layers[j]`` is g S_j in discovery order, ``strict`` the
@@ -99,6 +101,9 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     reached it (g to ``len(oracle.steps)``).  An element skips the step by
     that generator's inverse, whose product is its parent, and the witness is
     read back from the escaping element through the same inverse steps.
+    Raises :class:`ResourceLimitError` before a layer when ``reached`` holds
+    more than ``budget`` elements, so the search holds at most ``budget`` and
+    the products of one layer.
     """
     _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
@@ -109,6 +114,10 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
     strict: Optional[int] = None
     while strict is None or len(layers) <= max_depth:
         j = len(layers)
+        if len(reached) > budget:
+            raise ResourceLimitError(
+                f"the escape search holds more than {budget} elements within depth {j - 1}; raise the budget"
+            )
         layer, longest = [], 0
         for el in layers[-1]:
             skip = back[reached[el]]
@@ -139,12 +148,9 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int)
 
 
 def report(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-    max_depth: int,
+    oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int, *, budget: int = DEFAULT_BUDGET
 ) -> DeadEndReport:
-    base, layers, strict, witness = _search(oracle, table, g, max_depth)
+    base, layers, strict, witness = _search(oracle, table, g, max_depth, budget=budget)
     return DeadEndReport(
         element=g,
         base_length=base,
@@ -157,10 +163,7 @@ def report(
 
 
 def backtrack_elements(
-    oracle: GroupOracle,
-    table: MetricTable,
-    g: Element,
-    bound: int,
+    oracle: GroupOracle, table: MetricTable, g: Element, bound: int, *, budget: int = DEFAULT_BUDGET
 ) -> set[Element]:
     """All continuations g*w' with 1 <= |w'| < k that stay within |g|, k the escape depth of g.
 
@@ -168,9 +171,10 @@ def backtrack_elements(
     with no length test: an element of g S_j longer than |g| for some j < k
     would be an escape at depth j, against the minimality of k.  Raises
     DomainError when g is not a dead end or the search exhausts a finite
-    group, and OutOfHorizonError when the depth exceeds ``bound``.
+    group, and OutOfHorizonError when the depth exceeds ``bound``.  Raises
+    ResourceLimitError once the search holds more than ``budget`` elements.
     """
-    _, layers, _, witness = _search(oracle, table, g, bound)
+    _, layers, _, witness = _search(oracle, table, g, bound, budget=budget)
     if witness is None:
         if not layers[-1]:
             raise DomainError(
@@ -190,10 +194,7 @@ def _escapes_in_one_step(oracle: GroupOracle, table: MetricTable, g: Element) ->
 
 
 def scan(
-    oracle: GroupOracle,
-    table: MetricTable,
-    radius: int,
-    max_depth: int,
+    oracle: GroupOracle, table: MetricTable, radius: int, max_depth: int, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[DeadEndReport]:
     """The report of every dead end in B_radius, in layer order, as a lazy iterator.
 
@@ -202,7 +203,7 @@ def scan(
     """
     _check_depth_bound(max_depth)
     return (
-        report(oracle, table, g, max_depth)
+        report(oracle, table, g, max_depth, budget=budget)
         for r in range(1, radius + 1)
         for g in sphere(table, r)
         if not _escapes_in_one_step(oracle, table, g)

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import DomainError, GroupOracle, bfs_metric, rational_str, sphere
 from .literals import HEIS_ID
@@ -51,11 +51,6 @@ def heis_compose(x: MalcevTriple, y: MalcevTriple) -> MalcevTriple:
 
 def heis_invert(x: MalcevTriple) -> MalcevTriple:
     return MalcevTriple(-x.a, -x.b, -x.c - x.a * x.b)
-
-
-def _heis_conjugate(g: MalcevTriple, w: MalcevTriple) -> MalcevTriple:
-    """w^-1 g w = (A, B, C + A*beta - alpha*B) for g = (A, B, C) and w = (alpha, beta, gamma)."""
-    return _new(MalcevTriple, (g[0], g[1], g[2] + g[0] * w[1] - w[0] * g[1]))
 
 
 def _ceildiv(p: int, q: int) -> int:
@@ -99,6 +94,12 @@ def heis_length(g: MalcevTriple) -> int:
     return 2 * q - A - B
 
 
+def _heis_conjugate_lengths(g: MalcevTriple, ws: Sequence[MalcevTriple]) -> list[int]:
+    """|w^-1 g w| for each w of ``ws``: w^-1 g w = (A, B, C + A*beta - alpha*B) for g = (A, B, C)."""
+    A, B, C = g
+    return [heis_length((A, B, C + A * beta - alpha * B)) for alpha, beta, _ in ws]
+
+
 def heis_oracle() -> GroupOracle:
     return GroupOracle(
         group_id=HEIS_ID,
@@ -119,7 +120,7 @@ def heis_oracle() -> GroupOracle:
             lambda x: _new(MalcevTriple, (x[0], x[1] + 1, x[2])),
             lambda x: _new(MalcevTriple, (x[0], x[1] - 1, x[2])),
         ),
-        conjugator=_heis_conjugate,
+        conjugate_lengths=_heis_conjugate_lengths,
     )
 
 

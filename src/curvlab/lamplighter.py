@@ -95,24 +95,15 @@ def _l2_toggle(x: LampConfig) -> LampConfig:
     return _new(LampConfig, (lamps[:k] + rest, pos))
 
 
-def _l2_conjugate(g: LampConfig, w: LampConfig) -> LampConfig:
-    """w^-1 g w = ((H ^ F ^ (H + k)) - q, k) for g = (F, k) and w = (H, q), with ^ the symmetric difference."""
-    lamps, k = g
-    h, q = w
-    lit = set(lamps)
-    lit.symmetric_difference_update(h)
-    lit.symmetric_difference_update([i + k for i in h])
-    return _new(LampConfig, (tuple(sorted([i - q for i in lit])), k))
-
-
 def _l2_conjugate_lengths(g: LampConfig, ws: Sequence[LampConfig]) -> list[int]:
     """|w^-1 g w| for each w of ``ws``, in order, without forming the conjugates.
 
     The lit set of w^-1 g w is (F ^ H ^ (H + k)) - q for g = (F, k) and
-    w = (H, q), and its length needs only the size and the two ends of that
-    set.  Each site of F, of some H or of some H + k gets one bit, in
-    increasing order of the sites, so a lit set is an int whose bit count is
-    its size and whose lowest and highest bits are its ends.  The bits grow
+    w = (H, q), with ^ the symmetric difference, and its length needs only
+    the size and the two ends of that set.  Each site of F, of some H or of
+    some H + k gets one bit, in increasing order of the sites, so a lit set
+    is an int whose bit count is its size and whose lowest and highest bits
+    are its ends.  The bits grow
     with the number of distinct sites, not with their span.  The mask is
     formed anew only when the lamps of w differ from those of the previous w.
     """
@@ -148,7 +139,6 @@ def l2_oracle() -> GroupOracle:
         invert=_l2_invert,
         closed_length=ll_length,
         right_steps=(_l2_toggle, _move(LampConfig, 1), _move(LampConfig, -1)),
-        conjugator=_l2_conjugate,
         conjugate_lengths=_l2_conjugate_lengths,
     )
 
@@ -185,16 +175,21 @@ def zn_wreath_oracle(n: int) -> GroupOracle:
     def invert(x: WreathConfig) -> WreathConfig:
         return WreathConfig(tuple(sorted((i - x.pos, -state % n) for i, state in x.lamps)), -x.pos)
 
-    def conjugate(g: WreathConfig, w: WreathConfig) -> WreathConfig:
-        """w^-1 g w = ((F - H + (H + k)) - q, k) for g = (F, k) and w = (H, q), lamp states added mod n."""
+    def conjugate_lengths(g: WreathConfig, ws: Sequence[WreathConfig]) -> list[int]:
+        """|w^-1 g w| for each w of ``ws``, in order.
+
+        w^-1 g w = ((F - H + (H + k)) - q, k) for g = (F, k) and w = (H, q),
+        lamp states added mod n; its length needs only its lit sites.
+        """
         lamps, k = g
-        h, q = w
-        states = dict(lamps)
-        for i, state in h:
-            states[i] = states.get(i, 0) - state
-        for i, state in h:
-            states[i + k] = states.get(i + k, 0) + state
-        return _new(WreathConfig, (tuple(sorted([(i - q, state % n) for i, state in states.items() if state % n])), k))
+        out = []
+        for h, q in ws:
+            states = dict(lamps)
+            for i, state in h:
+                states[i] = states.get(i, 0) - state
+                states[i + k] = states.get(i + k, 0) + state
+            out.append(lamp_walk_length(sorted([i - q for i, state in states.items() if state % n]), k))
+        return out
 
     states = range(1, n)
     return GroupOracle(
@@ -206,7 +201,7 @@ def zn_wreath_oracle(n: int) -> GroupOracle:
         invert=invert,
         closed_length=wr_length,
         right_steps=tuple(map(act, states)) + (_move(WreathConfig, 1), _move(WreathConfig, -1)),
-        conjugator=conjugate,
+        conjugate_lengths=conjugate_lengths,
     )
 
 

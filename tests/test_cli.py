@@ -356,6 +356,8 @@ def test_cli_deadend_tells_an_exhausted_group_from_a_reached_bound():
     }
 
 
+DEADEND_D8 = ("deadend", "--group", "L2", "--element", "d(8)", "--max-depth", "17")
+
 CLI_GOLDEN = {
     "deadend_l2_scan_h9": ("deadend", "--group", "L2", "--scan", "--horizon", "9"),
     "deadend_l2_d4": ("deadend", "--group", "L2", "--element", "d(4)"),
@@ -370,6 +372,17 @@ CLI_GOLDEN = {
     "curvature_heis_3_1_0_r2_ball": ("curvature", "--group", "Heis", "--element", "(3,1,0)", "--radius", "2", "--mode", "ball"),
     "transport_heis_a_to_b_c5_r1": ("transport", "--group", "Heis", "--x", "(1,0,0)", "--y", "(0,1,5)", "--radius", "1"),
     "length_heis_m7_3_m20": ("length", "--group", "Heis", "--element", "Heis(-7,3,-20)"),
+    # kappa through the W_n and Z^n conjugate lengths
+    "curvature_w3_lamps_p1_r3": ("curvature", "--group", "W3", "--element", "W3{-2:1,0:2,1:1;p=1}", "--radius", "3"),
+    "curvature_w3_lamps_p1_r3_csv": (
+        "curvature", "--group", "W3", "--element", "W3{-2:1,0:2,1:1;p=1}", "--radius", "3", "--format", "csv",
+    ),
+    "curvature_w3_lamps_p0_r2_ball": (
+        "curvature", "--group", "W3", "--element", "W3{-1:1,0:2,1:1;p=0}", "--radius", "2", "--mode", "ball",
+    ),
+    "curvature_z3_2_m1_3_r3_ball": (
+        "curvature", "--group", "Z3", "--element", "(2,-1,3)", "--radius", "3", "--mode", "ball",
+    ),
     # lamp indices and position of 100 digits, the most a literal admits
     "curvature_l2_100_digits_r3_ball": (
         "curvature", "--group", "L2", "--element", f"L2{{-{'9' * 100},0,{'9' * 100};p={'9' * 100}}}",
@@ -490,6 +503,8 @@ def test_cli_parse_error_exit_code():
         ("length", "--group", "W3", "--element", "W{0:1;p=0}"),
         # a support above MAX_TRANSPORT_ROWS, refused before its cost matrix: F2's S_6 has 972 rows
         ("transport", "--group", "F2", "--x", "a", "--y", "w:", "--radius", "6"),
+        # an escape search past its budget: the layers of d_8 before its escape at depth 17 hold 31 762 elements
+        DEADEND_D8 + ("--budget", "10000"),
     ],
 )
 def test_cli_malformed_input_one_line_error(args):
@@ -501,6 +516,12 @@ def test_cli_malformed_input_one_line_error(args):
     assert proc.stderr.startswith("curvlab: ")
     assert proc.stdout == ""
     assert elapsed < 1.0
+
+
+def test_cli_escape_search_within_its_budget_prints_what_it_prints_without_one():
+    within = run_cli(*DEADEND_D8, "--budget", "40000")
+    assert (within.returncode, within.stderr) == (0, "")
+    assert within.stdout == run_cli(*DEADEND_D8).stdout
 
 
 def test_cli_word_letter_bound_rejects_before_composing():

@@ -4,7 +4,7 @@ from bfs_reference import counting_steps
 
 from curvlab import deadend
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import DomainError, OutOfHorizonError, ball, bfs_metric, sphere, word_length
+from curvlab.core import DomainError, OutOfHorizonError, ResourceLimitError, ball, bfs_metric, sphere, word_length
 from curvlab.houghton import h2_g, h2_h, h2_oracle
 from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
 from curvlab.literals import get_group
@@ -279,3 +279,20 @@ def test_depth_bounds_below_one_are_rejected(l2, bad):
         deadend.backtrack_elements(oracle, table, g, bad)
     with pytest.raises(DomainError, match="at least 1"):
         deadend.scan(oracle, table, 0, bad)  # checked at the call, even for an empty scan
+
+
+def test_escape_search_holds_at_most_its_budget(l2):
+    # the layers of d_4 before its escape at depth 9 hold 490 elements, and those of d_1, the one dead end of B_8, 10
+    oracle, table = l2
+    d4 = ll_make_dm(4)
+    assert deadend.report(oracle, table, d4, 9, budget=490) == deadend.report(oracle, table, d4, 9)
+    backtracks = deadend.backtrack_elements(oracle, table, d4, 9)
+    assert deadend.backtrack_elements(oracle, table, d4, 9, budget=490) == backtracks
+    assert list(deadend.scan(oracle, table, 8, 12, budget=10)) == list(deadend.scan(oracle, table, 8, 12))
+    over = "^the escape search holds more than 489 elements within depth 8; raise the budget$"
+    with pytest.raises(ResourceLimitError, match=over):
+        deadend.report(oracle, table, d4, 9, budget=489)
+    with pytest.raises(ResourceLimitError, match=over):
+        deadend.backtrack_elements(oracle, table, d4, 9, budget=489)
+    with pytest.raises(ResourceLimitError, match="more than 9 elements within depth 2"):
+        list(deadend.scan(oracle, table, 8, 12, budget=9))

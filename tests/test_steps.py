@@ -1,13 +1,13 @@
-"""Generator steps and conjugators, each checked against ``compose`` for every built-in oracle.
+"""Generator steps and conjugate lengths, each checked against ``compose`` for every built-in oracle.
 
 Each built-in oracle but S3 passes its own fast steps: ``steps[i](x) ==
-compose(x, generators[i])``.  L2, W_n, Heis and Z^n also pass a conjugator:
-``conjugator(g, w) == compose(compose(invert(w), g), w)``.  Steps are checked
+compose(x, generators[i])``.  L2, W_n, Heis and Z^n also pass
+``conjugate_lengths``: its j-th length is the closed length of
+``compose(compose(invert(w), g), w)`` for the j-th w.  Steps are checked
 against ``compose`` exhaustively on a ball of at least 10^3 elements (S3: the
-whole group), conjugators on every pair of such a ball, and both with
+whole group), conjugate lengths on every pair of such a ball, and both with
 hypothesis on elements far outside those balls, next to the group axioms that
-``compose`` itself must satisfy.  L2 also passes ``conjugate_lengths``, checked
-against the closed length of each conjugate in the same two ways.
+``compose`` itself must satisfy.
 """
 
 import dataclasses
@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from curvlab import literals
 from curvlab.builtin import make_s3, make_zn
-from curvlab.core import DomainError, ball, bfs_metric, sphere
+from curvlab.core import DomainError, ball, bfs_metric, bfs_tree, sphere
 from curvlab.curvature import kappa
 from curvlab.heisenberg import MalcevTriple
-from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk, ll_length
+from curvlab.lamplighter import LampConfig, WreathConfig, ll_dm_tk
 from curvlab.literals import get_group
 
 # group id -> radius of a ball of at least 10^3 elements (S3: the whole group)
@@ -32,8 +32,8 @@ BALLS = {
     "L2": 10, "W2": 10, "W3": 8, "H2": 9, "Heis": 8,
 }
 ORACLES = {gid: get_group(gid) for gid in BALLS}
-# group id -> radius of the least ball of at least 10^3 elements, for the oracles that pass a conjugator
-CONJUGATOR_BALLS = {"Z1": 500, "Z2": 22, "Z3": 9, "L2": 10, "W3": 7, "Heis": 7}
+# group id -> radius of the least ball of at least 10^3 elements, for the oracles that pass conjugate_lengths
+CONJUGATE_BALLS = {"Z1": 500, "Z2": 22, "Z3": 9, "L2": 10, "W3": 7, "Heis": 7}
 FAR = st.integers(-(10**12), 10**12)
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -148,33 +148,9 @@ def _by_compose(oracle, g, w):
     return oracle.compose(oracle.compose(oracle.invert(w), g), w)
 
 
-@pytest.mark.parametrize("group_id", list(CONJUGATOR_BALLS))
-def test_conjugator_equals_compose_on_every_pair_of_a_ball(group_id):
+@pytest.mark.parametrize("group_id", list(BALLS))
+def test_conjugate_makes_two_compose_calls(group_id):
     oracle = ORACLES[group_id]
-    table = bfs_metric(oracle, CONJUGATOR_BALLS[group_id])
-    elements = ball(table, table.horizon)
-    assert len(elements) >= 1000 and len(elements) - len(table.layers[-1]) < 1000
-    compose, conjugator = oracle.compose, oracle.conjugator
-    for w in elements:
-        w_inv = oracle.invert(w)
-        assert [conjugator(g, w) for g in elements] == [compose(compose(w_inv, g), w) for g in elements], w
-
-
-@pytest.mark.parametrize("group_id", list(CONJUGATOR_BALLS))
-@SETTINGS
-@given(data=st.data())
-def test_conjugator_equals_compose_far_from_the_identity(group_id, data):
-    oracle = ORACLES[group_id]
-    g, w = (data.draw(_elements(group_id)) for _ in range(2))
-    conjugate = oracle.conjugate(g, w)
-    assert conjugate == _by_compose(oracle, g, w)
-    assert type(conjugate) is type(oracle.identity)
-
-
-@pytest.mark.parametrize("group_id", ["F2", "S3", "H2"])
-def test_oracles_without_a_conjugator_conjugate_through_compose(group_id):
-    oracle = ORACLES[group_id]
-    assert oracle.conjugator is None
     calls = []
 
     def compose(x, y):
@@ -188,23 +164,49 @@ def test_oracles_without_a_conjugator_conjugate_through_compose(group_id):
     assert len(calls) == 2 * len(pairs)
 
 
-def test_replacing_compose_keeps_a_passed_conjugator():
-    for group_id in CONJUGATOR_BALLS:
+def test_replacing_compose_keeps_conjugate_lengths():
+    for group_id in CONJUGATE_BALLS:
         oracle = ORACLES[group_id]
-        assert dataclasses.replace(oracle, compose=make_s3().compose).conjugator is oracle.conjugator
-    # construction calls neither the conjugator nor compose
+        assert dataclasses.replace(oracle, compose=make_s3().compose).conjugate_lengths is oracle.conjugate_lengths
+    # construction calls neither conjugate_lengths nor compose
     heis = ORACLES["Heis"]
 
     def refuse(*args):
         raise AssertionError("called at construction")
 
-    assert dataclasses.replace(heis, compose=refuse, conjugator=refuse).conjugator is refuse
-    l2 = ORACLES["L2"]
-    assert dataclasses.replace(l2, compose=make_s3().compose).conjugate_lengths is l2.conjugate_lengths
+    assert dataclasses.replace(heis, compose=refuse, conjugate_lengths=refuse).conjugate_lengths is refuse
+
+
+@pytest.mark.parametrize("group_id", list(CONJUGATE_BALLS))
+def test_conjugate_lengths_equal_compose_on_every_pair_of_a_ball(group_id):
+    oracle = ORACLES[group_id]
+    table, tree = bfs_tree(oracle, CONJUGATE_BALLS[group_id])
+    elements = ball(table, table.horizon)
+    assert len(elements) >= 1000 and len(elements) - len(table.layers[-1]) < 1000
+    n, compose, steps, length = len(oracle.steps), oracle.compose, oracle.steps, oracle.closed_length
+    back = [oracle.generators[j] for j in oracle.inverses]
+    for g in elements:
+        # w = p s for the tree parent p of w, so w^-1 g w = s^-1 (p^-1 g p) s: one compose and one step a pair
+        layer = [g]
+        conjugates = [g]
+        for codes in tree:
+            layer = [steps[code % n](compose(back[code % n], layer[code // n])) for code in codes]
+            conjugates += layer
+        assert oracle.conjugate_lengths(g, elements) == list(map(length, conjugates)), g
 
 
 def _one_at_a_time(oracle, g, ws):
-    return [ll_length(oracle.conjugate(g, w)) for w in ws]
+    return [oracle.closed_length(_by_compose(oracle, g, w)) for w in ws]
+
+
+@pytest.mark.parametrize("group_id", list(CONJUGATE_BALLS))
+@SETTINGS
+@given(data=st.data())
+def test_conjugate_lengths_far_from_the_identity(group_id, data):
+    oracle = ORACLES[group_id]
+    g = data.draw(_elements(group_id))
+    ws = data.draw(st.lists(_elements(group_id), max_size=6))
+    assert oracle.conjugate_lengths(g, ws) == _one_at_a_time(oracle, g, ws)
 
 
 def test_l2_conjugate_lengths_on_every_pair_of_a_ball():
@@ -233,9 +235,9 @@ def test_kappa_reads_l2_conjugate_lengths_as_the_path_for_each_element():
     l2 = ORACLES["L2"]
 
     def refuse(*args):
-        raise AssertionError("conjugator called")
+        raise AssertionError("compose called")
 
-    bulk = dataclasses.replace(l2, conjugator=refuse)  # kappa forms no conjugate
+    bulk = dataclasses.replace(l2, compose=refuse)  # kappa forms no conjugate
     one_at_a_time = dataclasses.replace(l2, conjugate_lengths=None)
     table = bfs_metric(l2, 12)
     rng = random.Random(26)
@@ -287,7 +289,7 @@ def test_word_literals_make_no_compose_or_invert_call(monkeypatch):
      ("W3", WreathConfig(((-2, 1), (0, 2), (3, 1)), 1), 0), ("Z3", (2, -1, 3), 0)],
     ids=["L2-d5t2", "L2-lamps", "Heis", "W3", "Z3"],
 )
-def test_kappa_with_a_conjugator_makes_no_compose_call(group_id, g, horizon):
+def test_kappa_with_conjugate_lengths_makes_no_compose_call(group_id, g, horizon):
     oracle = ORACLES[group_id]
     armed = []
 
@@ -297,7 +299,7 @@ def test_kappa_with_a_conjugator_makes_no_compose_call(group_id, g, horizon):
         return oracle.compose(x, y)
 
     refusing = dataclasses.replace(oracle, compose=refuse)
-    reference = dataclasses.replace(oracle, conjugator=None)
+    reference = dataclasses.replace(oracle, conjugate_lengths=None)
     conjugators = bfs_metric(oracle, 3)
     lengths = bfs_metric(oracle, horizon)
     armed.append(True)  # after construction
