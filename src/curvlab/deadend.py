@@ -25,6 +25,14 @@ may undo a_1; the spherical form is the one the nonnegative-curvature
 argument actually consumes.)  Strict depth k guarantees kappa_r >= 0 for all
 r < k.  No layer past r = |g| descends, so the search settles the strict
 depth within |g| + 1 layers, whatever the depth bound.
+
+The search evaluates a length only where an escape is possible.  Every
+generator step s has |x s| <= |x| + 1, so a product of an element of length
+at most |g| - 1 is no longer than g.  Each element of the last layer carries
+its slack, |g| minus an upper bound on its length, capped at 255 to fit a
+``bytearray``: a product of an element with slack 0 gets its length, and any
+other inherits the slack less one.  Until the strict depth is settled every
+length is exact, since the descent test needs the longest of each layer.
 """
 
 from __future__ import annotations
@@ -69,22 +77,15 @@ class DeadEndReport:
         }
 
 
-def _length_within(oracle: GroupOracle, table: MetricTable, el: Element, bound: int) -> Optional[int]:
-    """|el| when it is at most ``bound``, otherwise None.
-
-    Decidable even off the table: a closed form is total, and without one
-    the bound is |g| <= horizon, so absence from B_horizon exceeds it.
-    """
-    try:
-        n = word_length(oracle, el, table)
-    except OutOfHorizonError:
-        return None
-    return n if n <= bound else None
-
-
 def _check_depth_bound(max_depth: int) -> None:
     if max_depth < 1:
         raise DomainError(f"the escape search needs a depth bound of at least 1, got {max_depth}")
+
+
+def _length_or_none(dist, closed, h: Element) -> Optional[int]:
+    """|h| as :func:`core.word_length` finds it, or None when off the table with no closed form (|h| > horizon)."""
+    n = dist(h)
+    return closed(h) if n is None and closed is not None else n
 
 
 def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int, *, budget: int = DEFAULT_BUDGET):
@@ -98,19 +99,21 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int,
     one to within |g| - 1, so no escape lies there.  They end with an empty
     layer exactly when the search exhausts a finite group.  The one record is
     ``reached``: each element found maps to the index of the generator that
-    reached it (g to ``len(oracle.steps)``).  An element skips the step by
-    that generator's inverse, whose product is its parent, and the witness is
-    read back from the escaping element through the same inverse steps.
+    reached it (g to ``len(oracle.steps)``), and beside it only the slacks of
+    the last layer are kept.  An element skips the step by that generator's
+    inverse, whose product is its parent, and the witness is read back from
+    the escaping element through the same inverse steps.
     Raises :class:`ResourceLimitError` before a layer when ``reached`` holds
     more than ``budget`` elements, so the search holds at most ``budget`` and
     the products of one layer.
     """
     _check_depth_bound(max_depth)
     base = word_length(oracle, g, table)
-    steps = oracle.steps
+    steps, dist, closed = oracle.steps, table.distance, oracle.closed_length
     back = (*oracle.inverses, -1)  # the generator that leads back to the parent; g has none
     reached: dict[Element, int] = {g: len(steps)}
     layers: list[list[Element]] = [[g]]
+    slacks = bytearray(1)  # of the last layer: |g| less an upper bound on each length, at most 255
     strict: Optional[int] = None
     while strict is None or len(layers) <= max_depth:
         j = len(layers)
@@ -118,8 +121,8 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int,
             raise ResourceLimitError(
                 f"the escape search holds more than {budget} elements within depth {j - 1}; raise the budget"
             )
-        layer, longest = [], 0
-        for el in layers[-1]:
+        layer, slack, longest, settled = [], bytearray(), 0, strict is not None
+        for el, s in zip(layers[-1], slacks):
             skip = back[reached[el]]
             for i, step in enumerate(steps):
                 if i == skip:  # the product is the parent of el
@@ -128,8 +131,12 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int,
                 if h in reached:
                     continue
                 reached[h] = i
-                n = _length_within(oracle, table, h, base)
-                if n is None:  # h escapes, so layer j fails the descent
+                if s and settled:  # |h| <= |el| + 1 <= |g| - s + 1: no escape, and no length needed
+                    layer.append(h)
+                    slack.append(s - 1)
+                    continue
+                n = _length_or_none(dist, closed, h)
+                if n is None or n > base:  # h escapes
                     word = []
                     while h != g:
                         i = reached[h]
@@ -137,11 +144,13 @@ def _search(oracle: GroupOracle, table: MetricTable, g: Element, max_depth: int,
                         h = steps[back[i]](h)
                     return base, layers, j - 1 if strict is None else strict, tuple(reversed(word))
                 layer.append(h)
+                slack.append(min(base - n, 255))
                 if n > longest:
                     longest = n
         if strict is None and (not layer or longest > base - j):
             strict = j - 1
         layers.append(layer)
+        slacks = slack
         if not layer:  # finite group exhausted; no deeper layers exist
             break
     return base, layers, strict, None
@@ -187,24 +196,28 @@ def backtrack_elements(
     return set().union(*layers[1:])
 
 
-def _escapes_in_one_step(oracle: GroupOracle, table: MetricTable, g: Element) -> bool:
-    """Whether some generator product of g is longer than g: the escape search's first layer, and no more."""
-    base = word_length(oracle, g, table)
-    return any(_length_within(oracle, table, step(g), base) is None for step in oracle.steps)
-
-
 def scan(
     oracle: GroupOracle, table: MetricTable, radius: int, max_depth: int, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[DeadEndReport]:
     """The report of every dead end in B_radius, in layer order, as a lazy iterator.
 
-    Each candidate is first tested with one pass over its generator steps; only
-    those with no escaping step get the full escape search and a report.
+    Each candidate g of S_r, so |g| = r, is first tested with one pass over its
+    generator steps, stopping at the first product longer than r; only those
+    with no escaping step get the full escape search and a report.
     """
     _check_depth_bound(max_depth)
+    steps, dist, closed = oracle.steps, table.distance, oracle.closed_length
+
+    def stays(g: Element, r: int) -> bool:
+        for step in steps:
+            n = _length_or_none(dist, closed, step(g))
+            if n is None or n > r:
+                return False
+        return True
+
     return (
         report(oracle, table, g, max_depth, budget=budget)
         for r in range(1, radius + 1)
         for g in sphere(table, r)
-        if not _escapes_in_one_step(oracle, table, g)
+        if stays(g, r)
     )

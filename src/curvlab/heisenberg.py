@@ -217,6 +217,9 @@ def heis_kappa_exact(g: MalcevTriple, deltas: list[tuple[int, int]]) -> Fraction
     return Fraction(base * len(deltas) - total, base * len(deltas))
 
 
+_PURE = {"X": "+", "Y": "0", "Z": "-"}  # the sign predicted by one case at every t
+
+
 def _classify(A: int, B: int, s: int, r: int) -> tuple[tuple[str, ...], str]:
     """(labels per t = 1..r, predicted sign) for the remainder s = C mod A.
 
@@ -225,9 +228,9 @@ def _classify(A: int, B: int, s: int, r: int) -> tuple[tuple[str, ...], str]:
     if s == 0:
         return ("degenerate",), "mixed"
     labels = tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
-    pure = {"X": "+", "Y": "0", "Z": "-"}
-    if len(set(labels)) == 1 and labels[0] in pure:
-        return labels, pure[labels[0]]
+    first = labels[0]
+    if first != "boundary" and labels.count(first) == r:
+        return labels, _PURE[first]
     return labels, "mixed"
 
 
@@ -371,14 +374,18 @@ def _class_table(
     """(A, B, c_lo, c_hi, runs) for each of ``bands`` in order; (s0, s1, cls) in runs puts C = c_lo + s + j*A in cls for s0 <= s < s1.
 
     With n = |S_r|, the numerator n*|g| - sum |g^w| over w in S_r of
-    kappa_r(g) = numerator / (n*|g|) is 2 * sum m * (ceil(C/A) - ceil((C +
-    D)/A)) over the distinct shifts D = A*beta - alpha*B of S_r, m being the
-    number of w in S_r with shift D, and it is the same for C and C + A when
-    both lie in the sector.  Proof: a conjugate has height C' = C + D with
-    |D| <= A*r, so the margins A*r <= C <= A^2 - A*B - A*r put C and C' in
-    the low branch, of length 2*ceil(C'/A) + A + B; the A + B terms cancel,
-    and C -> C + A raises each ceiling by 1, which cancels too.  The labels
-    and the prediction depend on s = C mod A alone.
+    kappa_r(g) = numerator / (n*|g|) is 2 * sum (ceil(C/A) - ceil((C +
+    D)/A)) over the shifts D = A*beta - alpha*B of the w = (alpha, beta, .)
+    of S_r, and it is the same for C and C + A when both lie in the sector.
+    Proof: a conjugate has height C' = C + D with |D| <= A*r, so the margins
+    A*r <= C <= A^2 - A*B - A*r put C and C' in the low branch, of length
+    2*ceil(C'/A) + A + B; the A + B terms cancel, and C -> C + A raises each
+    ceiling by 1, which cancels too.  The labels and the prediction depend on
+    s = C mod A alone.
+    Sum over a-exponents.  -ceil((C + D)/A) = floor((-C - D)/A) = -beta +
+    floor((alpha*B - C)/A) exactly, so the numerator is 2 * (n*ceil(C/A) -
+    sum beta + sum M_alpha * floor((alpha*B - C)/A)), with sum beta over S_r
+    and M_alpha the number of w in S_r of a-exponent alpha: 2r + 1 terms.
     Runs lemma.  Write C = c_lo + s with 0 <= s < top = min(A, c_hi - c_lo +
     1); c_lo = A*r is a multiple of A, so s = C mod A.  ceil(C/A) is r at
     s = 0 and r + 1 above.  ceil((C + D)/A) = r + ceil((s + D)/A) steps up by
@@ -409,11 +416,12 @@ def _class_table(
     """
     deltas = heis_conjugate_deltas(r)
     n = len(deltas)
+    by_alpha = Counter([alpha for alpha, _ in deltas]).items()  # alpha -> M_alpha
+    beta_sum = sum([beta for _, beta in deltas])
     spec = SectorSpec(r, k)
     for A, B, c_lo, c_hi in bands:
         if [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] != [False, True, True, False]:
             raise ArithmeticError(f"band {(A, B, c_lo, c_hi)} is not the admitted interval of its row")
-        shifts = Counter([A * beta - alpha * B for alpha, beta in deltas]).items()
         top = min(A, c_hi - c_lo + 1)
         cuts = {0, 1, top}
         for t in range(1, r + 1):
@@ -422,10 +430,9 @@ def _class_table(
         runs = []
         for s0, s1 in zip(cuts, cuts[1:]):
             C = c_lo + s0
-            up = _ceildiv(C, A)
-            numerator = 2 * sum([m * (up + (-C - D) // A) for D, m in shifts])  # (-x) // A == -ceil(x/A)
+            numerator = 2 * (n * _ceildiv(C, A) - beta_sum + sum([m * ((alpha * B - C) // A) for alpha, m in by_alpha]))
             sign = "+" if numerator > 0 else ("-" if numerator < 0 else "0")
-            runs.append((s0, s1, _Class(numerator, n, sign, *_classify(A, B, s0, r))))
+            runs.append((s0, s1, _new(_Class, (numerator, n, sign, *_classify(A, B, s0, r)))))
         yield A, B, c_lo, c_hi, runs
 
 

@@ -1,0 +1,92 @@
+"""tools/bench.py on fixture files and stubbed runs; no benchmark runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = Path(__file__).resolve().parent / "bench"
+_spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def _line(seed, wall_s, *, correct=True, failed=0):
+    """A stand-in for the JSON line of one ``perfbench/run.py --trace 0`` run."""
+    names = {"setup_s": "s", "wall_s": "s", "op_p50_s": "s", "op_p90_s": "s", "peak_rss_mib": "MiB"}
+    metrics = {name: {"value": wall_s if name == "wall_s" else 1.0, "unit": unit} for name, unit in names.items()}
+    return {"seed": seed, "correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def test_summarize_gives_the_median_and_the_inclusive_quartiles():
+    assert bench.summarize([0.3, 0.1, 0.2]) == pytest.approx({"median": 0.2, "q1": 0.15, "q3": 0.25})
+    assert bench.summarize([1.0, 2.0, 3.0, 4.0]) == pytest.approx({"median": 2.5, "q1": 1.75, "q3": 3.25})
+    assert bench.summarize([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def test_bench_record_summarizes_each_workload_over_its_seeds():
+    runs = {"curvature": [_line(1, 0.09), _line(2, 0.07), _line(3, 0.08)]}
+    record = bench.bench_record("x", runs, seeds=[1, 2, 3], seconds=20.0, head="abc", dirty=False, nproc=2, python="3.11.7")
+    assert record["workloads"]["curvature"]["wall_s"] == pytest.approx({"unit": "s", "median": 0.08, "q1": 0.075, "q3": 0.085})
+    assert record["workloads"]["curvature"]["peak_rss_mib"]["unit"] == "MiB"
+    assert (record["seeds"], record["seconds"], record["git_head"], record["nproc"]) == ([1, 2, 3], 20.0, "abc", 2)
+    assert record["runs"] == runs
+
+
+def test_compare_flags_a_regression_beyond_its_bound_and_wide_quartiles_as_noise():
+    a, b = (json.loads((FIXTURES / f"BENCH_{x}.json").read_text()) for x in ("before", "after"))
+    lines, regressed = bench.compare(a, b, bench.load_spec())
+    assert regressed
+    by_metric = {tuple(line.split()[:2]): line for line in lines}
+    assert len(by_metric) == 10
+    assert "-20.0%" in by_metric["curvature", "wall_s"] and by_metric["curvature", "wall_s"].endswith("]")
+    assert by_metric["curvature", "peak_rss_mib"].endswith("REGRESSION beyond 10%")  # +12.5 % against a 10 % bound
+    assert by_metric["transport", "setup_s"].endswith("noise, unresolved: quartiles wider than the bound")  # +40 %, quartiles 40 % apart
+    assert [line for line in lines if "REGRESSION" in line] == [by_metric["curvature", "peak_rss_mib"]]
+    assert not bench.compare(a, a, bench.load_spec())[1]
+
+
+def test_compare_exits_1_on_a_regression_only(capsys):
+    before, after = str(FIXTURES / "BENCH_before.json"), str(FIXTURES / "BENCH_after.json")
+    assert bench.main(["--compare", before, after]) == 1
+    assert bench.main(["--compare", before, before]) == 0
+    assert "curvature  wall_s" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [("seconds", 5.0), ("seeds", [1, 2, 4]), ("nproc", 4), ("python", "3.12.1")])
+def test_compare_refuses_files_not_measured_alike(tmp_path, capsys, field, value):
+    before = json.loads((FIXTURES / "BENCH_before.json").read_text())
+    other = tmp_path / "BENCH_other.json"
+    other.write_text(json.dumps({**before, field: value}))
+    assert bench.main(["--compare", str(FIXTURES / "BENCH_before.json"), str(other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{field}: " in captured.err
+
+
+def test_measure_alternates_the_sides_and_refuses_a_failed_run(tmp_path, monkeypatch):
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root, seed, seconds))
+        return _line(seed, 0.1, failed=int(root == old and seed == 2))
+
+    monkeypatch.setattr(bench, "_run", fake_run)
+    monkeypatch.setattr(bench, "REPO", str(tmp_path))
+    for root in (old, new):
+        Path(root).mkdir()
+    assert bench.measure([("a", old), ("b", new)], ["curvature"], [1, 2, 3]) == 1
+    assert calls == [(old, 1, 20), (new, 1, 20), (new, 2, 20), (old, 2, 20), (old, 3, 20), (new, 3, 20)]  # BENCHMARK.json's run_seconds
+    assert sorted(p.name for p in tmp_path.glob("BENCH_*")) == ["BENCH_b.json"]  # side a had a failed operation
+    assert json.loads((tmp_path / "BENCH_b.json").read_text())["workloads"]["curvature"]["wall_s"]["median"] == 0.1
+
+
+def test_each_root_follows_its_own_label():
+    sides = bench.parser().parse_args(["--label", "a", "--root", "elsewhere", "--label", "b"]).sides
+    assert sides == [("a", str(Path("elsewhere").resolve())), ("b", bench.REPO)]
+    with pytest.raises(SystemExit):
+        bench.parser().parse_args(["--root", "elsewhere"])
+    with pytest.raises(SystemExit):
+        bench.parser().parse_args(["--label", "a", "--root", "x", "--root", "y"])

@@ -363,6 +363,16 @@ CLI_GOLDEN = {
     "deadend_l2_d4": ("deadend", "--group", "L2", "--element", "d(4)"),
     "backtracks_l2_d3": ("backtracks", "--group", "L2", "--element", "d(3)"),
     "backtracks_l2_d3_csv": ("backtracks", "--group", "L2", "--element", "d(3)", "--format", "csv"),
+    # the escape search on closed-form lengths off the table, on a group with no closed form, through a whole
+    # finite group, and to depth 15 with its witness; the dead-end filter of a scan
+    "deadend_w3_scan_h9": ("deadend", "--group", "W3", "--scan", "--horizon", "9"),
+    "deadend_h2_g2_h12": ("deadend", "--group", "H2", "--element", "g(2)", "--horizon", "12"),
+    "deadend_s3_sts": ("deadend", "--group", "S3", "--element", "s t s"),
+    "deadend_l2_d7_depth16": ("deadend", "--group", "L2", "--element", "d(7)", "--max-depth", "16"),
+    "backtracks_l2_d4_csv": ("backtracks", "--group", "L2", "--element", "d(4)", "--format", "csv"),
+    # the Heisenberg census numerators, summed over a-exponents
+    "density_k26_r2_csv": ("density", "--k", "26", "--radius", "2", "--format", "csv"),
+    "density_k60_r3": ("density", "--k", "60", "--radius", "3"),
     "curvature_l2_d4t1_r3": ("curvature", "--group", "L2", "--element", "d(4)*t^1", "--radius", "3"),
     "curvature_l2_d5t2_r4_ball_csv": (
         "curvature", "--group", "L2", "--element", "d(5)*t^2", "--radius", "4", "--mode", "ball", "--format", "csv",

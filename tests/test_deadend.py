@@ -1,12 +1,24 @@
+import dataclasses
+from math import inf
+
 import deadend_reference as ref
 import pytest
 from bfs_reference import counting_steps
 
 from curvlab import deadend
 from curvlab.builtin import make_free, make_s3, make_zn
-from curvlab.core import DomainError, OutOfHorizonError, ResourceLimitError, ball, bfs_metric, sphere, word_length
+from curvlab.core import (
+    DomainError,
+    MetricTable,
+    OutOfHorizonError,
+    ResourceLimitError,
+    ball,
+    bfs_metric,
+    sphere,
+    word_length,
+)
 from curvlab.houghton import h2_g, h2_h, h2_oracle
-from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_make_dm
+from curvlab.lamplighter import l2_oracle, ll_dm_tk, ll_length, ll_make_dm
 from curvlab.literals import get_group
 
 
@@ -237,6 +249,63 @@ def test_escape_search_matches_reference_on_small_balls(make):
     for g in ball(table, 4):
         if g != oracle.identity:
             _assert_matches_reference(oracle, table, g)
+
+
+def test_escape_search_evaluates_a_length_only_where_an_escape_is_possible(l2_h12):
+    # with a horizon-0 table every length is a closed-form call; past the strict depth an element
+    # shorter than |g| has products no longer than g, so only the products of slack-0 elements are measured
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ll_length(x)
+
+    asked = []
+
+    class AskedTable(MetricTable):  # a table that overrides ``distance`` sees every length the search takes
+        def distance(self, element):
+            asked.append(element)
+            return super().distance(element)
+
+    oracle = dataclasses.replace(l2_oracle(), closed_length=counted)
+    table = bfs_metric(oracle, 0)
+    table = AskedTable(table.group_id, table.horizon, table.layers, table.dist)
+    d6 = ll_make_dm(6)
+    _, layers, _, _ = deadend._search(oracle, table, d6, 14)
+    reached = sum(map(len, layers))
+    calls.clear()
+    asked.clear()
+    rep = deadend.report(oracle, table, d6, 14)
+    assert (reached, len(calls)) == (4167, 522)
+    assert asked == calls  # each off the table, so asked of the table first
+    assert rep == _assert_matches_reference(oracle, l2_h12[1], d6, max_depth=14)
+    assert (rep.depth, rep.strict_depth) == (13, 2)
+
+
+def _lit_sites(g):
+    """The lit lamp sites of an L2 or W_n element, in increasing order."""
+    return [lamp if isinstance(lamp, int) else lamp[0] for lamp in g.lamps]
+
+
+@pytest.mark.parametrize("group_id, radius, dead_ends", [("L2", 18, 160), ("W3", 12, 176)])
+def test_lamplighter_dead_ends_and_their_depths_in_closed_form(group_id, radius, dead_ends):
+    # Cleary and Taback: x = (H, q) is a dead end iff q = 0, the lamp at 0 is lit and lit lamps lie on both
+    # sides of 0; its depth is 2 min(u, L, R) + 1, with -L and R the extreme lit sites and u the least |j|
+    # over the unlit sites j in [-L, R] (infinite when there is none)
+    oracle = get_group(group_id)
+    table = bfs_metric(oracle, radius)
+    want = {}
+    for r in range(1, radius + 1):
+        for g in sphere(table, r):
+            lit = _lit_sites(g)
+            if g.pos == 0 and 0 in lit and lit[0] < 0 < lit[-1]:
+                L, R = -lit[0], lit[-1]
+                u = min((abs(j) for j in set(range(-L, R + 1)).difference(lit)), default=inf)
+                want[g] = 2 * min(u, L, R) + 1
+    got = {rep.element: rep.depth for rep in deadend.scan(oracle, table, radius, 2 * radius + 3)}
+    assert got == want
+    assert len(got) == dead_ends
+    assert sum(map(len, table.layers)) == {"L2": 85806, "W3": 44523}[group_id]
 
 
 def test_strict_depth_is_not_capped_by_the_horizon():
