@@ -8,7 +8,7 @@ from importlib import import_module
 
 # each exported name under the submodule that defines it
 _EXPORTS = {
-    "builtin": ("free_gencon", "make_free", "make_s3", "make_zn"),
+    "builtin": ("make_free", "make_s3", "make_zn"),
     "cache": ("cached_bfs_metric",),
     "core": ("CurvlabError", "DomainError", "GroupOracle", "MetricTable", "OutOfHorizonError", "ResourceLimitError",
              "ball", "bfs_metric", "sphere", "word_length"),

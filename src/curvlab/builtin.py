@@ -7,12 +7,7 @@ covers it entirely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .core import DomainError, GroupOracle
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +84,6 @@ def make_free(n: int) -> GroupOracle:
         # a letter cancels against the last one or is appended
         right_steps=tuple((lambda x, k=k: x[:-1] if x and x[-1] == -k else x + (k,)) for (k,) in gens),
     )
-
-
-def free_gencon(n: int, g: tuple) -> Fraction:
-    """Average conjugate length of a nonempty reduced word: |g| + 2 - 2/n."""
-    if len(g) == 0:
-        raise DomainError("the generator-conjugation average is undefined at the empty word")
-    from fractions import Fraction
-
-    return Fraction(len(g)) + 2 - Fraction(2, n)
 
 
 # ---------------------------------------------------------------------------

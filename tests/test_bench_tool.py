@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +56,21 @@ def test_compare_exits_1_on_a_regression_only(capsys):
     assert bench.main(["--compare", before, after]) == 1
     assert bench.main(["--compare", before, before]) == 0
     assert "curvature  wall_s" in capsys.readouterr().out
+
+
+def test_compare_ends_quietly_when_its_reader_has_closed_the_output():
+    # the read end is closed before the tool starts, so its first write fails; before alone compares clean (exit 0)
+    read, write = os.pipe()
+    os.close(read)
+    before = str(FIXTURES / "BENCH_before.json")
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "bench.py"), "--compare", before, before],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("field, value", [("seconds", 5.0), ("seeds", [1, 2, 4]), ("nproc", 4), ("python", "3.12.1")])

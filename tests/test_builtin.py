@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from curvlab.builtin import S3_TABLE, free_gencon, make_free, make_s3, make_zn
+from curvlab.builtin import S3_TABLE, make_free, make_s3, make_zn
 from curvlab.core import CurvlabError, DomainError, ball, bfs_metric, word_length
 from curvlab.curvature import kappa
 from curvlab.deadend import backtrack_elements
@@ -54,24 +54,22 @@ def test_s3_generators_generate():
 
 def test_free_gencon_formula():
     f2 = make_free(2)
-    ab = f2.evaluate(["a", "b"])
-    assert free_gencon(2, ab) == 3
+    assert kappa(f2, bfs_metric(f2, 2), f2.evaluate(["a", "b"]), 1).comparison == 3
     # brute force over the 6 conjugators of a in F_3: (1+1+3+3+3+3)/6
     f3 = make_free(3)
     total = sum(f3.closed_length(f3.conjugate((1,), w)) for w in f3.generators)
-    assert Fraction(total, 6) == Fraction(7, 3) == free_gencon(3, (1,))
-    with pytest.raises(DomainError, match="undefined at the empty word"):
-        free_gencon(2, ())
+    assert Fraction(total, 6) == Fraction(7, 3) == kappa(f3, bfs_metric(f3, 1), (1,), 1).comparison
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_free_gencon_matches_generic(n):
+    # the generator-conjugation average of a nonempty reduced word is |g| + 2 - 2/n
     oracle = make_free(n)
     table = bfs_metric(oracle, 3)
     for g in ball(table, 3):
         if g == ():
             continue
-        assert kappa(oracle, table, g, 1).comparison == free_gencon(n, g)
+        assert kappa(oracle, table, g, 1).comparison == len(g) + 2 - Fraction(2, n)
 
 
 def test_zn_curvature_vanishes():
@@ -133,7 +131,6 @@ def _backtracks(oracle, element):
     "call, phrase",
     [
         (lambda: kappa(make_zn(2), bfs_metric(make_zn(2), 1), (0, 0), 1), "undefined at the identity"),
-        (lambda: free_gencon(2, ()), "undefined at the empty word"),
         (lambda: _backtracks(l2_oracle(), LampConfig((), 1)), "not a dead end"),
         (lambda: _backtracks(make_s3(), make_s3().evaluate(["s", "t", "s"])), "exhausted S3"),
         (lambda: ll_embed_in_dead_end(LampConfig((0, 2), 0)), "not a geodesic prefix"),
@@ -149,7 +146,7 @@ def _backtracks(oracle, element):
         ),
     ],
     ids=[
-        "kappa-identity", "free_gencon-empty-word", "backtracks-not-dead-end",
+        "kappa-identity", "backtracks-not-dead-end",
         "backtracks-exhausted", "ll_embed_in_dead_end", "heis_ceil_jump-sector",
         "heis_ceil_jump-remainder", "heis_case_label-remainder", "heis_sign_predict-sector", "density-empty-sector",
         "kappa-mode", "transport-mode",

@@ -266,6 +266,20 @@ def test_kappa_star_equals_comparison_on_abelian_and_free():
         assert transport_distance(f2, tf, MeasureSpec(f2.identity, g)).kappa_star == kappa(f2, tf, g, 1).kappa
 
 
+def test_zn_transport_curvature_vanishes_at_radii_one_and_two():
+    # Z^n is flat: kappa* = 0 for every x in B_1 and y = x g, g in B_2, on spheres and balls of radius 1 and 2
+    for n in (2, 3):
+        oracle = make_zn(n)
+        table = bfs_metric(oracle, 2)
+        for g in ball(table, 2):
+            if g == oracle.identity:
+                continue
+            assert kappa(oracle, table, g, 1).kappa == 0
+            for x, r, mode in itertools.product(ball(table, 1), (1, 2), ("sphere", "ball")):
+                spec = MeasureSpec(x, oracle.compose(x, g), mode, r)
+                assert transport_distance(oracle, table, spec, cap=0).kappa_star == 0
+
+
 def test_kappa_star_dominates_comparison():
     oracles = [make_zn(2), make_free(2), make_s3(), l2_oracle()]
     for oracle in oracles:

@@ -19,7 +19,8 @@ It refuses to write when any run fails or reads ``correct: false`` or
 ``failed > 0``.
 
 The second form prints each metric's change from A to B and exits 1 when a
-change is worse than its bound in ``BENCHMARK.json``.  It exits 2, comparing
+change is worse than its bound in ``BENCHMARK.json``, or, silently, when its
+reader closes the output early (``| head -1``).  It exits 2, comparing
 nothing, when the two files differ in their seeds, seconds, processor count
 or Python version, since their runs were not measured alike.  A metric whose
 quartiles lie further apart than its bound on either side is marked noise,
@@ -218,7 +219,13 @@ def main(argv=None) -> int:
             print("bench: the two files were not measured alike; " + "; ".join(mismatch), file=sys.stderr)
             return 2
         lines, regressed = compare(a, b, load_spec())
-        print("\n".join(lines))
+        try:
+            print("\n".join(lines))
+            sys.stdout.flush()  # a reader that left early shows here, not in the interpreter's exit flush
+        except BrokenPipeError:
+            # the reader closed the output early (`| head`): drop what is left, so the exit flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 1 if regressed else 0
     if not 1 <= len(args.sides) <= 2:
         p.error("give one or two --label, or --compare")
