@@ -7,6 +7,8 @@ covers it entirely.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .core import DomainError, GroupOracle
 
 
@@ -22,23 +24,16 @@ def make_zn(n: int) -> GroupOracle:
     """Z^n; elements are integer coordinate tuples, length is the L1 norm."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    labels = []
-    for i in range(n):
-        labels += [f"a{i + 1}", f"a{i + 1}^-1"]
-    gens = []
-    for i in range(n):
-        plus = tuple(1 if j == i else 0 for j in range(n))
-        minus = tuple(-1 if j == i else 0 for j in range(n))
-        gens += [plus, minus]
+    axes = [(i, d) for i in range(n) for d in (1, -1)]  # generator 2i is +e_i, generator 2i + 1 is -e_i
     return GroupOracle(
         group_id=f"Z{n}",
-        labels=tuple(labels),
-        generators=tuple(gens),
+        labels=tuple(f"a{i + 1}" if d > 0 else f"a{i + 1}^-1" for i, d in axes),
+        generators=tuple(tuple(d if j == i else 0 for j in range(n)) for i, d in axes),
         identity=tuple(0 for _ in range(n)),
         compose=lambda x, y: tuple(a + b for a, b in zip(x, y)),
         invert=lambda x: tuple(-a for a in x),
         closed_length=_l1_norm,
-        right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i in range(n) for d in (1, -1)),
+        right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i, d in axes),
         conjugate_lengths=lambda g, ws: [_l1_norm(g)] * len(ws),  # the group is abelian: w^-1 g w = g
     )
 
@@ -68,54 +63,34 @@ def make_free(n: int) -> GroupOracle:
     """The free group F_n on n generators; length of a reduced word is its letter count."""
     if n < 1:
         raise DomainError("n must be at least 1")
-    labels = []
-    gens = []
-    for i in range(1, n + 1):
-        labels += [free_letter_label(i, n), free_letter_label(-i, n)]
-        gens += [(i,), (-i,)]
+    letters = [k for i in range(1, n + 1) for k in (i, -i)]  # generator 2i - 2 is the i-th letter, 2i - 1 its inverse
     return GroupOracle(
         group_id=f"F{n}",
-        labels=tuple(labels),
-        generators=tuple(gens),
+        labels=tuple(free_letter_label(k, n) for k in letters),
+        generators=tuple((k,) for k in letters),
         identity=(),
         compose=_free_mul,
         invert=lambda x: tuple(-a for a in reversed(x)),
         closed_length=len,
         # a letter cancels against the last one or is appended
-        right_steps=tuple((lambda x, k=k: x[:-1] if x and x[-1] == -k else x + (k,)) for (k,) in gens),
+        right_steps=tuple((lambda x, k=k: x[:-1] if x and x[-1] == -k else x + (k,)) for k in letters),
     )
 
 
 # ---------------------------------------------------------------------------
-# S_3 = <s, t | s^2 = t^2 = 1, sts = tst>, hard-coded as a 6-element table.
+# S_3 = <s, t | s^2 = t^2 = 1, sts = tst>, as a 6-element table built from the permutation model.
 
-# Elements indexed 0..5 in the order e, s, t, st, ts, sts; built once from
-# the permutation model rather than by coset enumeration.
-_S3_PERMS = {
-    0: (0, 1, 2),
-    1: (1, 0, 2),  # s
-    2: (0, 2, 1),  # t
-}
-S3_WORDS = ("", "s", "t", "s t", "t s", "s t s")
+S3_WORDS = ("", "s", "t", "s t", "t s", "s t s")  # element i is the permutation of the word S3_WORDS[i]
 
 
-def _perm_mul(p, q):
+def _perm_mul(p, q):  # p, then q
     return tuple(q[p[i]] for i in range(3))
 
 
-def _build_s3_table() -> tuple[tuple[int, ...], ...]:
-    perms = dict(_S3_PERMS)
-    perms[3] = _perm_mul(perms[1], perms[2])  # st
-    perms[4] = _perm_mul(perms[2], perms[1])  # ts
-    perms[5] = _perm_mul(_perm_mul(perms[1], perms[2]), perms[1])  # sts
-    index = {perm: i for i, perm in perms.items()}
-    return tuple(
-        tuple(index[_perm_mul(perms[i], perms[j])] for j in range(6)) for i in range(6)
-    )
-
-
-S3_TABLE = _build_s3_table()
-_S3_INVERSE = tuple(next(j for j in range(6) if S3_TABLE[i][j] == 0) for i in range(6))
+_S3_GENERATORS = {"s": (1, 0, 2), "t": (0, 2, 1)}
+_S3_PERMS = [reduce(_perm_mul, (_S3_GENERATORS[x] for x in word.split()), (0, 1, 2)) for word in S3_WORDS]
+S3_TABLE = tuple(tuple(_S3_PERMS.index(_perm_mul(p, q)) for q in _S3_PERMS) for p in _S3_PERMS)
+_S3_INVERSE = tuple(row.index(0) for row in S3_TABLE)
 
 
 def make_s3() -> GroupOracle:
@@ -123,7 +98,7 @@ def make_s3() -> GroupOracle:
     return GroupOracle(
         group_id="S3",
         labels=("s", "t"),
-        generators=(1, 2),
+        generators=(S3_WORDS.index("s"), S3_WORDS.index("t")),
         identity=0,
         compose=lambda x, y: S3_TABLE[x][y],
         invert=lambda x: _S3_INVERSE[x],

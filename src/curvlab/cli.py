@@ -17,7 +17,7 @@ import sys
 from typing import Iterable
 
 from .core import DEFAULT_BUDGET, MAX_HORIZON, CurvlabError, DomainError, ball, word_length
-from .literals import ParseError, element_formatter, get_group, parse_element
+from .literals import ParseError, family
 
 # Each subcommand imports the modules it runs, so that a call loads only those.
 
@@ -64,11 +64,10 @@ def _table(args, oracle, default_horizon: int):
 
 
 def cmd_length(args) -> int:
-    oracle = get_group(args.group)
-    g = parse_element(args.group, args.element)
+    oracle, parse, fmt = family(args.group)
+    g = parse(args.element)
     table = _table(args, oracle, 0 if oracle.closed_length else 8)
     n = word_length(oracle, g, table)
-    fmt = element_formatter(args.group)
     if args.format == "csv":
         _emit_csv(["element", "length"], [[fmt(g), n]])
     else:
@@ -79,11 +78,10 @@ def cmd_length(args) -> int:
 def cmd_curvature(args) -> int:
     from .curvature import CSV_HEADER, kappa
 
-    oracle = get_group(args.group)
-    g = parse_element(args.group, args.element)
+    oracle, parse, fmt = family(args.group)
+    g = parse(args.element)
     table = _table(args, oracle, max(args.radius, 3))
     report = kappa(oracle, table, g, args.radius, args.mode)
-    fmt = element_formatter(args.group)
     if args.format == "csv":
         _emit_csv(CSV_HEADER, report.csv_rows(fmt))
     else:
@@ -94,14 +92,13 @@ def cmd_curvature(args) -> int:
 def cmd_deadend(args) -> int:
     from . import deadend
 
-    oracle = get_group(args.group)
-    fmt = element_formatter(args.group)
+    oracle, parse, fmt = family(args.group)
     if args.scan:
         table = _table(args, oracle, 7)
         for rep in deadend.scan(oracle, table, table.horizon, args.max_depth, budget=args.budget):
             _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
         return 0
-    g = parse_element(args.group, args.element)
+    g = parse(args.element)
     table = _table(args, oracle, 8)
     rep = deadend.report(oracle, table, g, args.max_depth, budget=args.budget)
     _emit_json({"group": args.group, **rep.to_json_dict(fmt)})
@@ -111,11 +108,10 @@ def cmd_deadend(args) -> int:
 def cmd_backtracks(args) -> int:
     from .deadend import backtrack_elements
 
-    oracle = get_group(args.group)
-    g = parse_element(args.group, args.element)
+    oracle, parse, fmt = family(args.group)
+    g = parse(args.element)
     table = _table(args, oracle, max(args.bound, 8))
     elements = backtrack_elements(oracle, table, g, args.bound, budget=args.budget)
-    fmt = element_formatter(args.group)
     ordered = sorted(elements)
     if args.format == "csv":
         _emit_csv(
@@ -148,13 +144,13 @@ def cmd_density(args) -> int:
 def cmd_transport(args) -> int:
     from .transport import MeasureSpec, transport_distance
 
-    oracle = get_group(args.group)
-    x = parse_element(args.group, args.x)
-    y = parse_element(args.group, args.y)
+    oracle, parse, fmt = family(args.group)
+    x = parse(args.x)
+    y = parse(args.y)
     table = _table(args, oracle, max(args.radius + 2, 4))
     spec = MeasureSpec(x, y, args.mode, args.radius)
     result = transport_distance(oracle, table, spec, cap=args.cap)
-    _emit_json({"group": args.group, **result.to_json_dict(element_formatter(args.group))})
+    _emit_json({"group": args.group, **result.to_json_dict(fmt)})
     return 0
 
 
@@ -163,7 +159,7 @@ def cmd_probe(args) -> int:
 
     from .transport import question_probe
 
-    oracle = get_group(args.group)
+    oracle, _, fmt = family(args.group)
     table = _table(args, oracle, max(args.radius + 2, 4))
     if args.ball > table.horizon:
         raise DomainError(f"--ball {args.ball} exceeds the table horizon {table.horizon}; raise --horizon")
@@ -174,7 +170,7 @@ def cmd_probe(args) -> int:
     if not pool:
         raise DomainError("the probe has no element to sample; --ball and --sample must be at least 1")
     report = question_probe(oracle, table, args.radius, pool, cap=args.cap)
-    _emit_json(report.to_json_dict(element_formatter(args.group)))
+    _emit_json(report.to_json_dict(fmt))
     return 0
 
 
@@ -314,6 +310,9 @@ def main(argv=None) -> int:
         return 1
     except CurvlabError as exc:
         print(f"curvlab: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("curvlab: out of memory; lower --horizon, --radius or --budget", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import ne
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal, Optional, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -259,6 +259,9 @@ def ball(table: MetricTable, r: int) -> tuple[Element, ...]:
     for i in range(r + 1):
         out.extend(table.layers[i])
     return tuple(out)
+
+
+Support = Literal["sphere", "ball"]  # the support of a comparison or transport measure
 
 
 def sphere_or_ball(table: MetricTable, r: int, mode: str) -> tuple[Element, ...]:

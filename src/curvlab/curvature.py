@@ -11,19 +11,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Optional
 
 from .core import (
     DomainError,
     Element,
     GroupOracle,
     MetricTable,
+    Support,
     rational_str,
     sphere_or_ball,
     word_length,
 )
-
-Mode = Literal["sphere", "ball"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class CurvatureReport:
 
     element: Element
     radius: int
-    mode: Mode
+    mode: Support
     base_length: int
     comparison: Fraction
     kappa: Fraction
@@ -85,7 +84,7 @@ def kappa(
     table: MetricTable,
     g: Element,
     r: int,
-    mode: Mode = "sphere",
+    mode: Support = "sphere",
     length_table: Optional[MetricTable] = None,
 ) -> CurvatureReport:
     """The comparison curvature kappa_r of g, with its full conjugator breakdown.

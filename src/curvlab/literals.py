@@ -1,11 +1,11 @@
 """Element literal grammar and the built-in group registry.
 
 One table, _FAMILIES, gives each group family its id pattern, the module that
-holds it and its oracle builder there, literal parser and formatter;
-get_group, parse_element, format_element and element_formatter look the group
-id up in it.  A family's module is imported on the first lookup of one of its
-groups, so reading a Z2 literal loads no lamplighter, Houghton or Heisenberg
-code.
+holds it and its oracle builder there, literal parser and formatter; family
+looks a group id up in it once, and get_group, parse_element, format_element
+and element_formatter wrap family.  A family's module is imported on the
+first lookup of one of its groups, so reading a Z2 literal loads no
+lamplighter, Houghton or Heisenberg code.
 
 Literal forms (see parse_element):
     Z<n>     "(2,-3)"
@@ -246,8 +246,8 @@ _FAMILIES = (
 )
 
 
-def _family(group_id: str):
-    """The oracle of ``group_id`` with its family's parser and formatter.
+def family(group_id: str):
+    """The oracle of ``group_id``, a parser of its literals (the word form "w: ..." too) and a formatter, bound to it.
 
     The size n of Z<n>, F<n> and W<n> is checked against MAX_BUILDER_SIZE before int() or the builder sees it.
     """
@@ -255,24 +255,27 @@ def _family(group_id: str):
         m = re.fullmatch(pattern, group_id)
         if m:
             build = getattr(import_module(f".{module}", __package__), builder)
-            return build(*(_int_field(n, group_id, MAX_BUILDER_SIZE, _GROUP_RULE) for n in m.groups())), parse, fmt
+            oracle = build(*(_int_field(n, group_id, MAX_BUILDER_SIZE, _GROUP_RULE) for n in m.groups()))
+
+            def parse_literal(text: str) -> Element:
+                text = text.strip()
+                return _parse_word(oracle, text[2:]) if text.startswith("w:") else parse(oracle, text)
+
+            return oracle, parse_literal, lambda el: fmt(oracle, el)
     raise ParseError(group_id, _GROUP_RULE)
 
 
 def get_group(group_id: str) -> GroupOracle:
-    return _family(group_id)[0]
+    return family(group_id)[0]
 
 
 def parse_element(group_id: str, text: str) -> Element:
-    oracle, parse, _ = _family(group_id)
-    text = text.strip()
-    return _parse_word(oracle, text[2:]) if text.startswith("w:") else parse(oracle, text)
+    return family(group_id)[1](text)
 
 
 def element_formatter(group_id: str):
-    oracle, _, fmt = _family(group_id)
-    return lambda el: fmt(oracle, el)
+    return family(group_id)[2]
 
 
 def format_element(group_id: str, el: Element) -> str:
-    return element_formatter(group_id)(el)
+    return family(group_id)[2](el)

@@ -39,20 +39,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, pairwise
-from typing import Literal, Optional
+from typing import Optional
 
 from .core import (
     DomainError,
     Element,
     GroupOracle,
     MetricTable,
+    Support,
     sphere,
     rational_str,
     sphere_or_ball,
     word_length,
 )
-
-Support = Literal["sphere", "ball"]
 
 INF = float("inf")  # slack of a column no tree row reaches yet; every real slack is an int
 

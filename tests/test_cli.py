@@ -14,7 +14,7 @@ from density_reference import csv_rows, density_per_element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import cli, verify
+from curvlab import builtin, cli, houghton, lamplighter, verify
 from curvlab.cache import cache_path, cached_bfs_metric
 from curvlab.core import ball, bfs_metric
 from curvlab.heisenberg import CSV_HEADER as DENSITY_CSV_HEADER
@@ -432,6 +432,45 @@ def test_cli_out_of_horizon_error_is_one_line_without_repr():
             f"curvlab: a word length in H2 is not covered by the table (horizon {horizon}) and no closed form applies; "
             "raise the horizon\n"
         )
+
+
+def test_cli_out_of_memory_is_a_one_line_error():
+    # the child caps its own address space below what the BFS of F3 B_12 needs, then runs the CLI as `-m` would
+    code = (
+        "import resource, runpy\n"
+        "limit = 180 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "runpy.run_module('curvlab.cli', run_name='__main__')\n"
+    )
+    args = ["curvature", "--group", "F3", "--element", "a", "--radius", "6", "--horizon", "12"]
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["curvlab: out of memory; lower --horizon, --radius or --budget"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["length", "--group", "H2", "--element", "w: s sigma", "--horizon", "3"],
+        ["curvature", "--group", "L2", "--element", "d(2)", "--radius", "2"],
+        ["deadend", "--group", "L2", "--element", "d(2)", "--max-depth", "6"],
+        ["deadend", "--group", "Z2", "--scan", "--horizon", "3"],
+        ["backtracks", "--group", "L2", "--element", "d(2)", "--bound", "6"],
+        ["transport", "--group", "Z3", "--x", "(0,0,0)", "--y", "w: a1 a2"],
+        ["probe", "--group", "Z2", "--ball", "2"],
+    ],
+    ids=lambda argv: "-".join(argv[:3:2]) + ("-scan" if "--scan" in argv else ""),
+)
+def test_each_call_builds_its_group_once(monkeypatch, capsys, argv):
+    # the literals, the table and the output of a call all come from one oracle
+    builds = []
+    for module, builder in ((builtin, "make_zn"), (lamplighter, "l2_oracle"), (houghton, "h2_oracle")):
+        build = getattr(module, builder)
+        monkeypatch.setattr(module, builder, lambda *n, build=build: builds.append(n) or build(*n))
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(builds) == 1
 
 
 def test_cli_transport_and_probe():

@@ -13,6 +13,7 @@ hypothesis on elements far outside those balls, next to the group axioms that
 import dataclasses
 import random
 from functools import reduce
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -269,9 +270,12 @@ def test_word_literals_make_no_compose_or_invert_call(monkeypatch):
 
         return dataclasses.replace(oracle, compose=refuse, invert=refuse)
 
-    family = literals._family
-    families = {group_id: (refusing(ORACLES[group_id]), *family(group_id)[1:]) for group_id in WORD_LITERALS}
-    monkeypatch.setattr(literals, "_family", families.__getitem__)
+    # each family builder returns the refusing copy of the oracle it builds
+    refused = {group_id: refusing(oracle) for group_id, oracle in ORACLES.items()}
+    for _, module, builder, *_ in literals._FAMILIES:
+        holder = import_module(f"curvlab.{module}")
+        build = getattr(holder, builder)
+        monkeypatch.setattr(holder, builder, lambda *n, build=build: refused[build(*n).group_id])
     armed.append(True)  # after construction
     for group_id, text in WORD_LITERALS.items():
         oracle = ORACLES[group_id]

@@ -267,7 +267,13 @@ def test_kappa_star_equals_comparison_on_abelian_and_free():
 
 
 def test_zn_transport_curvature_vanishes_at_radii_one_and_two():
-    # Z^n is flat: kappa* = 0 for every x in B_1 and y = x g, g in B_2, on spheres and balls of radius 1 and 2
+    """Z^n is flat: kappa* = 0 for every x in B_1 and y = x g, g in B_2, on spheres and balls of radius 1 and 2.
+
+    The certificate holds at every radius.  f(v) = sum_i sign(y_i - x_i) v_i is 1-Lipschitz for the L1 word
+    metric, and f is linear, so its mean over y + S_r minus its mean over x + S_r is f(y) - f(x) = d(x, y) (the
+    same for B_r).  By Kantorovich-Rubinstein duality T1 >= d(x, y); the translation plan x + w -> y + w moves
+    each point by d(x, y), so it attains the bound, T1 = d(x, y) and kappa*_r = 1 - T1 / d(x, y) = 0.
+    """
     for n in (2, 3):
         oracle = make_zn(n)
         table = bfs_metric(oracle, 2)
