@@ -8,6 +8,7 @@ covers it entirely.
 from __future__ import annotations
 
 from functools import reduce
+from operator import add, neg
 
 from .core import DomainError, GroupOracle
 
@@ -17,7 +18,7 @@ from .core import DomainError, GroupOracle
 
 
 def _l1_norm(x: tuple) -> int:
-    return sum(abs(a) for a in x)
+    return sum(map(abs, x))
 
 
 def make_zn(n: int) -> GroupOracle:
@@ -30,8 +31,8 @@ def make_zn(n: int) -> GroupOracle:
         labels=tuple(f"a{i + 1}" if d > 0 else f"a{i + 1}^-1" for i, d in axes),
         generators=tuple(tuple(d if j == i else 0 for j in range(n)) for i, d in axes),
         identity=tuple(0 for _ in range(n)),
-        compose=lambda x, y: tuple(a + b for a, b in zip(x, y)),
-        invert=lambda x: tuple(-a for a in x),
+        compose=lambda x, y: tuple(map(add, x, y)),
+        invert=lambda x: tuple(map(neg, x)),
         closed_length=_l1_norm,
         right_steps=tuple((lambda x, i=i, d=d: x[:i] + (x[i] + d,) + x[i + 1 :]) for i, d in axes),
         conjugate_lengths=lambda g, ws: [_l1_norm(g)] * len(ws),  # the group is abelian: w^-1 g w = g

@@ -29,9 +29,21 @@ plan with those two columns exchanged when both exchanged pairs are tight.
 An exhausted iterator is popped and frees its parent row's column.  Every
 branch taken therefore leads to an optimum, and between two optima each
 tight pair is tried at most once, so the delay is polynomial: O(n^4) in the
-worst case, against the exponential search of a cost bound alone.  The walk
-is not recursive, so a matrix of any size stays within Python's recursion
-limit.  A transport support has at most MAX_TRANSPORT_ROWS rows.
+worst case, against the exponential search of a cost bound alone.
+
+The plans below row n - 5 depend only on the set of columns the rows above
+it leave free, not on the prefix or the matching: a column is open to a row
+exactly when some perfect matching extends the prefix.  So the walk keeps
+the last five columns of the plans of each subtree it finishes at row
+n - 5, keyed by its free columns, and when the same free set comes back
+under another prefix it appends the prefix to each kept suffix instead of
+walking the subtree again.  It replays only where it would push row n - 5,
+never inside a walked subtree, and keeps a subtree only when it pops it,
+so every kept suffix is a distinct plan it walked itself: the memo holds
+O(5 * cap) columns, and between two optima the walk does no more work than
+it would without the memo, so the delay stays polynomial.  The walk is not recursive, so a
+matrix of any size stays within Python's recursion limit.  A transport
+support has at most MAX_TRANSPORT_ROWS rows.
 """
 
 from __future__ import annotations
@@ -56,8 +68,9 @@ from .core import (
 INF = float("inf")  # slack of a column no tree row reaches yet; every real slack is an int
 
 # Bound on the rows of a transport support.  The slowest admitted F_n sphere,
-# F4 at radius 3 with 392 rows from the generator a, takes about 9 s on 2
-# cores (F2 at radius 5, 324 rows, 6.5 s); F2 at radius 6 has 972 rows.
+# F4 at radius 3 with 392 rows from the generator a, takes 9 to 14 s on 2
+# cores with Python 3.11 (F2 at radius 5, 324 rows, 7 to 9 s); F2 at radius
+# 6 has 972 rows.
 MAX_TRANSPORT_ROWS = 400
 
 
@@ -207,7 +220,8 @@ def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], 
     every branch taken keeps a perfect matching of the tight graph that
     agrees with the fixed rows, so it ends in a plan.  The last two rows are
     never fixed: they share the two columns left, in the current matching
-    or exchanged.
+    or exchanged.  A subtree finished at row n - 5 is kept by its sorted
+    free columns and replayed, prefix by prefix, when they come back.
     """
     if cap < 0:
         raise DomainError(f"the cap on listed optima must be at least 0, got {cap}")
@@ -237,6 +251,9 @@ def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], 
         row[j] = i
     fixed = [False] * n  # columns held by the rows below the top of the stack
     last = n - 3  # the last row the walk gives a column; the two rows after it are the tail
+    deep = n - 5  # the first row of the subtrees kept by their free columns; none are kept below 6 rows
+    done = {}  # sorted free columns of a finished subtree at row deep -> its plans' suffixes from row deep
+    start = 0  # where the plans of the subtree being walked at row deep begin
     stack = [iter(tight[0])]
     while stack and len(plans) <= cap:
         i = len(stack) - 1
@@ -244,14 +261,21 @@ def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], 
             if not fixed[j] and (j == col[i] or _reroute(tight, mask, col, row, fixed, i, j)):
                 if i == last:
                     add_tail()
+                elif i + 1 == deep and (tails := done.get(tuple(sorted(col[deep:])))) is not None:
+                    head = tuple(col[:deep])
+                    plans.extend(head + t for t in tails)
                 else:
                     fixed[j] = True
                     stack.append(iter(tight[i + 1]))
+                    if i + 1 == deep:
+                        start = len(plans)
                 break
         else:
             stack.pop()
             if i:
                 fixed[col[i - 1]] = False  # back from the branch that fixed row i - 1
+                if i == deep:
+                    done[tuple(sorted(col[deep:]))] = [p[deep:] for p in plans[start:]]
     return plans[:cap], len(plans) > cap
 
 
@@ -310,7 +334,7 @@ def transport_distance(
         truncated=truncated,
         identity_optimal=identity_cost == optimum,
         distance=d,
-        kappa_star=None if d == 0 else 1 - t1 / d,
+        kappa_star=None if d == 0 else Fraction(d * n - optimum, d * n),
     )
 
 

@@ -108,3 +108,87 @@ def test_each_root_follows_its_own_label():
         bench.parser().parse_args(["--root", "elsewhere"])
     with pytest.raises(SystemExit):
         bench.parser().parse_args(["--label", "a", "--root", "x", "--root", "y"])
+
+
+def test_sign_test_is_the_two_sided_binomial_tail():
+    assert bench.sign_test(6, 0) == bench.sign_test(0, 6) == 2 / 64
+    assert bench.sign_test(5, 5) == bench.sign_test(0, 0) == 1.0
+    assert bench.sign_test(9, 1) == pytest.approx(2 * 11 / 1024)
+    assert bench.sign_test(55, 5) < 1e-10
+
+
+def test_ab_summary_pairs_the_walls_and_leaves_ties_out_of_the_sign_test():
+    summary = bench.ab_summary([1.0, 2.0, 1.0, 4.0, 1.0], [0.5, 1.0, 1.0, 2.0, 2.0])
+    assert summary["ratios"] == [0.5, 0.5, 1.0, 0.5, 2.0]
+    assert summary["ratio"] == pytest.approx({"median": 0.5, "q1": 0.5, "q3": 1.0})
+    assert (summary["b_faster"], summary["pairs"]) == (3, 5)
+    assert summary["sign_test_p"] == bench.sign_test(3, 1) == 0.625
+
+
+def _stub_checkout(root: Path, side: str, walls: list[float], log: Path, *, bad_round=None) -> str:
+    """A checkout whose perfbench/ holds only a stub workload: round k logs its side and takes ``walls[k]``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "common.py").write_text(
+        "class Recorder:\n"
+        "    def __init__(self):\n"
+        "        self.wall, self.unexpected = 0.0, []\n"
+    )
+    (root / "perfbench" / "worker.py").write_text(
+        "from common import Recorder\n"
+        "\n"
+        "class Stub:\n"
+        "    def __init__(self, seed, workdir):\n"
+        "        self.k = 0\n"
+        "\n"
+        "    def setup(self):\n"
+        "        print('set-up output goes to standard error')\n"
+        "\n"
+        "    def round(self, rec, chk, counts):\n"
+        f"        with open({str(log)!r}, 'a') as fh:\n"
+        f"            fh.write({side!r})\n"
+        f"        rec.wall = {walls!r}[self.k]\n"
+        f"        if self.k == {bad_round!r}:\n"
+        "            chk.append('a result differs from the checked one')\n"
+        "        self.k += 1\n"
+        "\n"
+        "def load_workload(name):\n"
+        "    assert name == 'stub'\n"
+        "    return Stub\n"
+    )
+    return str(root)
+
+
+def test_ab_alternates_the_sides_pair_by_pair_and_writes_the_ratios(tmp_path, monkeypatch, capsys):
+    log = tmp_path / "order"
+    a = _stub_checkout(tmp_path / "a", "A", [1.0, 1.0, 1.0, 1.0, 1.0], log)
+    b = _stub_checkout(tmp_path / "b", "B", [0.8, 0.8, 0.5, 1.25, 0.8], log)
+    monkeypatch.setattr(bench, "REPO", str(tmp_path))
+    assert bench.main(["--ab", a, b, "--workload", "stub", "--pairs", "5", "--seed", "3"]) == 0
+    assert log.read_text() == "AB" "BA" "AB" "BA" "AB"
+    out = capsys.readouterr().out
+    assert out == "stub: B/A round wall 0.800 [0.800, 0.800] over 5 pairs, B faster in 4, sign test p = 0.38\n"
+    record = json.loads((tmp_path / "BENCH_ab_stub.json").read_text())
+    assert record["a"]["rounds"] == [1.0] * 5 and record["b"]["rounds"] == [0.8, 0.8, 0.5, 1.25, 0.8]
+    assert (record["workload"], record["seed"], record["pairs"], record["b_faster"]) == ("stub", 3, 5, 4)
+    assert record["sign_test_p"] == bench.sign_test(4, 1)
+
+
+def test_ab_refuses_a_run_in_which_a_round_reports_a_check_failure(tmp_path, monkeypatch, capsys):
+    log = tmp_path / "order"
+    a = _stub_checkout(tmp_path / "a", "A", [1.0] * 4, log)
+    b = _stub_checkout(tmp_path / "b", "B", [1.0] * 4, log, bad_round=1)
+    monkeypatch.setattr(bench, "REPO", str(tmp_path))
+    assert bench.main(["--ab", a, b, "--workload", "stub", "--pairs", "4", "--label", "x"]) == 1
+    assert log.read_text() == "AB" "B"  # the second pair starts with B, whose round fails
+    assert "a round reported: a result differs from the checked one" in capsys.readouterr().err
+    assert not list(tmp_path.glob("BENCH_*"))
+
+
+def test_ab_needs_a_workload_that_both_sides_set_up(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        bench.main(["--ab", ".", "."])
+    a = _stub_checkout(tmp_path / "a", "A", [1.0], tmp_path / "order")
+    monkeypatch.setattr(bench, "REPO", str(tmp_path))
+    assert bench.main(["--ab", a, a, "--workload", "other", "--pairs", "1"]) == 1  # the stub knows only "stub"
+    assert "the other workload did not set up" in capsys.readouterr().err
+    assert not list(tmp_path.glob("BENCH_*")) and not (tmp_path / "order").exists()

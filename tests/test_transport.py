@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 import transport_reference
 
+from curvlab import transport
 from curvlab.builtin import make_free, make_s3, make_zn
 from curvlab.core import DomainError, ball, bfs_metric, sphere_or_ball
 from curvlab.curvature import kappa
@@ -154,6 +156,86 @@ def test_enumeration_walk_is_not_recursive():
     n = 1200
     cost = [[int(i != j) for j in range(n)] for i in range(n)]
     assert enumerate_optimal(cost, 0, cap=2) == ([tuple(range(n))], False)
+
+
+def walk_counting_replays(cost, cap):
+    """``_optimal_plans`` at ``cap``, with the suffixes its subtree memo kept and the plans its walk built itself.
+
+    A profile hook reads the walk's locals: the growth of ``plans`` across
+    each ``add_tail`` call (the plans walked), and ``done`` when the walk
+    returns (the suffixes kept).  Replayed plans come from ``done`` alone.
+    """
+    _, match, u, v = hungarian(cost)
+    sizes, counts = [], {"walked": 0, "kept": 0}
+
+    def hook(frame, event, arg):
+        if frame.f_code.co_filename != transport.__file__:
+            return
+        if frame.f_code.co_name == "add_tail" and event in ("call", "return"):
+            size = len(frame.f_locals["plans"])
+            if event == "call":
+                sizes.append(size)
+            else:
+                counts["walked"] += size - sizes.pop()
+        elif frame.f_code.co_name == "_optimal_plans" and event == "return":
+            counts["kept"] = sum(map(len, frame.f_locals.get("done", {}).values()))
+
+    sys.setprofile(hook)
+    try:
+        result = _optimal_plans(cost, match, u, v, cap)
+    finally:
+        sys.setprofile(None)
+    assert counts["kept"] <= counts["walked"]  # every kept suffix is one plan the walk built, recorded once
+    return result, counts["kept"], counts["walked"]
+
+
+def test_walk_matches_the_reference_on_dense_ties_with_the_subtree_memo_bounded_by_the_walk():
+    # 0-1 matrices tie densely, so the free-column sets below row n - 5 recur under many prefixes
+    rng = random.Random(32)
+    for n in range(6, 17):
+        matrices = [[[0] * n for _ in range(n)]]
+        matrices += [[[int(rng.random() < p) for _ in range(n)] for _ in range(n)] for p in (0.2, 0.5, 0.8)]
+        for cost in matrices:
+            _, match, u, v = hungarian(cost)
+            count = len(transport_reference._optimal_plans(cost, match, u, v, 1000)[0])
+            for cap in (0, 1, 3, count, count + 1):
+                result, kept, walked = walk_counting_replays(cost, cap)
+                assert result == transport_reference._optimal_plans(cost, match, u, v, cap)
+    # 8 rows, every pair tight: the prefixes (0, 1, 2) to (0, 1, 7) walk six subtrees of 5! plans below row 3,
+    # (0, 2, 1) replays the one of (0, 1, 2), and the cap ends the walk inside the subtree of (0, 2, 3)
+    result, kept, walked = walk_counting_replays([[0] * 8 for _ in range(8)], 1000)
+    assert (result, kept, walked) == ((list(itertools.permutations(range(8)))[:1000], True), 840, 882)
+
+
+def test_a_subtree_the_cap_cuts_short_is_not_kept():
+    zero6, zero7 = [[0] * 6 for _ in range(6)], [[0] * 7 for _ in range(7)]
+    # 6 rows: the first subtree at row 1 holds 5! = 120 plans; a cap of 50 ends the walk inside it
+    assert walk_counting_replays(zero6, 50) == ((list(itertools.permutations(range(6)))[:50], True), 0, 52)
+    # 7 rows: the subtree under (0, 1) is kept; a cap of 150 ends the walk inside the one under (0, 2)
+    assert walk_counting_replays(zero7, 150) == ((list(itertools.permutations(range(7)))[:150], True), 120, 152)
+
+
+@pytest.mark.parametrize(
+    "gid,x,mode,r,bound",
+    [
+        ("F2", "a b^-1", "sphere", 2, 1200),  # 12 rows; 3 396 calls without the subtree memo
+        ("L2", "d(3)", "sphere", 3, 500),  # 12 rows; 1 113 calls without it
+        ("Heis", "(4,1,2)", "ball", 2, 1500),  # 17 rows; 2 136 calls without it
+    ],
+)
+def test_replayed_subtrees_cut_the_searches_for_a_column(monkeypatch, gid, x, mode, r, bound):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return reroute(*args)
+
+    reroute = transport._reroute
+    monkeypatch.setattr(transport, "_reroute", counted)
+    oracle = get_group(gid)
+    res = transport_distance(oracle, bfs_metric(oracle, r), MeasureSpec(parse_element(gid, x), oracle.identity, mode, r))
+    assert len(res.permutations) == 1000 and res.truncated
+    assert len(calls) <= bound
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ Usage, from anywhere:
 
     python3 tools/bench.py --label L [--root DIR] [--label L2 --root DIR2] [--seeds 1 2 3]
     python3 tools/bench.py --compare BENCH_A.json BENCH_B.json
+    python3 tools/bench.py --ab ROOT_A ROOT_B --workload W [--pairs N] [--seed S] [--label L]
 
 The first form runs ``perfbench/run.py --trace 0`` of the checkout at DIR
 (default: this checkout) for every workload and seed, each run as long as
@@ -27,18 +28,35 @@ quartiles lie further apart than its bound on either side is marked noise,
 unresolved: its runs spread too widely for the bound to judge either way, so
 it is not counted as a regression (the ``transport`` workload's ``setup_s``
 is the known case); more seeds narrow it.
+
+The third form settles a speed claim on one workload within seconds of host
+drift.  Each checkout runs in its own long-lived ``python -B`` process, with
+no ``__pycache__`` under its ``src/``: the process builds the workload with
+its checkout's ``perfbench/worker.load_workload(W)(S, workdir)``, runs
+``setup()`` once, then one ``round(Recorder(), chk, None)`` per request, as
+perfbench's worker does.  Pair k asks both sides for a round, A first when k
+is even and B first when it is odd.  The tool prints the median over the
+pairs of the B/A round wall with its quartiles, the number of pairs B was
+faster in, and the two-sided sign-test p-value of that count, and writes the
+same numbers with every round wall to ``BENCH_L.json`` (default
+``BENCH_ab_W.json``).  It refuses to write, and exits 1, when a round reports
+an output-check failure or an unexpected failure.  An A/A run of one
+checkout against itself shows the spread of a ratio that means no change.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import platform
 import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 300  # perfbench/run.py ends a run of BENCHMARK.json's 20 s within 175 s
@@ -135,16 +153,34 @@ def _git(root: str, *args: str) -> str:
     return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout.strip()
 
 
-def _clear_bytecode(root: str) -> None:
+def _head(root: str) -> tuple[str, bool]:
+    """The checkout's ``git rev-parse HEAD``, and whether its tracked files have uncommitted edits."""
+    return _git(root, "rev-parse", "HEAD"), bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
+
+
+def _nproc() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _bytecode_free_env(root: str) -> dict:
+    """Remove each ``__pycache__`` under the checkout's ``src/``; the environment that keeps it so."""
     for dirpath, dirnames, _ in os.walk(os.path.join(root, "src")):
         if "__pycache__" in dirnames:
             shutil.rmtree(os.path.join(dirpath, "__pycache__"))
             dirnames.remove("__pycache__")
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+
+def _write(label: str, record: dict) -> None:
+    path = os.path.join(REPO, f"BENCH_{label}.json")
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"bench: wrote {path}", file=sys.stderr)
 
 
 def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
-    _clear_bytecode(root)
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = _bytecode_free_env(root)
     cmd = [sys.executable, "-B", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -163,7 +199,6 @@ def measure(sides: list[tuple[str, str]], workloads, seeds) -> int:
         for k, seed in enumerate(seeds):
             for label, root in sides[k % 2:] + sides[: k % 2]:  # alternate which side runs first
                 runs[label][workload].append(_run(root, workload, seed, seconds))
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     status = 0
     for label, root in sides:
         bad = bad_runs(runs[label])
@@ -171,17 +206,115 @@ def measure(sides: list[tuple[str, str]], workloads, seeds) -> int:
             print(f"bench: not writing BENCH_{label}.json; " + "; ".join(bad), file=sys.stderr)
             status = 1
             continue
-        record = bench_record(
-            label, runs[label], seeds=seeds, seconds=seconds, head=_git(root, "rev-parse", "HEAD"),
-            dirty=bool(_git(root, "status", "--porcelain", "--untracked-files=no")), nproc=nproc,
-            python=platform.python_version(),
-        )
-        path = os.path.join(REPO, f"BENCH_{label}.json")
-        with open(path, "w") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"bench: wrote {path}", file=sys.stderr)
+        head, dirty = _head(root)
+        _write(label, bench_record(label, runs[label], seeds=seeds, seconds=seconds, head=head, dirty=dirty,
+                                   nproc=_nproc(), python=platform.python_version()))
     return status
+
+
+# One side of an A/B: the workload of the checkout in argv[1], set up once, then one round per line of input.
+_AB_SIDE = r"""
+import gc, json, os, shutil, sys, tempfile
+root, name, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path.insert(0, os.path.join(root, "perfbench"))
+import worker  # puts the checkout's src/ first on sys.path
+from common import Recorder
+reply = os.fdopen(os.dup(1), "w")
+os.dup2(2, 1)  # what the workload prints goes to standard error, not among the replies
+workdir = tempfile.mkdtemp(prefix="bench-ab-")
+try:
+    wl = worker.load_workload(name)(seed, os.path.join(workdir, "work"))
+    wl.setup()
+    print("ready", file=reply, flush=True)
+    for _ in sys.stdin:
+        gc.collect()  # every round starts from the same heap state
+        rec, chk = Recorder(), []
+        wl.round(rec, chk, None)
+        print(json.dumps({"wall": rec.wall, "problems": rec.unexpected + chk}), file=reply, flush=True)
+finally:
+    shutil.rmtree(workdir, ignore_errors=True)
+"""
+
+
+def sign_test(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses``, under even odds; ties are left out."""
+    m = wins + losses
+    tail = sum(math.comb(m, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**m)
+
+
+def ab_summary(walls_a: list[float], walls_b: list[float]) -> dict:
+    """The B/A ratio of each pair of round walls, their median and quartiles, B's wins and the sign test."""
+    ratios = [b / a for a, b in zip(walls_a, walls_b)]
+    wins, losses = sum(r < 1 for r in ratios), sum(r > 1 for r in ratios)
+    return {"ratio": summarize(ratios), "b_faster": wins, "pairs": len(ratios),
+            "sign_test_p": sign_test(wins, losses), "ratios": ratios}
+
+
+def ab_rounds(ask_a, ask_b, pairs: int) -> tuple[list[float], list[float], list[str]]:
+    """The round walls of ``pairs`` pairs, A first in even pairs, and the problems the first bad round reported.
+
+    ``ask_a`` and ``ask_b`` each run one round of their side and return its
+    reply, ``{"wall": s, "problems": [...]}``.  A reply with problems ends
+    the run, since its walls time a round that went wrong.
+    """
+    asks, walls = (ask_a, ask_b), ([], [])
+    for k in range(pairs):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            reply = asks[side]()
+            if reply["problems"]:
+                return *walls, reply["problems"]
+            walls[side].append(reply["wall"])
+    return *walls, []
+
+
+def _open_side(root: str, workload: str, seed: int) -> subprocess.Popen:
+    cmd = [sys.executable, "-B", "-c", _AB_SIDE, root, workload, str(seed)]
+    return subprocess.Popen(cmd, cwd=root, env=_bytecode_free_env(root), stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def _asker(proc: subprocess.Popen, root: str):
+    def ask() -> dict:
+        proc.stdin.write("\n")
+        proc.stdin.flush()
+        line = proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"{root}: the side ended without finishing its round")
+        return json.loads(line)
+
+    return ask
+
+
+def ab(root_a: str, root_b: str, workload: str, pairs: int, seed: int, label: str) -> int:
+    sides = []
+    try:
+        for root in (root_a, root_b):
+            sides.append(_open_side(root, workload, seed))
+        for proc, root in zip(sides, (root_a, root_b)):  # the two set-ups run side by side
+            if proc.stdout.readline() != "ready\n":
+                raise RuntimeError(f"{root}: the {workload} workload did not set up")
+        walls_a, walls_b, problems = ab_rounds(_asker(sides[0], root_a), _asker(sides[1], root_b), pairs)
+    finally:
+        for proc in sides:  # end of input: each side removes its work directory and exits
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.wait()
+            proc.stdout.close()
+    if problems:
+        print(f"bench: not writing BENCH_{label}.json; a round reported: " + "; ".join(problems), file=sys.stderr)
+        return 1
+    summary = ab_summary(walls_a, walls_b)
+    ratio = summary["ratio"]
+    print(f"{workload}: B/A round wall {ratio['median']:.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}] over "
+          f"{pairs} pairs, B faster in {summary['b_faster']}, sign test p = {summary['sign_test_p']:.2g}")
+    record = {"label": label, "workload": workload, "seed": seed, "python": platform.python_version(),
+              "nproc": _nproc(), **summary}
+    for side, root, walls in (("a", root_a, walls_a), ("b", root_b, walls_b)):
+        head, dirty = _head(root)
+        record[side] = {"root": root, "git_head": head, "git_dirty": dirty, "rounds": walls}
+    _write(label, record)
+    return 0
 
 
 class _Side(argparse.Action):
@@ -205,6 +338,10 @@ def parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--workloads", nargs="+", default=None, help="default: every workload of BENCHMARK.json")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two BENCH files")
+    p.add_argument("--ab", nargs=2, metavar=("ROOT_A", "ROOT_B"), help="round-interleaved A/B of two checkouts")
+    p.add_argument("--workload", help="the workload of --ab")
+    p.add_argument("--pairs", type=int, default=40, help="pairs of rounds of --ab (default 40)")
+    p.add_argument("--seed", type=int, default=1, help="workload seed of --ab (default 1)")
     return p
 
 
@@ -227,6 +364,15 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 1
         return 1 if regressed else 0
+    if args.ab:
+        if not args.workload or args.pairs < 1 or len(args.sides) > 1:
+            p.error("--ab needs --workload, at least one pair and at most one --label")
+        label = args.sides[0][0] if args.sides else f"ab_{args.workload}"
+        try:
+            return ab(*map(os.path.abspath, args.ab), args.workload, args.pairs, args.seed, label)
+        except (OSError, RuntimeError) as exc:
+            print(f"bench: {exc}", file=sys.stderr)
+            return 1
     if not 1 <= len(args.sides) <= 2:
         p.error("give one or two --label, or --compare")
     workloads = args.workloads or [w["name"] for w in load_spec()["workloads"]]
