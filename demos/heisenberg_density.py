@@ -8,11 +8,10 @@ positive, zero, and negative curvature at comparison radii 1 and 2.
 from fractions import Fraction
 
 from curvlab.core import bfs_metric
+from curvlab.curvature import kappa
 from curvlab.heisenberg import (
     MalcevTriple,
-    heis_conjugate_deltas,
     heis_density_experiment,
-    heis_kappa_exact,
     heis_length,
     heis_oracle,
     heis_sign_predict,
@@ -29,10 +28,9 @@ def main():
         print(f"|{tuple(g)}| = {heis_length(g)}")
 
     print("\n== Sign prediction from the remainder C mod A ==")
-    deltas = heis_conjugate_deltas(1)
     for g in (MalcevTriple(10, 2, 31), MalcevTriple(10, 2, 35), MalcevTriple(10, 2, 39)):
         predicted = heis_sign_predict(g, 1)
-        exact = heis_kappa_exact(g, deltas)
+        exact = kappa(oracle, table, g, 1).kappa
         print(f"{tuple(g)}: s = {g.c % g.a}, predicted {predicted}, exact kappa_1 = {exact}")
 
     print("\n== Exhaustive sector census ==")

@@ -14,8 +14,7 @@ exact kappa computed from closed-form conjugate lengths.  In that sector
 kappa's numerator depends on C only through C mod A, and it is a sum of
 low-branch ceilings that, like the case labels, changes at only a few
 remainders; so a class table holds one record per run of remainders of each
-(A, B) band, with no conjugate built, and each band is checked against the
-sector at its two ends and just beyond them.  The report adds each run to
+(A, B) band, with no conjugate built.  The report adds each run to
 its tallies weighted by its member count and lists the elements of a run
 only when its prediction contradicts the exact sign; the CSV rows are
 expanded from the same runs, one element at a time, as they are written.
@@ -25,7 +24,7 @@ Word lengths up to MAX_DENSITY_K are admitted.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -171,6 +170,21 @@ def heis_case_label(A: int, B: int, s: int, t: int) -> str:
     return "Z"
 
 
+def _sector_row(A: int, B: int, r: int, k: Optional[int]) -> Optional[tuple[int, int]]:
+    """(c_lo, c_hi), the heights C that ``SectorSpec(r, k)`` admits on the row (A, B); None when it admits none.
+
+    The k bound is exact.  The band forces r >= 1, so every admitted C lies
+    in [A*r, A^2 - A*B - A*r] and g is on the low branch, of length
+    2*ceil(C/A) + A + B; there |g| <= k exactly when C <= A*((k - A - B) // 2).
+    """
+    if not (A > B > 0 and 5 * r <= A <= 5 * r * B <= 2 * A and A - B >= 2 * r):
+        return None
+    c_lo, c_hi = A * r, A * A - A * B - A * r
+    if k is not None:
+        c_hi = min(c_hi, A * ((k - A - B) // 2))
+    return (c_lo, c_hi) if c_hi >= c_lo else None
+
+
 @dataclass(frozen=True)
 class SectorSpec:
     """The margin-guarded low-height sector for comparison radius r.
@@ -187,34 +201,14 @@ class SectorSpec:
 
     def admits(self, g: MalcevTriple) -> bool:
         A, B, C = g
-        r = self.r
-        if not (A > B > 0 and C > 0):
-            return False
-        if C - A * r < 0 or A - B < 2 * r:
-            return False
-        if A < 5 * r or A > 5 * r * B or 5 * r * B > 2 * A:
-            return False
-        if C > A * A - A * B - A * r:
-            return False
-        if self.k is not None and heis_length(g) > self.k:
-            return False
-        return True
+        row = _sector_row(A, B, self.r, self.k)
+        return row is not None and row[0] <= C <= row[1]
 
 
 def heis_conjugate_deltas(r: int) -> list[tuple[int, int]]:
     """(alpha, beta) exponent pairs of the sphere S_r; conjugation adds A*beta - alpha*B to C."""
     table = bfs_metric(heis_oracle(), r)
     return [(w.a, w.b) for w in sphere(table, r)]
-
-
-def heis_kappa_exact(g: MalcevTriple, deltas: list[tuple[int, int]]) -> Fraction:
-    """Exact kappa over the sphere whose (a, b) exponents are ``deltas``."""
-    A, B, C = g
-    base = heis_length(g)
-    total = 0
-    for alpha, beta in deltas:
-        total += heis_length(MalcevTriple(A, B, C + A * beta - alpha * B))
-    return Fraction(base * len(deltas) - total, base * len(deltas))
 
 
 _PURE = {"X": "+", "Y": "0", "Z": "-"}  # the sign predicted by one case at every t
@@ -279,11 +273,11 @@ class BandRow:
 class DensityReport:
     r: int
     k: int
-    sign_counts: dict = field(default_factory=dict)  # exact kappa signs
-    predicted_counts: dict = field(default_factory=dict)
-    mismatches: list = field(default_factory=list)
-    band_rows: list = field(default_factory=list)
-    threshold: Fraction = Fraction(0)
+    sign_counts: dict  # exact kappa signs
+    predicted_counts: dict
+    mismatches: list
+    band_rows: list
+    threshold: Fraction
 
     def all_signs_present(self) -> bool:
         return all(self.sign_counts.get(s, 0) > 0 for s in "+0-")
@@ -349,10 +343,9 @@ def _sector_bands(k: int, r: int) -> list[tuple[int, int, int, int]]:
     bands = []
     for A in range(5 * r, k):
         for B in range(_ceildiv(A, 5 * r), (2 * A) // (5 * r) + 1):
-            # length <= k bounds ceil(C/A) by (k - A - B) // 2; intersect with the sector margins
-            c_hi = min(A * ((k - A - B) // 2), A * A - A * B - A * r)
-            if A - B >= 2 * r and c_hi >= A * r:
-                bands.append((A, B, A * r, c_hi))
+            row = _sector_row(A, B, r, k)
+            if row is not None:
+                bands.append((A, B, *row))
     if not bands:
         raise DomainError(f"the radius-{r} sector is empty within length {k}")
     return bands
@@ -369,7 +362,7 @@ class _Class(NamedTuple):
 
 
 def _class_table(
-    k: int, r: int, bands: list[tuple[int, int, int, int]]
+    r: int, bands: list[tuple[int, int, int, int]]
 ) -> Iterator[tuple[int, int, int, int, list[tuple[int, int, _Class]]]]:
     """(A, B, c_lo, c_hi, runs) for each of ``bands`` in order; (s0, s1, cls) in runs puts C = c_lo + s + j*A in cls for s0 <= s < s1.
 
@@ -401,27 +394,12 @@ def _class_table(
     A - B*|alpha| + 1.  So at most 2 + 4r runs remain.  c_lo and c_hi are
     multiples of A, so with M = (c_hi - c_lo) / A remainder 0 has M + 1
     members and every other remainder M.
-
-    Each band is checked against ``SectorSpec(r, k)`` at four heights: c_lo
-    and c_hi are admitted, c_lo - 1 and c_hi + 1 are not.  That covers every
-    element of the row, by this lemma: for fixed (A, B) the admitted C form
-    an interval.  Proof: each condition of ``SectorSpec.admits`` either does
-    not depend on C (A > B > 0, A - B >= 2r and the band on A and B) or bounds
-    C from one side: C > 0 and C >= A*r from below, C <= A^2 - A*B - A*r and
-    |g| <= k from above, the last because ``heis_length`` is nondecreasing in
-    C on C >= 0 (both branches are, and they agree at the boundary).  An
-    interval holding c_lo and c_hi but not c_lo - 1 or c_hi + 1 is exactly
-    [c_lo, c_hi], so the band holds every admitted element of its row and
-    nothing else.
     """
     deltas = heis_conjugate_deltas(r)
     n = len(deltas)
     by_alpha = Counter([alpha for alpha, _ in deltas]).items()  # alpha -> M_alpha
     beta_sum = sum([beta for _, beta in deltas])
-    spec = SectorSpec(r, k)
     for A, B, c_lo, c_hi in bands:
-        if [spec.admits(MalcevTriple(A, B, C)) for C in (c_lo - 1, c_lo, c_hi, c_hi + 1)] != [False, True, True, False]:
-            raise ArithmeticError(f"band {(A, B, c_lo, c_hi)} is not the admitted interval of its row")
         top = min(A, c_hi - c_lo + 1)
         cuts = {0, 1, top}
         for t in range(1, r + 1):
@@ -446,26 +424,25 @@ def heis_density_experiment(k: int, r: int) -> DensityReport:
     contradicts its sign is expanded, element by element, into ``mismatches``.
     """
     bands = _sector_bands(k, r)
-    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
-    report.sign_counts = {"+": 0, "0": 0, "-": 0}
-    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
-    report.band_rows = [_band_counts(A, B, r) for A, B, _, _ in bands]
-    for A, B, c_lo, c_hi, runs in _class_table(k, r, bands):
+    sign_counts = {"+": 0, "0": 0, "-": 0}
+    predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    mismatches = []
+    for A, B, c_lo, c_hi, runs in _class_table(r, bands):
         per_remainder = (c_hi - c_lo) // A
         wrong = []
         for s0, s1, cls in runs:
             members = (s1 - s0) * per_remainder + (s0 == 0)
-            report.sign_counts[cls.sign] += members
-            report.predicted_counts[cls.predicted] += members
+            sign_counts[cls.sign] += members
+            predicted_counts[cls.predicted] += members
             if cls.predicted in "+0-" and cls.predicted != cls.sign:
                 wrong.extend((C, cls) for s in range(s0, s1) for C in range(c_lo + s, c_hi + 1, A))
-        for C, cls in sorted(wrong):
-            report.mismatches.append((MalcevTriple(A, B, C), cls.predicted, cls.sign))
-    return report
+        mismatches.extend((MalcevTriple(A, B, C), cls.predicted, cls.sign) for C, cls in sorted(wrong))
+    band_rows = [_band_counts(A, B, r) for A, B, _, _ in bands]
+    return DensityReport(r, k, sign_counts, predicted_counts, mismatches, band_rows, Fraction(1, 5 * r))
 
 
 def _csv_row(A: int, B: int, C: int, cls: _Class) -> list:
-    """The CSV row of (A, B, C) in ``cls``: every census element lies on the low branch (see ``_class_table``)."""
+    """The CSV row of (A, B, C) in ``cls``: every census element lies on the low branch (see ``_sector_row``)."""
     length = 2 * _ceildiv(C, A) + A + B
     denominator = cls.n * length
     g = gcd(cls.numerator, denominator)
@@ -480,7 +457,7 @@ def density_csv_rows(k: int, r: int) -> Iterator[list]:
     bands = _sector_bands(k, r)
     return (
         _csv_row(A, B, C, by_remainder[(C - c_lo) % A])
-        for A, B, c_lo, c_hi, runs in _class_table(k, r, bands)
+        for A, B, c_lo, c_hi, runs in _class_table(r, bands)
         for by_remainder in [[cls for s0, s1, cls in runs for _ in range(s0, s1)]]
         for C in range(c_lo, c_hi + 1)
     )

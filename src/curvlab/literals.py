@@ -2,8 +2,8 @@
 
 One table, _FAMILIES, gives each group family its id pattern, the module that
 holds it and its oracle builder there, literal parser and formatter; family
-looks a group id up in it once, and get_group, parse_element, format_element
-and element_formatter wrap family.  A family's module is imported on the
+looks a group id up in it once, and get_group, parse_element and
+format_element wrap family.  A family's module is imported on the
 first lookup of one of its groups, so reading a Z2 literal loads no
 lamplighter, Houghton or Heisenberg code.
 
@@ -271,10 +271,6 @@ def get_group(group_id: str) -> GroupOracle:
 
 def parse_element(group_id: str, text: str) -> Element:
     return family(group_id)[1](text)
-
-
-def element_formatter(group_id: str):
-    return family(group_id)[2]
 
 
 def format_element(group_id: str, el: Element) -> str:

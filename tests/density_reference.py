@@ -1,6 +1,6 @@
 """The Heisenberg density census computed element by element, for checking the library's class tally against.
 
-Every sector element gets its own ``heis_kappa_exact`` and ``heis_sign_predict``
+Every sector element gets its own ``kappa_by_group_law`` and ``heis_sign_predict``
 call; nothing is shared between elements of one residue class C mod A.  The
 band rows come from a scan of every remainder, not from the library's closed
 form.
@@ -8,21 +8,35 @@ form.
 
 from fractions import Fraction
 
+from curvlab.core import bfs_metric, sphere
 from curvlab.heisenberg import (
     BandRow,
     DensityReport,
     MalcevTriple,
     SectorSpec,
     heis_case_label,
-    heis_conjugate_deltas,
-    heis_kappa_exact,
+    heis_compose,
+    heis_invert,
     heis_length,
+    heis_oracle,
     heis_sign_predict,
 )
 
 
 def _ceildiv(p, q):
     return -(-p // q)
+
+
+def sphere_elements(r):
+    """The elements w of the sphere S_r, as conjugators."""
+    return sphere(bfs_metric(heis_oracle(), r), r)
+
+
+def kappa_by_group_law(g, ws):
+    """kappa_r(g) = 1 - mean |w^-1 g w| / |g| over the sphere ``ws``, each conjugate formed by the group law."""
+    base = heis_length(g)
+    total = sum(heis_length(heis_compose(heis_compose(heis_invert(w), g), w)) for w in ws)
+    return Fraction(base * len(ws) - total, base * len(ws))
 
 
 def band_counts(A, B, r):
@@ -64,31 +78,32 @@ def density_per_element(k, r):
     ``records`` holds (g, length, s, labels, predicted, kappa) per element in
     (A, B, C) order.
     """
-    deltas = heis_conjugate_deltas(r)
-    report = DensityReport(r=r, k=k, threshold=Fraction(1, 5 * r))
-    report.sign_counts = {"+": 0, "0": 0, "-": 0}
-    report.predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    ws = sphere_elements(r)
+    sign_counts = {"+": 0, "0": 0, "-": 0}
+    predicted_counts = {"+": 0, "0": 0, "-": 0, "mixed": 0}
+    mismatches, band_rows = [], []
     spec = SectorSpec(r, k)
     records = []
     for A, B, c_lo, c_hi in sector_bands(k, r):
-        report.band_rows.append(band_counts(A, B, r))
+        band_rows.append(band_counts(A, B, r))
         for C in range(c_lo, c_hi + 1):
             g = MalcevTriple(A, B, C)
             assert spec.admits(g)
             s = C % A
-            kap = heis_kappa_exact(g, deltas)
+            kap = kappa_by_group_law(g, ws)
             sign = "+" if kap > 0 else ("-" if kap < 0 else "0")
-            report.sign_counts[sign] += 1
+            sign_counts[sign] += 1
             if s == 0:
                 predicted = "mixed"
                 labels = ("degenerate",)
             else:
                 labels = tuple(heis_case_label(A, B, s, t) for t in range(1, r + 1))
                 predicted = heis_sign_predict(g, r)
-            report.predicted_counts[predicted] += 1
+            predicted_counts[predicted] += 1
             if predicted in "+0-" and predicted != sign:
-                report.mismatches.append((g, predicted, sign))
+                mismatches.append((g, predicted, sign))
             records.append((g, heis_length(g), s, labels, predicted, kap))
+    report = DensityReport(r, k, sign_counts, predicted_counts, mismatches, band_rows, Fraction(1, 5 * r))
     return (report, records) if records else None
 
 
@@ -118,11 +133,15 @@ def census_by_length(census, first):
         if not bands:
             yield k, None
             continue
-        out = DensityReport(r=report.r, k=k, threshold=report.threshold)
-        out.sign_counts = dict(sign_counts)
-        out.predicted_counts = dict(predicted_counts)
-        out.band_rows = [row for row in report.band_rows if (row.A, row.B) in bands]
-        out.mismatches = [m for m in report.mismatches if heis_length(m[0]) <= k]
+        out = DensityReport(
+            r=report.r,
+            k=k,
+            sign_counts=dict(sign_counts),
+            predicted_counts=dict(predicted_counts),
+            mismatches=[m for m in report.mismatches if heis_length(m[0]) <= k],
+            band_rows=[row for row in report.band_rows if (row.A, row.B) in bands],
+            threshold=report.threshold,
+        )
         yield k, (out, [rec for rec in records if rec[1] <= k])
 
 

@@ -58,6 +58,28 @@ def test_compare_exits_1_on_a_regression_only(capsys):
     assert "curvature  wall_s" in capsys.readouterr().out
 
 
+def _setup_record(label, setup_s):
+    """A BENCH record of the ``tables`` workload whose seeds read ``setup_s``, and 1.0 for every other metric but wall_s."""
+    lines = [_line(seed, 0.1) for seed in (1, 2, 3)]
+    for line, value in zip(lines, setup_s):
+        line["metrics"]["setup_s"]["value"] = value
+    return bench.bench_record(label, {"tables": lines}, seeds=[1, 2, 3], seconds=20.0, head="abc", dirty=False, nproc=2, python="3.11.7")
+
+
+@pytest.mark.parametrize("setup_b, change, flag, code", [
+    ((0.107, 0.114, 0.079), "+28.9%", "unresolved: runs overlap", 0),  # tables setup_s of BENCH_pr31.json -> BENCH_pr32.json
+    ((0.115, 0.118, 0.121), "+42.2%", "REGRESSION beyond 25%", 1),  # every seed of B above every seed of A
+], ids=["runs_overlap", "runs_apart"])
+def test_compare_calls_a_change_beyond_its_bound_a_regression_only_when_the_seeds_are_apart(tmp_path, capsys, setup_b, change, flag, code):
+    files = []
+    for label, setup_s in (("a", (0.083, 0.083, 0.113)), ("b", setup_b)):
+        files.append(tmp_path / f"BENCH_{label}.json")
+        files[-1].write_text(json.dumps(_setup_record(label, setup_s)))
+    assert bench.main(["--compare", *map(str, files)]) == code
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.split()[:2] == ["tables", "setup_s"])
+    assert change in line and line.endswith(flag)
+
+
 def test_compare_ends_quietly_when_its_reader_has_closed_the_output():
     # the read end is closed before the tool starts, so its first write fails; before alone compares clean (exit 0)
     read, write = os.pipe()

@@ -26,7 +26,6 @@ from curvlab.literals import (
     MAX_WORD_LETTERS,
     _FAMILIES,
     ParseError,
-    element_formatter,
     format_element,
     get_group,
     parse_element,
@@ -186,7 +185,7 @@ def test_parse_format_round_trip_of_long_words(group_id, data):
     oracle = get_group(group_id)
     word = data.draw(st.lists(st.integers(0, len(oracle.steps) - 1), max_size=300))
     el = reduce(lambda x, i: oracle.steps[i](x), word, oracle.identity)
-    assert parse_element(group_id, element_formatter(group_id)(el)) == el
+    assert parse_element(group_id, format_element(group_id, el)) == el
 
 
 def test_unknown_group():

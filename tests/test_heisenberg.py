@@ -1,11 +1,18 @@
 import json
 import random
-import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from density_reference import band_counts, census_by_length, csv_rows, density_per_element, sector_bands
+from density_reference import (
+    band_counts,
+    census_by_length,
+    csv_rows,
+    density_per_element,
+    kappa_by_group_law,
+    sector_bands,
+    sphere_elements,
+)
 
 from curvlab import heisenberg
 from curvlab.core import DomainError, bfs_metric
@@ -26,7 +33,6 @@ from curvlab.heisenberg import (
     heis_conjugate_deltas,
     heis_density_experiment,
     heis_invert,
-    heis_kappa_exact,
     heis_length,
     heis_oracle,
     heis_sign_predict,
@@ -177,8 +183,40 @@ def test_sector_spec():
     assert SectorSpec(1, k=18).admits(MalcevTriple(10, 2, 30)) is True
 
 
+def _in_documented_sector(g, r, k):
+    """The conditions of the ``SectorSpec`` docstring, with |g| <= k from ``heis_length`` when k is given."""
+    A, B, C = g
+    return (
+        A > B > 0
+        and C > 0
+        and C - A * r >= 0
+        and A - B >= 2 * r
+        and A >= 5 * r
+        and A <= 5 * r * B  # A/(5r) <= B
+        and 5 * r * B <= 2 * A  # B <= 2A/(5r)
+        and C <= A * A - A * B - A * r
+        and (k is None or heis_length(g) <= k)
+    )
+
+
+def test_sector_spec_admits_exactly_the_documented_sector():
+    # a box with r <= 0, negative A, B and C, no k and k <= 0; each row's heights reach past A^2, above every margin
+    admitted = 0
+    for r in (-1, 0, 1, 2):
+        for k in (None, -1, 0, 30, 47):
+            spec = SectorSpec(r, k)
+            for A in range(-3, 26):
+                for B in range(-3, 11):
+                    for C in range(-4, A * A + 5):
+                        g = MalcevTriple(A, B, C)
+                        want = _in_documented_sector(g, r, k)
+                        assert spec.admits(g) == want, (g, r, k)
+                        admitted += want
+    assert admitted == 37_332  # the box reaches into the sector at r = 1 and 2
+
+
 def test_sign_prediction_matches_exact_kappa():
-    deltas = {r: heis_conjugate_deltas(r) for r in (1, 2)}
+    ws = {r: sphere_elements(r) for r in (1, 2)}
     for r in (1, 2):
         spec = SectorSpec(r)
         checked = 0
@@ -191,7 +229,7 @@ def test_sign_prediction_matches_exact_kappa():
                     predicted = heis_sign_predict(g, r)
                     if predicted == "mixed":
                         continue
-                    kap = heis_kappa_exact(g, deltas[r])
+                    kap = kappa_by_group_law(g, ws[r])
                     sign = "+" if kap > 0 else ("-" if kap < 0 else "0")
                     assert predicted == sign, (g, predicted, kap)
                     checked += 1
@@ -199,14 +237,14 @@ def test_sign_prediction_matches_exact_kappa():
 
 
 def test_kappa_exact_agrees_with_curvature_module():
-    # the fast delta path must match the generic conjugate-average
+    # kappa reads conjugate lengths from the conjugation formula; the reference forms each w^-1 g w by the group law
     oracle = heis_oracle()
     table = bfs_metric(oracle, 2)
-    deltas = heis_conjugate_deltas(2)
+    ws = sphere_elements(2)
     for g in (MalcevTriple(12, 2, 40), MalcevTriple(15, 3, 60), MalcevTriple(20, 2, 100)):
         assert SectorSpec(2).admits(g)
         rep = kappa(oracle, table, g, 2, "sphere")
-        assert rep.kappa == heis_kappa_exact(g, deltas)
+        assert rep.kappa == kappa_by_group_law(g, ws)
 
 
 def test_b_conjugation_pairs_cancel():
@@ -263,7 +301,7 @@ REFERENCE_K = {1: 60, 2: 60, 3: 70}
 
 @pytest.mark.parametrize("r", sorted(REFERENCE_K))
 def test_density_sweep_matches_the_per_element_reference(r):
-    # one kappa per run of remainders C mod A must reproduce a heis_kappa_exact call per element
+    # one kappa per run of remainders C mod A must reproduce a group-law kappa per element
     full = density_per_element(REFERENCE_K[r], r)
     direct = density_per_element(30, r)
     compared = 0
@@ -286,24 +324,15 @@ def test_density_sweep_matches_the_per_element_reference(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_every_band_is_exactly_its_admitted_row(r):
-    # the interval lemma behind the per-band sector check, element by element at the largest census
-    spec = SectorSpec(r, MAX_DENSITY_K)
+    # every element of every band at the largest census is in the documented sector, and the heights just beyond are not
     for A, B, c_lo, c_hi in _sector_bands(MAX_DENSITY_K, r):
-        assert all(spec.admits(MalcevTriple(A, B, C)) for C in range(c_lo, c_hi + 1)), (A, B)
-        assert not spec.admits(MalcevTriple(A, B, c_lo - 1)) and not spec.admits(MalcevTriple(A, B, c_hi + 1)), (A, B)
-
-
-def test_a_band_that_is_not_its_admitted_row_is_refused():
-    # the check raises instead of asserting, so python -O keeps it
-    A, B, c_lo, c_hi = _sector_bands(40, 1)[0]
-    for band in ((A, B, c_lo + 1, c_hi), (A, B, c_lo, c_hi + 1)):
-        with pytest.raises(ArithmeticError, match=re.escape(f"band {band} is not the admitted interval of its row")):
-            next(_class_table(40, 1, [band]))
+        assert all(_in_documented_sector(MalcevTriple(A, B, C), r, MAX_DENSITY_K) for C in range(c_lo, c_hi + 1)), (A, B)
+        assert not any(_in_documented_sector(MalcevTriple(A, B, C), r, MAX_DENSITY_K) for C in (c_lo - 1, c_hi + 1)), (A, B)
 
 
 def _class_pairs(r):
     """(A, B, C, cls) for every remainder C = c_lo .. c_lo + top - 1 of every band at the largest census, from its run."""
-    for A, B, c_lo, _, runs in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
+    for A, B, c_lo, _, runs in _class_table(r, _sector_bands(MAX_DENSITY_K, r)):
         for s0, s1, cls in runs:
             for C in range(c_lo + s0, c_lo + s1):
                 yield A, B, C, cls
@@ -337,7 +366,7 @@ def test_class_labels_match_the_classification_of_each_remainder(r):
 def test_runs_tile_each_band_and_stay_within_the_cut_bound(r):
     # the runs lemma: every shift cut (-D mod A) + 1 is a cut, and at most 2 + 4r runs cover 0 .. top - 1 in order
     deltas = heis_conjugate_deltas(r)
-    for A, B, c_lo, c_hi, runs in _class_table(MAX_DENSITY_K, r, _sector_bands(MAX_DENSITY_K, r)):
+    for A, B, c_lo, c_hi, runs in _class_table(r, _sector_bands(MAX_DENSITY_K, r)):
         top = min(A, c_hi - c_lo + 1)
         cuts = {s0 for s0, _, _ in runs} | {top}
         assert {cut for alpha, beta in deltas if (cut := -(A * beta - alpha * B) % A + 1) <= top} <= cuts, (A, B)
