@@ -22,28 +22,24 @@ its iterator, and a column other than its partner only when one augmenting
 path through the unfixed rows repairs the matching (in the manner of Uno
 1997).  That path is most often a direct swap, the partner of the new column
 taking the top row's old one, which is tried before any search.  A taken
-column pushes the next row's iterator, except at row n - 3: the last two rows
-then share the two columns left, so the plan of the current matching is
-recorded, and before or after it, by the smaller column at row n - 2, the
-plan with those two columns exchanged when both exchanged pairs are tight.
-An exhausted iterator is popped and frees its parent row's column.  Every
-branch taken therefore leads to an optimum, and between two optima each
-tight pair is tried at most once, so the delay is polynomial: O(n^4) in the
-worst case, against the exponential search of a cost bound alone.
+column pushes the next row's iterator, and an exhausted iterator is popped
+and frees its parent row's column.  Every branch taken therefore leads to an
+optimum, and between two optima each tight pair is tried at most once, so
+the delay is polynomial: O(n^4) in the worst case, against the exponential
+search of a cost bound alone.
 
-The plans below row n - 5 depend only on the set of columns the rows above
-it leave free, not on the prefix or the matching: a column is open to a row
-exactly when some perfect matching extends the prefix.  So the walk keeps
-the last five columns of the plans of each subtree it finishes at row
-n - 5, keyed by its free columns, and when the same free set comes back
-under another prefix it appends the prefix to each kept suffix instead of
-walking the subtree again.  It replays only where it would push row n - 5,
-never inside a walked subtree, and keeps a subtree only when it pops it,
-so every kept suffix is a distinct plan it walked itself: the memo holds
-O(5 * cap) columns, and between two optima the walk does no more work than
-it would without the memo, so the delay stays polynomial.  The walk is not recursive, so a
-matrix of any size stays within Python's recursion limit.  A transport
-support has at most MAX_TRANSPORT_ROWS rows.
+The last five rows are not walked.  Their plans depend only on the set of
+columns the rows above them leave free, not on the prefix or the matching,
+so once row n - 6 has a column the walk appends the prefix to each tight
+matching of the last rows onto the free columns.  One function, ``tails``,
+lists those matchings in order, memoized on the ascending free columns;
+the walk hands it only free sets that have a completion.  Only a miss at a
+set of five columns adds keys, at most its 31 nonempty subsets, and each
+holds at most as many suffixes as that set has plans, all of which are
+listed: the memo holds at most 31 * (cap + 120) suffixes of at most five
+columns.  The walk is not recursive and ``tails`` recurses at most six
+deep, so a matrix of any size stays within Python's recursion limit.  A
+transport support has at most MAX_TRANSPORT_ROWS rows.
 """
 
 from __future__ import annotations
@@ -68,9 +64,9 @@ from .core import (
 INF = float("inf")  # slack of a column no tree row reaches yet; every real slack is an int
 
 # Bound on the rows of a transport support.  The slowest admitted F_n sphere,
-# F4 at radius 3 with 392 rows from the generator a, takes 9 to 14 s on 2
-# cores with Python 3.11 (F2 at radius 5, 324 rows, 7 to 9 s); F2 at radius
-# 6 has 972 rows.
+# F4 at radius 3 with 392 rows from the generator a, takes 9.9 to 10.1 s as a
+# CLI call on 2 cores with Python 3.11 (F2 at radius 5, 324 rows, 6.7 to
+# 7.2 s); F2 at radius 6 has 972 rows.
 MAX_TRANSPORT_ROWS = 400
 
 
@@ -183,13 +179,13 @@ def _reroute(tight, mask, col, row, fixed, i: int, j: int) -> bool:
     through tight, unfixed columns other than j; returns False, leaving the
     matching as it was, when there is none.
     """
-    target, start = col[i], row[j]
-    if mask[start][target]:
-        col[start], row[target] = target, start
+    target, source = col[i], row[j]
+    if mask[source][target]:
+        col[source], row[target] = target, source
         col[i], row[j] = j, i
         return True
     via = {}  # column -> the row whose tight edge reached it
-    stack = [start]
+    stack = [source]
     while stack and target not in via:
         r = stack.pop()
         for c in tight[r]:
@@ -205,7 +201,7 @@ def _reroute(tight, mask, col, row, fixed, i: int, j: int) -> bool:
         r = via[c]
         prev = col[r]
         col[r], row[c] = c, r
-        if r == start:
+        if r == source:
             break
         c = prev
     col[i], row[j] = j, i
@@ -215,67 +211,58 @@ def _reroute(tight, mask, col, row, fixed, i: int, j: int) -> bool:
 def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], bool]:
     """The first ``cap`` optimal permutations, lexicographically, and whether more exist.
 
-    ``match`` is one optimal assignment and u, v its integer duals.  The walk
-    keeps one iterator over the tight columns of each fixed row on a stack;
-    every branch taken keeps a perfect matching of the tight graph that
-    agrees with the fixed rows, so it ends in a plan.  The last two rows are
-    never fixed: they share the two columns left, in the current matching
-    or exchanged.  A subtree finished at row n - 5 is kept by its sorted
-    free columns and replayed, prefix by prefix, when they come back.
+    ``match`` is one optimal assignment and u, v its integer duals.  The rows
+    from ``deep = max(n - 5, 0)`` on are listed by ``tails``, memoized on
+    their ascending free columns.  Above row ``deep`` the walk keeps one
+    iterator over the tight columns of each fixed row on a stack; every
+    branch taken keeps a perfect matching of the tight graph that agrees
+    with the fixed rows, so the free columns it hands to ``tails`` have at
+    least one completion.
     """
     if cap < 0:
         raise DomainError(f"the cap on listed optima must be at least 0, got {cap}")
     n = len(cost)
     mask = [bytearray([c - ui == vj for c, vj in zip(cost[i], v)]) for i, ui in enumerate(u)]
-    col = list(match)
-    plans = []
+    memo = {(): [()]}  # ascending free columns of the last rows -> their tight matchings onto them, in order
 
-    def add_tail():  # the plans that complete the rows fixed so far
-        plan = tuple(col)
-        a, b = plan[-2:]
-        if mask[-2][b] and mask[-1][a]:
-            swapped = plan[:-2] + (b, a)
-            plans.extend((plan, swapped) if a < b else (swapped, plan))
-        else:
-            plans.append(plan)
+    def tails(free):
+        found = memo.get(free)
+        if found is None:
+            m = mask[n - len(free)]  # the first of the rows these columns complete
+            found = memo[free] = []
+            for k, j in enumerate(free):
+                if m[j]:
+                    for t in tails(free[:k] + free[k + 1 :]):
+                        found.append((j,) + t)
+        return found
 
-    if n <= 2:
-        if n == 2:
-            add_tail()
-        else:
-            plans.append(tuple(col))  # the empty matrix has one plan, the empty permutation
+    deep = max(n - 5, 0)
+    if deep == 0:
+        plans = tails(tuple(range(n)))  # the empty matrix has one plan, the empty permutation
         return plans[:cap], len(plans) > cap
     tight = [list(compress(range(n), m)) for m in mask]
+    col = list(match)
     row = [0] * n
     for i, j in enumerate(col):
         row[j] = i
     fixed = [False] * n  # columns held by the rows below the top of the stack
-    last = n - 3  # the last row the walk gives a column; the two rows after it are the tail
-    deep = n - 5  # the first row of the subtrees kept by their free columns; none are kept below 6 rows
-    done = {}  # sorted free columns of a finished subtree at row deep -> its plans' suffixes from row deep
-    start = 0  # where the plans of the subtree being walked at row deep begin
+    plans = []
     stack = [iter(tight[0])]
     while stack and len(plans) <= cap:
         i = len(stack) - 1
         for j in stack[i]:
             if not fixed[j] and (j == col[i] or _reroute(tight, mask, col, row, fixed, i, j)):
-                if i == last:
-                    add_tail()
-                elif i + 1 == deep and (tails := done.get(tuple(sorted(col[deep:])))) is not None:
+                if i + 1 == deep:
                     head = tuple(col[:deep])
-                    plans.extend(head + t for t in tails)
+                    plans.extend(head + t for t in tails(tuple(sorted(col[deep:]))))
                 else:
                     fixed[j] = True
                     stack.append(iter(tight[i + 1]))
-                    if i + 1 == deep:
-                        start = len(plans)
                 break
         else:
             stack.pop()
             if i:
                 fixed[col[i - 1]] = False  # back from the branch that fixed row i - 1
-                if i == deep:
-                    done[tuple(sorted(col[deep:]))] = [p[deep:] for p in plans[start:]]
     return plans[:cap], len(plans) > cap
 
 

@@ -102,12 +102,14 @@ BENCHMARK_HEAVY = (
     ("H2", "g(1)", "ball", 2),
 )
 BENCHMARK_PLATEAU = tuple(("L2", f"d({m})", "sphere", 3) for m in range(3, 19))
-BENCHMARK_HORIZONS = {"Z2": 12, "F2": 7, "L2": 9, "W3": 6, "H2": 8, "Heis": 14}
+BENCHMARK_HORIZONS = {"Z2": 12, "F2": 7, "L2": 9, "W3": 6, "H2": 8, "Heis": 14, "F3": 3}
+# the top of the medium scale, free groups with closed-form lengths: 108 and 150 rows
+MEDIUM_TOP = (("F2", "a", "sphere", 4), ("F3", "a", "sphere", 3))
 
 
 def test_solver_and_walk_match_the_reference_on_the_benchmark_problems():
     tables = {}
-    for gid, x, mode, r in BENCHMARK_HEAVY + BENCHMARK_PLATEAU:
+    for gid, x, mode, r in BENCHMARK_HEAVY + BENCHMARK_PLATEAU + MEDIUM_TOP:
         oracle = get_group(gid)
         if gid not in tables:
             tables[gid] = bfs_metric(oracle, BENCHMARK_HORIZONS[gid])
@@ -158,39 +160,32 @@ def test_enumeration_walk_is_not_recursive():
     assert enumerate_optimal(cost, 0, cap=2) == ([tuple(range(n))], False)
 
 
-def walk_counting_replays(cost, cap):
-    """``_optimal_plans`` at ``cap``, with the suffixes its subtree memo kept and the plans its walk built itself.
+def walk_counting_memo(cost, cap):
+    """``_optimal_plans`` at ``cap``, with the number of suffixes its ``tails`` memo holds when it returns.
 
-    A profile hook reads the walk's locals: the growth of ``plans`` across
-    each ``add_tail`` call (the plans walked), and ``done`` when the walk
-    returns (the suffixes kept).  Replayed plans come from ``done`` alone.
+    A profile hook reads the walk's ``memo`` local on return.  Only a memo
+    miss at a set of at most five free columns adds keys, at most its 31
+    nonempty subsets, and each holds at most as many suffixes as that set
+    has plans, all of which the walk lists: so at most 31 * (cap + 120).
     """
     _, match, u, v = hungarian(cost)
-    sizes, counts = [], {"walked": 0, "kept": 0}
+    counts = {}
 
     def hook(frame, event, arg):
-        if frame.f_code.co_filename != transport.__file__:
-            return
-        if frame.f_code.co_name == "add_tail" and event in ("call", "return"):
-            size = len(frame.f_locals["plans"])
-            if event == "call":
-                sizes.append(size)
-            else:
-                counts["walked"] += size - sizes.pop()
-        elif frame.f_code.co_name == "_optimal_plans" and event == "return":
-            counts["kept"] = sum(map(len, frame.f_locals.get("done", {}).values()))
+        if frame.f_code.co_filename == transport.__file__ and frame.f_code.co_name == "_optimal_plans" and event == "return":
+            counts["stored"] = sum(map(len, frame.f_locals["memo"].values()))
 
     sys.setprofile(hook)
     try:
         result = _optimal_plans(cost, match, u, v, cap)
     finally:
         sys.setprofile(None)
-    assert counts["kept"] <= counts["walked"]  # every kept suffix is one plan the walk built, recorded once
-    return result, counts["kept"], counts["walked"]
+    assert counts["stored"] <= 31 * (cap + 120)
+    return result, counts["stored"]
 
 
 def test_walk_matches_the_reference_on_dense_ties_with_the_subtree_memo_bounded_by_the_walk():
-    # 0-1 matrices tie densely, so the free-column sets below row n - 5 recur under many prefixes
+    # 0-1 matrices tie densely, so the free-column sets of the last five rows recur under many prefixes
     rng = random.Random(32)
     for n in range(6, 17):
         matrices = [[[0] * n for _ in range(n)]]
@@ -199,31 +194,28 @@ def test_walk_matches_the_reference_on_dense_ties_with_the_subtree_memo_bounded_
             _, match, u, v = hungarian(cost)
             count = len(transport_reference._optimal_plans(cost, match, u, v, 1000)[0])
             for cap in (0, 1, 3, count, count + 1):
-                result, kept, walked = walk_counting_replays(cost, cap)
+                result, _ = walk_counting_memo(cost, cap)
                 assert result == transport_reference._optimal_plans(cost, match, u, v, cap)
-    # 8 rows, every pair tight: the prefixes (0, 1, 2) to (0, 1, 7) walk six subtrees of 5! plans below row 3,
-    # (0, 2, 1) replays the one of (0, 1, 2), and the cap ends the walk inside the subtree of (0, 2, 3)
-    result, kept, walked = walk_counting_replays([[0] * 8 for _ in range(8)], 1000)
-    assert (result, kept, walked) == ((list(itertools.permutations(range(8)))[:1000], True), 840, 882)
-
-
-def test_a_subtree_the_cap_cuts_short_is_not_kept():
-    zero6, zero7 = [[0] * 6 for _ in range(6)], [[0] * 7 for _ in range(7)]
-    # 6 rows: the first subtree at row 1 holds 5! = 120 plans; a cap of 50 ends the walk inside it
-    assert walk_counting_replays(zero6, 50) == ((list(itertools.permutations(range(6)))[:50], True), 0, 52)
-    # 7 rows: the subtree under (0, 1) is kept; a cap of 150 ends the walk inside the one under (0, 2)
-    assert walk_counting_replays(zero7, 150) == ((list(itertools.permutations(range(7)))[:150], True), 120, 152)
+    # every pair tight, at caps that fall inside the plans of one free set: 6 rows at 50, 7 at 150, 8 at 1 000
+    for n, cap in ((6, 50), (7, 150), (8, 1000)):
+        zero = [[0] * n for _ in range(n)]
+        _, match, u, v = hungarian(zero)
+        result, stored = walk_counting_memo(zero, cap)
+        assert result == transport_reference._optimal_plans(zero, match, u, v, cap)
+        assert result == (list(itertools.permutations(range(n)))[:cap], True)
+    # 8 rows: the prefixes (0, 1, 2) to (0, 1, 7), (0, 2, 3) and (0, 2, 4) miss eight five-column sets
+    assert stored == 1710
 
 
 @pytest.mark.parametrize(
     "gid,x,mode,r,bound",
     [
-        ("F2", "a b^-1", "sphere", 2, 1200),  # 12 rows; 3 396 calls without the subtree memo
-        ("L2", "d(3)", "sphere", 3, 500),  # 12 rows; 1 113 calls without it
-        ("Heis", "(4,1,2)", "ball", 2, 1500),  # 17 rows; 2 136 calls without it
+        ("F2", "a b^-1", "sphere", 2, 450),  # 12 rows; 844 calls when the walk went down to row n - 3
+        ("L2", "d(3)", "sphere", 3, 200),  # 12 rows; 319 calls then
+        ("Heis", "(4,1,2)", "ball", 2, 200),  # 17 rows; 1 059 calls then
     ],
 )
-def test_replayed_subtrees_cut_the_searches_for_a_column(monkeypatch, gid, x, mode, r, bound):
+def test_the_last_five_rows_make_no_search_for_a_column(monkeypatch, gid, x, mode, r, bound):
     calls = []
 
     def counted(*args):
