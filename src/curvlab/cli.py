@@ -3,9 +3,8 @@
 Subcommands: length, curvature, deadend, backtracks, density, transport,
 probe, verify.  Output is JSON (default) or, where a subcommand's --format
 offers it, CSV, deterministic for a fixed configuration and seed; rationals
-are emitted as "p/q" strings with a float convenience field that is never
-used in any assertion.  Exit codes: 0 on success, 1 on usage or parse
-errors, 2 when verify reports a failing criterion.
+are emitted as exact "p/q" strings only.  Exit codes: 0 on success, 1 on
+usage or parse errors, 2 when verify reports a failing criterion.
 """
 
 from __future__ import annotations

@@ -50,9 +50,7 @@ class CurvatureReport:
             "mode": self.mode,
             "base_length": self.base_length,
             "comparison_distance": rational_str(self.comparison),
-            "comparison_distance_float": float(self.comparison),
             "kappa": rational_str(self.kappa),
-            "kappa_float": float(self.kappa),
             "breakdown": [
                 {"conjugator": format_element(w), "conjugate_length": length}
                 for w, length in self.breakdown

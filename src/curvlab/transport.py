@@ -101,13 +101,11 @@ class TransportResult:
             "radius": self.spec.radius,
             "cost": [list(row) for row in self.cost],
             "t1": rational_str(self.t1),
-            "t1_float": float(self.t1),
             "optimal_permutations": [list(p) for p in self.permutations],
             "truncated": self.truncated,
             "identity_optimal": self.identity_optimal,
             "distance": self.distance,
             "kappa_star": None if self.kappa_star is None else rational_str(self.kappa_star),
-            "kappa_star_float": None if self.kappa_star is None else float(self.kappa_star),
         }
 
 
@@ -171,13 +169,14 @@ def solve_assignment(cost: list[list[int]]) -> int:
     return hungarian(cost)[0]
 
 
-def _reroute(tight, mask, col, row, fixed, i: int, j: int) -> bool:
+def _reroute(tight, mask, col, row, i: int, j: int) -> bool:
     """Give row i column j, keeping the matching perfect by moving only unfixed rows.
 
-    When j's owner has i's old column tight, the two rows swap columns.
-    Otherwise searches one augmenting path from j's owner to i's old column
-    through tight, unfixed columns other than j; returns False, leaving the
-    matching as it was, when there is none.
+    The fixed rows are rows 0 to i - 1, so a column is fixed exactly when
+    ``row[c] < i``.  When j's owner has i's old column tight, the two rows
+    swap columns.  Otherwise searches one augmenting path from j's owner to
+    i's old column through tight, unfixed columns other than j; returns
+    False, leaving the matching as it was, when there is none.
     """
     target, source = col[i], row[j]
     if mask[source][target]:
@@ -189,7 +188,7 @@ def _reroute(tight, mask, col, row, fixed, i: int, j: int) -> bool:
     while stack and target not in via:
         r = stack.pop()
         for c in tight[r]:
-            if c != j and not fixed[c] and c not in via:
+            if c != j and row[c] >= i and c not in via:
                 via[c] = r
                 if c == target:
                     break
@@ -245,24 +244,20 @@ def _optimal_plans(cost, match, u, v, cap: int) -> tuple[list[tuple[int, ...]], 
     row = [0] * n
     for i, j in enumerate(col):
         row[j] = i
-    fixed = [False] * n  # columns held by the rows below the top of the stack
     plans = []
     stack = [iter(tight[0])]
     while stack and len(plans) <= cap:
         i = len(stack) - 1
         for j in stack[i]:
-            if not fixed[j] and (j == col[i] or _reroute(tight, mask, col, row, fixed, i, j)):
+            if row[j] >= i and (j == col[i] or _reroute(tight, mask, col, row, i, j)):
                 if i + 1 == deep:
                     head = tuple(col[:deep])
                     plans.extend(head + t for t in tails(tuple(sorted(col[deep:]))))
                 else:
-                    fixed[j] = True
                     stack.append(iter(tight[i + 1]))
                 break
         else:
             stack.pop()
-            if i:
-                fixed[col[i - 1]] = False  # back from the branch that fixed row i - 1
     return plans[:cap], len(plans) > cap
 
 
@@ -290,6 +285,8 @@ def transport_distance(
     The identity permutation is the comparison-distance plan; whether it is
     among the optima is reported on the result.
     """
+    if spec.radius == 0:  # sphere_or_ball refuses a negative radius
+        raise DomainError(f"radius must be at least 1, got {spec.radius}")
     ws = sphere_or_ball(table, spec.radius, spec.support)
     if len(ws) > MAX_TRANSPORT_ROWS:
         raise DomainError(

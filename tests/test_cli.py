@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -228,7 +229,7 @@ def test_cli_curvature_positive():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["kappa"] == "1/18"
-    assert payload["kappa_float"] > 0
+    assert Fraction(payload["kappa"]) > 0
 
 
 def test_cli_curvature_zero_abelian():
@@ -400,11 +401,14 @@ CLI_GOLDEN = {
 }
 
 
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+
+
 @pytest.mark.parametrize("name", CLI_GOLDEN)
 def test_cli_calls_print_their_golden_output(name):
     proc = run_cli(*CLI_GOLDEN[name])
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == (Path(__file__).resolve().parent / "golden" / "cli" / f"{name}.txt").read_text()
+    assert proc.stdout == (GOLDEN_CLI / f"{name}.txt").read_text()
 
 
 def test_cli_output_closed_after_the_first_line_ends_without_a_traceback():
@@ -512,6 +516,8 @@ def test_cli_parse_error_exit_code():
         ("length", "--group", "L2", "--element", "d(0)"),
         ("curvature", "--group", "S3", "--element", "s t s", "--radius", "5"),  # S_5 is empty
         ("transport", "--group", "S3", "--x", "w: s", "--y", "w:", "--radius", "5"),
+        ("transport", "--group", "Z2", "--x", "(0,0)", "--y", "(1,0)", "--radius", "0"),
+        ("probe", "--group", "Z2", "--radius", "0", "--ball", "1"),
         ("length", "--group", "L2"),  # argparse usage errors: exit 2 is reserved for verify
         ("curvature", "--group", "L2", "--element", "d(2)", "--radius", "one"),
         (),
@@ -772,8 +778,16 @@ def test_cli_outputs_validate_against_schema():
         run_cli("transport", "--group", "S3", "--x", "w: s", "--y", "w:").stdout,
         run_cli("probe", "--group", "Z2", "--radius", "1", "--ball", "2").stdout,
     ]
-    for raw in outputs:
-        jsonschema.validate(json.loads(raw), schema)
+    # every JSON golden output, one document per line (a dead-end scan writes one per dead end)
+    outputs += [path.read_text() for path in GOLDEN_CLI.glob("*.txt") if not path.stem.endswith("_csv")]
+    docs = [json.loads(line) for raw in outputs for line in raw.splitlines()]
+    assert {doc["kind"] for doc in docs} == {"length", "curvature", "deadend", "backtracks", "density", "transport", "probe"}
+    for doc in docs:
+        jsonschema.validate(doc, schema)
+    # a report carries exactly the fields the schema lists: a float mirror of kappa is refused
+    curvature = next(doc for doc in docs if doc["kind"] == "curvature")
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate({**curvature, "kappa_float": float(Fraction(curvature["kappa"]))}, schema)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
